@@ -25,7 +25,7 @@ from .channel import (
     sinr_cdf,
     sinr_cdf_inv,
     sinr_pdf,
-    varpi_weights,
+    sinr_sf,
 )
 from .errors import DomainError, PreconditionError
 from .feedback import BestMPoly, xi1_vector
@@ -48,15 +48,20 @@ def bestm_cdf_inv(p: LinkProfile, N: int, M: int, q: float) -> float:
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile argument must be in (0, 1), got {q}")
-    poly = BestMPoly.build(N, M)
+    return sinr_cdf_inv(p, _bestm_poly_quantile(N, M, q))
+
+
+@lru_cache(maxsize=1024)
+def _bestm_poly_quantile(N: int, M: int, q: float) -> float:
+    """The u in [0, 1] where the best-M polynomial F_Y(u) reaches q; shared
+    by every user of a cell, whatever its SINR distribution."""
     if M == 1:
-        u = q ** (1.0 / N)
-    elif M == N:
-        u = q
-    else:
-        u = brentq(lambda v: float(poly.eval_in_f(v)) - q, 0.0, 1.0,
-                   xtol=1e-300, rtol=8.9e-16, maxiter=200)
-    return sinr_cdf_inv(p, u)
+        return q ** (1.0 / N)
+    if M == N:
+        return q
+    poly = BestMPoly.build(N, M)
+    return brentq(lambda v: float(poly.eval_in_f(v)) - q, 0.0, 1.0,
+                  xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
 
 def normalizing_constants(p: LinkProfile, K: float, N: int,
@@ -193,22 +198,6 @@ def _tail_polys(N: int, M: int):
     return tuple(float(v) for v in q), tuple(float(v) for v in r)
 
 
-def _sinr_sf(p: LinkProfile, x: float) -> float:
-    """Survival function of the base SINR, accurate deep in the tail."""
-    if x <= 0:
-        return 1.0
-    if p.kind == NOISE_LIMITED:
-        return math.exp(-x / p.rho0)
-    if p.kind == INTERFERENCE_LIMITED:
-        return p.rho0 / (p.rho_int[0] * x + p.rho0)
-    w = varpi_weights(p.rho_int)
-    e = math.exp(-x / p.rho0)
-    return float(sum(
-        w[b] * e * p.rho0 / (p.rho0 + rho_b * x)
-        for b, rho_b in enumerate(p.rho_int)
-    ))
-
-
 def _horner(coeffs, s: float) -> float:
     out = 0.0
     for c in reversed(coeffs):
@@ -229,7 +218,7 @@ def tail_convergence_diagnostic(p: LinkProfile, N: int,
 
     def hazard_inverse(x: float) -> float:
         # (1 - F_Y) / f_Y
-        s = _sinr_sf(p, x)
+        s = sinr_sf(p, x)
         f = float(sinr_pdf(p, x))
         return _horner(q_coef, s) / (_horner(r_coef, s) * f)
 

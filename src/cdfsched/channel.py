@@ -85,12 +85,17 @@ class LinkProfile:
     rho0: float
     rho_int: tuple[float, ...] = ()
     kind: str = NOISE_LIMITED
+    #: partial-fraction weights of the interference mixture (varpi_weights),
+    #: computed once here for every CDF, density and quantile evaluation
+    weights: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.rho0 <= 0:
-            raise DomainError("rho0 must be positive")
-        if any(r <= 0 for r in self.rho_int):
-            raise DomainError("interferer scales must be positive")
+        if not (math.isfinite(self.rho0) and self.rho0 > 0):
+            raise DomainError(f"rho0 must be positive and finite, got {self.rho0}")
+        if not all(math.isfinite(r) and r > 0 for r in self.rho_int):
+            raise DomainError(
+                f"interferer scales must be positive and finite, got {self.rho_int}"
+            )
         if self.kind == NOISE_LIMITED and self.rho_int:
             raise DomainError("noise_limited profile cannot have interferers")
         if self.kind == INTERFERENCE_LIMITED and len(self.rho_int) != 1:
@@ -99,7 +104,8 @@ class LinkProfile:
             raise DomainError("general profile needs at least one interferer")
         if list(self.rho_int) != sorted(self.rho_int, reverse=True):
             raise DomainError("rho_int must be sorted descending")
-        _check_distinct(self.rho_int)
+        object.__setattr__(self, "weights",
+                           tuple(varpi_weights(self.rho_int).tolist()))
 
     @classmethod
     def noise_limited(cls, rho0: float) -> "LinkProfile":
@@ -156,9 +162,8 @@ class AggregateInterferenceMixture:
     def from_profile(cls, p: LinkProfile) -> "AggregateInterferenceMixture":
         if not p.rho_int:
             raise DomainError("profile has no interferers")
-        w = varpi_weights(p.rho_int)
         return cls(
-            weights=tuple(w[b] / p.rho_int[b] for b in range(len(p.rho_int))),
+            weights=tuple(w / r for w, r in zip(p.weights, p.rho_int)),
             rates=tuple(1.0 / r for r in p.rho_int),
         )
 
@@ -252,12 +257,11 @@ def sinr_pdf(p: LinkProfile, x):
         rho1 = p.rho_int[0]
         out = p.rho0 * rho1 / (rho1 * x + p.rho0) ** 2
     else:
-        w = varpi_weights(p.rho_int)
         out = np.zeros_like(x)
         e = np.exp(-x / p.rho0)
-        for b, rho_b in enumerate(p.rho_int):
+        for w, rho_b in zip(p.weights, p.rho_int):
             denom = p.rho0 + rho_b * x
-            out += w[b] * e * (1.0 / denom + p.rho0 * rho_b / denom**2)
+            out += w * e * (1.0 / denom + p.rho0 * rho_b / denom**2)
     out = np.where(x >= 0, out, 0.0)
     return float(out[0]) if scalar else out
 
@@ -273,14 +277,27 @@ def sinr_cdf(p: LinkProfile, x):
         rho1 = p.rho_int[0]
         out = 1.0 - p.rho0 / (rho1 * x + p.rho0)
     else:
-        w = varpi_weights(p.rho_int)
         tail = np.zeros_like(x)
         e = np.exp(-x / p.rho0)
-        for b, rho_b in enumerate(p.rho_int):
-            tail += w[b] * e * p.rho0 / (p.rho0 + rho_b * x)
+        for w, rho_b in zip(p.weights, p.rho_int):
+            tail += w * e * p.rho0 / (p.rho0 + rho_b * x)
         out = 1.0 - tail
     out = np.clip(np.where(x > 0, out, 0.0), 0.0, 1.0)
     return float(out[0]) if scalar else out
+
+
+def sinr_sf(p: LinkProfile, x: float) -> float:
+    """Survival function 1 - F of the SINR at one point, in scalar
+    arithmetic; accurate deep in the tail, where 1 - sinr_cdf cancels."""
+    if x <= 0:
+        return 1.0
+    if p.kind == NOISE_LIMITED:
+        return math.exp(-x / p.rho0)
+    if p.kind == INTERFERENCE_LIMITED:
+        return p.rho0 / (p.rho_int[0] * x + p.rho0)
+    e = math.exp(-x / p.rho0)
+    return sum(w * e * p.rho0 / (p.rho0 + rho_b * x)
+               for w, rho_b in zip(p.weights, p.rho_int))
 
 
 def sinr_cdf_inv(p: LinkProfile, q: float) -> float:
@@ -291,10 +308,13 @@ def sinr_cdf_inv(p: LinkProfile, q: float) -> float:
         return -p.rho0 * math.log1p(-q)
     if p.kind == INTERFERENCE_LIMITED:
         return p.rho0 / p.rho_int[0] * q / (1.0 - q)
+
+    def gap(x: float) -> float:
+        return 1.0 - sinr_sf(p, x) - q
+
     hi = p.rho0
-    while sinr_cdf(p, hi) < q:
+    while gap(hi) < 0.0:
         hi *= 2.0
         if hi > 1e300:
             raise ConvergenceError("could not bracket SINR quantile")
-    return brentq(lambda x: sinr_cdf(p, x) - q, 0.0, hi, xtol=1e-300,
-                  rtol=8.9e-16, maxiter=200)
+    return brentq(gap, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)

@@ -29,7 +29,6 @@ from .channel import (
     LinkProfile,
     sinr_cdf,
     sinr_pdf,
-    varpi_weights,
 )
 from .errors import CancellationError, DomainError
 from .feedback import BestMPoly, feedback_count_pmf_exact, xi2_vector
@@ -50,7 +49,7 @@ def varpi(p: LinkProfile, b: int) -> float:
     """Partial-fraction weight of interferer b (1-based)."""
     if not 1 <= b <= p.num_interferers:
         raise DomainError(f"interferer index {b} out of range")
-    return float(varpi_weights(p.rho_int)[b - 1])
+    return p.weights[b - 1]
 
 
 def _psi_table(betas, j_vector, b):
@@ -131,8 +130,7 @@ def expansion_terms(p: LinkProfile, ell: int):
     """Enumerate the nonzero terms of the PDF-power expansion at level ell."""
     J = p.num_interferers
     betas = [p.rho0 / r for r in p.rho_int]
-    w = varpi_weights(p.rho_int)
-    scales = [w[b] * betas[b] for b in range(J)]
+    scales = [w * beta for w, beta in zip(p.weights, betas)]
     for comp in _compositions(ell + 1, J):
         scale = 1.0
         for b in range(J):
@@ -440,15 +438,17 @@ def g_k_quadrature(p: LinkProfile, eps: int,
     if config is None:
         config = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-11,
                                   max_subdivisions=6000)
+    rho0 = p.rho0  # integrated in y = x / rho0, as in _rate_quadrature
 
-    def integrand(xs):
+    def integrand(ys):
+        xs = rho0 * ys
         F = sinr_cdf(p, xs)
         f = sinr_pdf(p, xs)
         if eps == 1:
             w = f
         else:
             w = eps * F ** (eps - 1) * f
-        return w * np.log1p(xs) / _LN2
+        return rho0 * w * np.log1p(xs) / _LN2
 
     return adaptive_quad_halfline(integrand, config, vectorized=True)
 
@@ -471,8 +471,10 @@ def selected_rate_conditional(p: LinkProfile, N: int, M: int,
     if tau0 < 1:
         raise DomainError(f"tau0 must be >= 1, got {tau0}")
     poly = BestMPoly.build(N, M)
+    rho0 = p.rho0  # integrated in y = x / rho0, as in _rate_quadrature
 
-    def integrand(xs):
+    def integrand(ys):
+        xs = rho0 * ys
         F = sinr_cdf(p, xs)
         FY = poly.eval_in_f(F)
         fY = poly.derivative_in_f(F) * sinr_pdf(p, xs)
@@ -480,7 +482,7 @@ def selected_rate_conditional(p: LinkProfile, N: int, M: int,
             w = fY
         else:
             w = tau0 * FY ** (tau0 - 1) * fY
-        return np.maximum(w, 0.0) * np.log1p(xs) / _LN2
+        return rho0 * np.maximum(w, 0.0) * np.log1p(xs) / _LN2
 
     return adaptive_quad_halfline(
         integrand,
@@ -527,17 +529,21 @@ def _rate_quadrature(p: LinkProfile, K0: int, N: int, M: int) -> float:
 
     Averaging tau0 * F_Y^(tau0-1) over the Binomial(K0, M/N) feedback count
     telescopes to K0 * (M/N) * (1 - M/N + (M/N) F_Y)^(K0-1), leaving one
-    smooth positive integral per (user, K0, N, M).
+    smooth positive integral per (user, K0, N, M).  It is taken in
+    y = x / rho0, so that the half-line map samples the SINR on its own
+    scale; unscaled, every first node misses the density at rho0 = 1e-8.
     """
     poly = BestMPoly.build(N, M)
     prob = M / N
+    rho0 = p.rho0
 
-    def integrand(xs):
+    def integrand(ys):
+        xs = rho0 * ys
         F = sinr_cdf(p, xs)
         FY = poly.eval_in_f(F)
         fY = poly.derivative_in_f(F) * sinr_pdf(p, xs)
         mix = (1.0 - prob + prob * FY) ** (K0 - 1)
-        return np.maximum(fY, 0.0) * mix * np.log1p(xs) / _LN2
+        return rho0 * np.maximum(fY, 0.0) * mix * np.log1p(xs) / _LN2
 
     val = adaptive_quad_halfline(
         integrand,

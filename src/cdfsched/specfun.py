@@ -7,7 +7,6 @@ adaptive quadrature doubles as the independent oracle for them.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -173,48 +172,69 @@ def hyp2f1_unit_params(c: int, z: float) -> float:
     return (c - 1) * val
 
 
-def _gk15(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = f(mid + half * _GK_NODES)
-    k15 = half * float(np.dot(_GK_WEIGHTS, fx))
-    g7 = half * float(np.dot(_G7_WEIGHTS, fx[1::2]))
-    return k15, abs(k15 - g7)
+def _gk15(f, lo, hi):
+    """GK15 values and |K15 - G7| error estimates on every panel [lo, hi],
+    with one call of the vectorized integrand for all panels."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    fx = np.asarray(f((mid[:, None] + half[:, None] * _GK_NODES).ravel()),
+                    dtype=float).reshape(len(lo), len(_GK_NODES))
+    k15 = half * (fx @ _GK_WEIGHTS)
+    g7 = half * (fx[:, 1::2] @ _G7_WEIGHTS)
+    return k15, np.abs(k15 - g7)
 
 
 def adaptive_quad(f, a: float, b: float, config: QuadratureConfig | None = None,
                   vectorized: bool = False):
     """Adaptive Gauss-Kronrod integration of f over the finite interval [a, b].
 
+    Globally adaptive GK15/G7 refinement (QUADPACK's QAG rule), batched by
+    rounds.  It starts from [a, b] cut into four panels.  While the summed
+    error estimate exceeds max(abs_tol, rel_tol * |value|), a round cuts
+    into four the panels with the largest error estimates, as many as it
+    takes for the panels left alone to carry less than an eighth of that
+    tolerance, and evaluates all the new panels in one call of the
+    integrand.  Cutting a panel in four counts as three subdivisions (the
+    panels three bisections make); the starting panels are always made.
+
     Returns (value, error_estimate).  `f` must accept an ndarray of abscissae
-    when vectorized=True; a scalar function is wrapped otherwise.
+    when vectorized=True; a scalar function is wrapped otherwise.  Raises
+    ConvergenceError, carrying the achieved error estimate, when the next
+    round would exceed max_subdivisions.
     """
     if config is None:
         config = QuadratureConfig()
     if not vectorized:
         g = f
         f = lambda xs: np.array([g(x) for x in xs])
-    val, err = _gk15(f, a, b)
-    intervals = [(-err, a, b, val)]
-    total_val, total_err = val, err
-    for _ in range(config.max_subdivisions):
+    edges = np.linspace(a, b, 5)
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = _gk15(f, lo, hi)
+    budget = config.max_subdivisions - 3
+    while True:
+        total_val, total_err = float(vals.sum()), float(errs.sum())
         tol = max(config.abs_tol, config.rel_tol * abs(total_val))
         if total_err <= tol:
             return total_val, total_err
-        neg_err, lo, hi, old_val = heapq.heappop(intervals)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        total_val += v1 + v2 - old_val
-        total_err += e1 + e2 + neg_err
-        heapq.heappush(intervals, (-e1, lo, mid, v1))
-        heapq.heappush(intervals, (-e2, mid, hi, v2))
-    if total_err <= max(config.abs_tol, config.rel_tol * abs(total_val)):
-        return total_val, total_err
-    raise ConvergenceError(
-        f"adaptive quadrature stalled at error {total_err:.3e}",
-        achieved_error=total_err,
-    )
+        order = np.argsort(errs)[::-1]
+        left_alone = total_err - np.cumsum(errs[order])
+        count = min(int(np.searchsorted(-left_alone, -0.125 * tol)) + 1,
+                    len(order), budget // 3)
+        if count <= 0:
+            raise ConvergenceError(
+                f"adaptive quadrature stalled at error {total_err:.3e}",
+                achieved_error=total_err,
+            )
+        budget -= 3 * count
+        cut, keep = order[:count], order[count:]
+        step = 0.25 * (hi[cut] - lo[cut])
+        new_lo = (lo[cut] + step * np.arange(4)[:, None]).ravel()
+        new_hi = np.concatenate((new_lo[count:], hi[cut]))
+        new_vals, new_errs = _gk15(f, new_lo, new_hi)
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        vals = np.concatenate((vals[keep], new_vals))
+        errs = np.concatenate((errs[keep], new_errs))
 
 
 def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,

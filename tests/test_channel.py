@@ -19,6 +19,7 @@ from cdfsched.channel import (
     sinr_cdf,
     sinr_cdf_inv,
     sinr_pdf,
+    sinr_sf,
     varpi_weights,
 )
 from cdfsched.errors import DistinctnessError, DomainError, ScenarioError
@@ -63,6 +64,20 @@ class TestLinkProfile:
     def test_hashable_for_caching(self):
         p = LinkProfile.general(5.0, (1.0, 0.3))
         assert hash(p) == hash(LinkProfile.general(5.0, (1.0, 0.3)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: LinkProfile.noise_limited(float("nan")),
+        lambda: LinkProfile.noise_limited(float("inf")),
+        lambda: LinkProfile.general(5.0, (float("inf"), 1.0)),
+    ], ids=["nan_rho0", "inf_rho0", "inf_interferer"])
+    def test_non_finite_scales_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_weights_stored_at_construction(self):
+        p = LinkProfile.general(3.0, (2.0, 0.7, 0.2))
+        assert p.weights == tuple(varpi_weights(p.rho_int))
+        assert "weights" not in repr(p)
 
 
 class TestMixture:
@@ -119,6 +134,18 @@ class TestSinrDistribution:
     def test_quantile_roundtrip(self, p, q):
         x = sinr_cdf_inv(p, q)
         assert sinr_cdf(p, x) == pytest.approx(q, rel=1e-10)
+
+    @pytest.mark.parametrize("p", PROFILES)
+    def test_survival_function_is_cdf_complement(self, p):
+        for x in (0.0, 0.3, 2.0, 10.0):
+            assert sinr_sf(p, x) == pytest.approx(1.0 - sinr_cdf(p, x),
+                                                  rel=1e-12, abs=1e-15)
+        # deep in an exponential tail 1 - sinr_cdf cancels to zero; the
+        # survival function does not
+        x = 50.0 * p.rho0
+        if p.kind != "interference_limited":
+            assert sinr_cdf(p, x) == 1.0
+        assert sinr_sf(p, x) > 0.0
 
     def test_quantile_domain(self):
         with pytest.raises(DomainError):

@@ -10,6 +10,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cdfsched.cli import SEED_ENV_VAR, load_scenario, main, scenario_profiles
@@ -119,6 +120,19 @@ class TestRateCommands:
                                "--M", "99")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("noise_psd", [float("nan"), float("-inf")])
+    @pytest.mark.parametrize("command", [["rate-exact", "--M", "4"],
+                                         ["plan-feedback", "--eta", "0.9"]])
+    def test_non_finite_link_scale_exits_two(self, capsys, tmp_path,
+                                             noise_psd, command):
+        # a NaN noise PSD makes rho0 NaN, and -inf (zero noise) makes it inf
+        path = write_json(tmp_path, dict(MINIMAL, noise_psd_dbm_hz=noise_psd))
+        with np.errstate(divide="ignore"):
+            code, _, err = run_cli(capsys, command[0], "--scenario", path,
+                                   *command[1:])
+        assert code == 2
+        assert "rho0 must be positive and finite" in err
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "report.csv"

@@ -6,12 +6,15 @@ direct adaptive quadrature for every rate quantity.
 """
 
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from cdfsched import exact_rate
 from cdfsched.channel import LinkProfile
+from cdfsched.cli import load_scenario, scenario_profiles
 from cdfsched.errors import DomainError
 from cdfsched.exact_rate import (
     RateBreakdown,
@@ -188,6 +191,16 @@ class TestUserRate:
                      for m, c in enumerate(xi1_vector(N, M)) if c != 0)
         assert direct == pytest.approx(expect, rel=1e-8)
 
+    @pytest.mark.parametrize("rho0,expect,rel", [
+        (1e-8, 4.089343984132659e-9, 1e-8),
+        (1e8, 2.6468039167782623, 1e-12),
+    ])
+    def test_rho0_extremes(self, rho0, expect, rel):
+        # N * K0 = 160 takes the collapsed quadrature; references from
+        # mpmath quadrature of the same integral at 30 digits
+        got = user_rate_exact(LinkProfile.noise_limited(rho0), 10, 16, 4)
+        assert got == pytest.approx(expect, rel=rel)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             user_rate_exact(NL, 0, 16, 4)
@@ -210,3 +223,28 @@ class TestSumRate:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             sum_rate_exact([], 16, 4)
+
+
+def test_quadrature_calls_per_rate_on_a_large_cell(monkeypatch):
+    """Round-batched refinement on the rho0-scaled map: at K0 = 50 with the
+    golden scenario's users, a collapsed-quadrature rate costs only a few
+    calls of its integrand, whatever M."""
+    golden = Path(__file__).resolve().parents[1] / "examples_scenarios" \
+        / "hetnet_two_macro_four_pico.json"
+    scenario, raw = load_scenario(str(golden))
+    profiles = scenario_profiles(scenario, raw["seed"])
+    calls = []
+    quad = exact_rate.adaptive_quad_halfline
+
+    def counting(f, config=None, vectorized=False):
+        def counted(xs):
+            calls.append(len(xs))
+            return f(xs)
+        return quad(counted, config, vectorized)
+
+    monkeypatch.setattr(exact_rate, "adaptive_quad_halfline", counting)
+    for p in profiles:
+        for M in range(1, 17):
+            # uncached, so that every rate is computed here
+            _rate_quadrature.__wrapped__(p, 50, 16, M)
+    assert len(calls) / (16 * len(profiles)) <= 8

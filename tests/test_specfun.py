@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdfsched.errors import DomainError
+from cdfsched.errors import ConvergenceError, DomainError
 from cdfsched.specfun import (
     EULER_GAMMA,
     QuadratureConfig,
@@ -96,6 +96,31 @@ class TestAdaptiveQuad:
         val, err = adaptive_quad(lambda x: x**13 - 3 * x**5 + 2, -1.0, 2.0)
         exact = (2.0**14 - 1.0) / 14 - 3 * (2.0**6 - 1.0) / 6 + 2 * 3.0
         assert val == pytest.approx(exact, rel=1e-14)
+
+    def test_degree_13_exact_on_the_starting_panels(self):
+        # G7 is exact to degree 13 as well, so |K15 - G7| vanishes and one
+        # integrand call settles it, whatever the subdivision budget
+        calls = []
+
+        def f(x):
+            calls.append(len(x))
+            return x**13 - 3 * x**5 + 2
+
+        val, _ = adaptive_quad(f, -1.0, 2.0,
+                               QuadratureConfig(max_subdivisions=1),
+                               vectorized=True)
+        exact = (2.0**14 - 1.0) / 14 - 3 * (2.0**6 - 1.0) / 6 + 2 * 3.0
+        assert val == pytest.approx(exact, rel=1e-14)
+        assert len(calls) == 1
+
+    def test_subdivision_budget_exhausted(self):
+        # the sqrt cusp at 0.3 needs many rounds; six subdivisions are two
+        with pytest.raises(ConvergenceError) as info:
+            adaptive_quad(lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0,
+                          QuadratureConfig(max_subdivisions=6),
+                          vectorized=True)
+        assert math.isfinite(info.value.achieved_error)
+        assert info.value.achieved_error > 0.0
 
     def test_oscillatory(self):
         val, _ = adaptive_quad(lambda x: np.sin(x), 0.0, 20.0,
