@@ -22,7 +22,6 @@ from .channel import (
     INTERFERENCE_LIMITED,
     NOISE_LIMITED,
     LinkProfile,
-    sinr_cdf,
     sinr_cdf_inv,
     sinr_pdf,
     sinr_sf,

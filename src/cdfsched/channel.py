@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DistinctnessError, DomainError, ScenarioError
-from .specfun import QuadratureConfig, adaptive_quad_halfline
 
 log = logging.getLogger(__name__)
 
@@ -43,6 +43,8 @@ class Cell:
             raise ScenarioError(f"unknown tier {self.tier!r}")
         if not math.isfinite(self.tx_power_dbm):
             raise ScenarioError("tx_power_dbm must be finite")
+        if not all(math.isfinite(v) for v in self.position):
+            raise ScenarioError(f"cell position must be finite, got {self.position}")
 
 
 @dataclass(frozen=True)
@@ -53,22 +55,35 @@ class Scenario:
     bandwidth_hz: float = 5e6
     num_rb: int = 16
     shadowing_sigma_db: float = 8.0
-    macro_radius_m: float = 500.0
-    pico_radius_m: float = 100.0
-    seed: int = 0
     interferer_keep_threshold: float = DEFAULT_KEEP_THRESHOLD
 
     def __post_init__(self):
         if not self.cells:
             raise ScenarioError("scenario needs at least one cell")
-        if self.num_rb < 1:
-            raise ScenarioError("num_rb must be >= 1")
-        if self.shadowing_sigma_db < 0:
-            raise ScenarioError("shadowing_sigma_db must be >= 0")
-        if self.bandwidth_hz <= 0:
-            raise ScenarioError("bandwidth_hz must be positive")
+        if (isinstance(self.num_rb, bool)
+                or not isinstance(self.num_rb, numbers.Integral)
+                or self.num_rb < 1):
+            raise ScenarioError(f"num_rb must be an integer >= 1, got {self.num_rb!r}")
+        if not all(math.isfinite(v) for u in self.users for v in u):
+            raise ScenarioError("user positions must be finite")
+        if not math.isfinite(self.noise_psd_dbm_hz):
+            raise ScenarioError("noise_psd_dbm_hz must be finite")
+        if not (math.isfinite(self.shadowing_sigma_db)
+                and self.shadowing_sigma_db >= 0):
+            raise ScenarioError("shadowing_sigma_db must be finite and >= 0")
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
+            raise ScenarioError("bandwidth_hz must be positive and finite")
         if not (0 < self.interferer_keep_threshold <= 1):
             raise ScenarioError("interferer_keep_threshold must be in (0, 1]")
+        try:
+            noise_mw = 10.0 ** (self.noise_power_rb_dbm / 10.0)
+        except OverflowError:
+            noise_mw = math.inf
+        if not 0.0 < noise_mw < math.inf:
+            raise ScenarioError(
+                f"noise power per resource block ({self.noise_power_rb_dbm:.6g}"
+                " dBm) must be positive and finite in mW"
+            )
 
     @property
     def noise_power_rb_dbm(self) -> float:
@@ -149,36 +164,6 @@ def varpi_weights(rho_int) -> np.ndarray:
             if i != b:
                 out[b] *= rho[b] / (rho[b] - rho[i])
     return out
-
-
-@dataclass(frozen=True)
-class AggregateInterferenceMixture:
-    """Density of the aggregate interference: a signed mixture of exponentials."""
-
-    weights: tuple[float, ...]  # varpi_b / rho_b
-    rates: tuple[float, ...]    # 1 / rho_b
-
-    @classmethod
-    def from_profile(cls, p: LinkProfile) -> "AggregateInterferenceMixture":
-        if not p.rho_int:
-            raise DomainError("profile has no interferers")
-        return cls(
-            weights=tuple(w / r for w, r in zip(p.weights, p.rho_int)),
-            rates=tuple(1.0 / r for r in p.rho_int),
-        )
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for w, r in zip(self.weights, self.rates):
-            out += w * np.exp(-r * x)
-        return np.where(x >= 0, out, 0.0)
-
-    def normalization(self) -> float:
-        """Integral of the pdf over [0, inf); should be 1."""
-        return adaptive_quad_halfline(
-            lambda xs: self.pdf(xs), QuadratureConfig(), vectorized=True
-        )
 
 
 def path_loss_db(tier: str, d: float) -> float:

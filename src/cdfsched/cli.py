@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
@@ -22,7 +21,7 @@ from . import __version__
 from .asymptotics import normalizing_constants, user_rate_asymptotic
 from .channel import Cell, Scenario, build_link_profile
 from .errors import DomainError, PreconditionError, ScenarioError
-from .exact_rate import g_k, g_k_quadrature, sum_rate_exact, user_rate_exact
+from .exact_rate import g_k, g_k_quadrature, sum_rate_exact
 from .feedback import xi2_convolution, xi2_vector
 from .planner import plan_feedback
 from .simulator import POLICIES, SimConfig, drop_rng, simulate
@@ -31,11 +30,17 @@ SEED_ENV_VAR = "CDFSCHED_SEED"
 
 _DEFAULT_TX_DBM = {"macro": 43.0, "pico": 30.0}
 
-_SCENARIO_FIELDS = {
-    "cells", "users", "noise_psd_dbm_hz", "bandwidth_hz", "num_rb",
-    "shadowing_sigma_db", "macro_radius_m", "pico_radius_m", "seed",
+#: scenario-file fields passed to Scenario as numbers
+_NUMERIC_FIELDS = {
+    "noise_psd_dbm_hz", "bandwidth_hz", "num_rb", "shadowing_sigma_db",
     "interferer_keep_threshold",
 }
+
+_SCENARIO_FIELDS = {"cells", "users", "seed"} | _NUMERIC_FIELDS
+
+
+def _reject_constant(name: str):
+    raise ScenarioError(f"scenario files may not contain {name}")
 
 
 def _fmt(x) -> str:
@@ -55,7 +60,7 @@ def load_scenario(path: str) -> tuple[Scenario, dict]:
     """
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path!r}: {exc}")
     except json.JSONDecodeError as exc:
@@ -97,12 +102,11 @@ def load_scenario(path: str) -> tuple[Scenario, dict]:
         users.append((float(u[0]), float(u[1])))
 
     kwargs = {}
-    for field in _SCENARIO_FIELDS - {"cells", "users"}:
-        if field in raw:
-            val = raw[field]
-            if not isinstance(val, (int, float)):
-                raise ScenarioError(f"scenario field {field!r} must be numeric")
-            kwargs[field] = int(val) if field in ("num_rb", "seed") else val
+    for field in sorted(_NUMERIC_FIELDS & raw.keys()):
+        val = raw[field]
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ScenarioError(f"scenario field {field!r} must be numeric")
+        kwargs[field] = val
     try:
         scenario = Scenario(cells=tuple(cells), users=tuple(users), **kwargs)
     except ScenarioError:
@@ -129,7 +133,10 @@ def _resolve_seed(args, raw: dict) -> int:
     if args.seed is not None:
         return args.seed
     if "seed" in raw:
-        return int(raw["seed"])
+        seed = raw["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ScenarioError(f"scenario seed must be an integer, got {seed!r}")
+        return seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:

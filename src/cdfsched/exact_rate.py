@@ -21,7 +21,6 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from . import specfun
 from .channel import (
     GENERAL,
     INTERFERENCE_LIMITED,
@@ -32,7 +31,7 @@ from .channel import (
 )
 from .errors import CancellationError, DomainError
 from .feedback import BestMPoly, feedback_count_pmf_exact, xi2_vector
-from .specfun import QuadratureConfig, adaptive_quad_halfline, exp_e1
+from .specfun import QuadratureConfig, adaptive_quad_halfline
 
 #: largest eps for which the general-kind closed form is attempted
 CLOSED_FORM_MAX_EPS = 64
@@ -43,13 +42,6 @@ CLOSED_FORM_MAX_INTERFERERS = 4
 _LN2 = math.log(2.0)
 
 _MAX_DPS = 600
-
-
-def varpi(p: LinkProfile, b: int) -> float:
-    """Partial-fraction weight of interferer b (1-based)."""
-    if not 1 <= b <= p.num_interferers:
-        raise DomainError(f"interferer index {b} out of range")
-    return p.weights[b - 1]
 
 
 def _psi_table(betas, j_vector, b):
@@ -102,48 +94,6 @@ def _psi_table(betas, j_vector, b):
     return psi
 
 
-def psi_coefficients(p: LinkProfile, j_vector, b: int, i: int) -> float:
-    """Residue coefficient psi_{i}^{(b)} of Lemma-style expansion (b 1-based)."""
-    j_vector = tuple(int(j) for j in j_vector)
-    if len(j_vector) != p.num_interferers:
-        raise DomainError("j_vector length must equal the interferer count")
-    if not 1 <= b <= len(j_vector):
-        raise DomainError(f"pole index {b} out of range")
-    if not 0 <= i <= j_vector[b - 1]:
-        raise DomainError(f"power index {i} out of range for j_b={j_vector[b - 1]}")
-    if i == 0:
-        return 0.0
-    betas = [p.rho0 / r for r in p.rho_int]
-    return float(_psi_table(betas, j_vector, b - 1)[i])
-
-
-@dataclass(frozen=True)
-class ExpansionTerm:
-    j_vector: tuple[int, ...]
-    b: int       # interferer index, 1-based
-    i: int       # pole order
-    psi: float
-    scale: float  # prod_b (varpi_b * rho0 / rho_b)^(j_b)
-
-
-def expansion_terms(p: LinkProfile, ell: int):
-    """Enumerate the nonzero terms of the PDF-power expansion at level ell."""
-    J = p.num_interferers
-    betas = [p.rho0 / r for r in p.rho_int]
-    scales = [w * beta for w, beta in zip(p.weights, betas)]
-    for comp in _compositions(ell + 1, J):
-        scale = 1.0
-        for b in range(J):
-            scale *= scales[b] ** comp[b]
-        for b in range(J):
-            if comp[b] == 0:
-                continue
-            psi = _psi_table(betas, comp, b)
-            for i in range(1, comp[b] + 1):
-                yield ExpansionTerm(j_vector=comp, b=b + 1, i=i,
-                                    psi=float(psi[i]), scale=scale)
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
@@ -158,73 +108,6 @@ def _multinomial(comp) -> int:
     for j in comp:
         out //= math.factorial(j)
     return out
-
-
-# ---------------------------------------------------------------------------
-# the I1 / I2 half-line integrals (float path with cancellation guard)
-
-def integral_I2(alpha: float, beta: float, gamma: int) -> float:
-    """int_0^inf exp(-alpha x) / (beta + x)^gamma dx.
-
-    Upward recursion seeded by I2(1) = e^(alpha beta) E1(alpha beta); falls
-    back to adaptive quadrature when the running cancellation estimate
-    exceeds 1e-9 relative.
-    """
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("integral_I2 requires alpha, beta > 0")
-    if gamma < 1 or gamma != int(gamma):
-        raise DomainError(f"gamma must be a positive integer, got {gamma}")
-    gamma = int(gamma)
-    val = exp_e1(alpha * beta)
-    err = abs(val) * 1e-15
-    for g in range(2, gamma + 1):
-        lead = beta ** (1 - g)
-        err = (lead * 1e-16 + alpha * err) / (g - 1)
-        val = (lead - alpha * val) / (g - 1)
-        if val <= 0.0 or err > 1e-9 * abs(val):
-            return _i2_quad(alpha, beta, gamma)
-    return val
-
-
-def _i2_quad(alpha: float, beta: float, gamma: int) -> float:
-    return adaptive_quad_halfline(
-        lambda xs: np.exp(-alpha * xs) / (beta + xs) ** gamma,
-        QuadratureConfig(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=4000),
-        vectorized=True,
-    )
-
-
-def integral_I1(alpha: float, beta: float, gamma: int) -> float:
-    """int_0^inf exp(-alpha x) / ((1 + x)(beta + x)^gamma) dx.
-
-    gamma = 0 collapses to I2(alpha, 1, 1); beta within 1e-6 of 1 reroutes
-    through the merged-pole branch; otherwise the partial-fraction
-    combination of I2 terms.
-    """
-    if alpha <= 0 or beta <= 0:
-        raise DomainError("integral_I1 requires alpha, beta > 0")
-    if gamma < 0 or gamma != int(gamma):
-        raise DomainError(f"gamma must be a nonnegative integer, got {gamma}")
-    gamma = int(gamma)
-    if gamma == 0:
-        return integral_I2(alpha, 1.0, 1)
-    if abs(beta - 1.0) < 1e-6:
-        return integral_I2(alpha, 1.0, gamma + 1)
-    total = integral_I2(alpha, 1.0, 1) / (beta - 1.0) ** gamma
-    biggest = abs(total)
-    for i in range(1, gamma + 1):
-        term = (-1.0) ** (i - 1) / (1.0 - beta) ** i \
-            * integral_I2(alpha, beta, gamma - i + 1)
-        total += term
-        biggest = max(biggest, abs(term))
-    if total <= 0.0 or biggest * 1e-15 > 1e-9 * abs(total):
-        return adaptive_quad_halfline(
-            lambda xs: np.exp(-alpha * xs) / ((1.0 + xs) * (beta + xs) ** gamma),
-            QuadratureConfig(abs_tol=1e-300, rel_tol=1e-12,
-                             max_subdivisions=4000),
-            vectorized=True,
-        )
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -460,35 +343,6 @@ def g_k_quadrature(p: LinkProfile, eps: int,
 class RateBreakdown:
     per_user: tuple[float, ...]
     sum_rate: float
-    terms_audit: int
-
-
-@lru_cache(maxsize=4096)
-def selected_rate_conditional(p: LinkProfile, N: int, M: int,
-                              tau0: int) -> float:
-    """E[log2(1 + X) | tau0 users fed the block back] by direct quadrature
-    of the scheduler-side CDF power (no xi2 cancellation)."""
-    if tau0 < 1:
-        raise DomainError(f"tau0 must be >= 1, got {tau0}")
-    poly = BestMPoly.build(N, M)
-    rho0 = p.rho0  # integrated in y = x / rho0, as in _rate_quadrature
-
-    def integrand(ys):
-        xs = rho0 * ys
-        F = sinr_cdf(p, xs)
-        FY = poly.eval_in_f(F)
-        fY = poly.derivative_in_f(F) * sinr_pdf(p, xs)
-        if tau0 == 1:
-            w = fY
-        else:
-            w = tau0 * FY ** (tau0 - 1) * fY
-        return rho0 * np.maximum(w, 0.0) * np.log1p(xs) / _LN2
-
-    return adaptive_quad_halfline(
-        integrand,
-        QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=6000),
-        vectorized=True,
-    )
 
 
 def _conditional_rate_series(p: LinkProfile, N: int, M: int, tau0: int):
@@ -585,8 +439,4 @@ def sum_rate_exact(profiles, N: int, M: int) -> RateBreakdown:
         raise DomainError("need at least one profile")
     K0 = len(profiles)
     per_user = tuple(user_rate_exact(p, K0, N, M) for p in profiles)
-    audit = K0 * sum(
-        tau0 * (M - 1) + 1 for tau0 in range(1, K0 + 1)
-    )
-    return RateBreakdown(per_user=per_user, sum_rate=float(sum(per_user)),
-                         terms_audit=audit)
+    return RateBreakdown(per_user=per_user, sum_rate=float(sum(per_user)))

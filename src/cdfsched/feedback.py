@@ -131,29 +131,6 @@ class BestMPoly:
         return out
 
 
-@dataclass(frozen=True)
-class PoweredPoly:
-    """(best-M CDF)^tau0 expanded in powers of the user CDF F."""
-
-    N: int
-    M: int
-    tau0: int
-    xi2: tuple[float, ...]
-
-    @classmethod
-    def build(cls, N: int, M: int, tau0: int) -> "PoweredPoly":
-        return cls(N=N, M=M, tau0=tau0,
-                   xi2=tuple(float(c) for c in xi2_vector(N, M, tau0)))
-
-    def eval_in_f(self, F):
-        F = np.asarray(F, dtype=float)
-        inner = np.zeros_like(F)
-        for c in self.xi2:
-            inner = inner * F + c
-        out = inner * F ** (self.N * self.tau0 - len(self.xi2) + 1)
-        return np.clip(out, 0.0, 1.0)
-
-
 def bestm_cdf(p: LinkProfile, N: int, M: int, x) -> float:
     """CDF of the fed-back CQI seen by the scheduler for this user."""
     poly = BestMPoly.build(N, M)
@@ -172,13 +149,3 @@ def feedback_count_pmf_exact(K: int, M: int, N: int, tau0: int) -> Fraction:
     p = Fraction(M, N)
     return comb(K, tau0) * p**tau0 * (1 - p) ** (K - tau0)
 
-
-def selected_cdf_conditional(p: LinkProfile, N: int, M: int, tau0: int, x):
-    """CDF of the scheduled user's CQI given tau0 users fed this block back.
-
-    Equals bestm_cdf(x)^tau0; evaluated through the xi2 expansion.
-    """
-    if tau0 < 1:
-        raise DomainError(f"tau0 must be >= 1, got {tau0}")
-    poly = PoweredPoly.build(N, M, tau0)
-    return poly.eval_in_f(sinr_cdf(p, x))

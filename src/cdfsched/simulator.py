@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkProfile, Scenario, build_link_profile, sinr_cdf
+from .channel import Scenario, build_link_profile, sinr_cdf
 from .errors import DomainError
 from .feedback import BestMPoly
 
@@ -71,26 +71,14 @@ class RateReport:
 
 
 def drop_rng(master_seed: int, drop_index: int) -> np.random.Generator:
-    """Counter-based substream for one drop; independent of thread layout."""
-    return np.random.Generator(np.random.Philox(key=[master_seed, drop_index]))
+    """Counter-based substream for one drop; independent of thread layout.
 
-
-def draw_small_scale(rng: np.random.Generator) -> complex:
-    """One zero-mean unit-variance complex Gaussian channel gain."""
-    re, im = rng.normal(0.0, math.sqrt(0.5), size=2)
-    return complex(re, im)
-
-
-def slot_sinr(p: LinkProfile, N: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-resource-block SINR values for one slot of block fading."""
-    h0 = rng.normal(0.0, math.sqrt(0.5), size=(N, 2))
-    sig = p.rho0 * (h0**2).sum(axis=1)
-    # interference_limited profiles neglect noise by definition
-    denom = np.zeros(N) if p.kind == "interference_limited" else np.ones(N)
-    for rho_b in p.rho_int:
-        hb = rng.normal(0.0, math.sqrt(0.5), size=(N, 2))
-        denom += rho_b * (hb**2).sum(axis=1)
-    return sig / denom
+    The key is uint64: a list key would pass seeds >= 2**63 through float64.
+    """
+    if not 0 <= master_seed < 2**64:
+        raise DomainError(f"master seed must be in [0, 2**64), got {master_seed}")
+    key = np.array([master_seed, drop_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def best_m_select(cqi, M: int):

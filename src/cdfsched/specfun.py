@@ -1,13 +1,11 @@
-"""Special functions and adaptive quadrature for the closed-form rate expressions.
+"""Adaptive quadrature for the rate integrals, and the Euler-Mascheroni constant.
 
-Everything here is pure and stateless.  The three special functions are
-implemented only over the parameter ranges the rate formulas need; the
-adaptive quadrature doubles as the independent oracle for them.
+Everything here is pure and stateless.  The closed form takes its special
+functions (E1, 2F1) from mpmath; this quadrature is its independent oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,102 +74,6 @@ class QuadratureConfig:
             raise DomainError("max_subdivisions must be at least 1")
 
 
-def exp_integral_e1(x: float) -> float:
-    """E1(x) = int_x^inf exp(-t)/t dt for x > 0."""
-    return math.exp(-x) * exp_e1(x) if x >= 1.0 else _e1_series(x)
-
-
-def exp_e1(x: float) -> float:
-    """exp(x) * E1(x), stable for large x where E1 alone underflows.
-
-    Continued fraction for x >= 1 (modified Lentz), series below.
-    """
-    if x <= 0:
-        raise DomainError(f"exp_e1 requires x > 0, got {x}")
-    if x < 1.0:
-        return math.exp(x) * _e1_series(x)
-    # E1(x) = e^-x / (x + 1 - 1^2/(x + 3 - 2^2/(x + 5 - ...)))
-    b = x + 1.0
-    tiny = 1e-300
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -float(i * i)
-        b += 2.0
-        d = a * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise ConvergenceError("continued fraction for E1 did not converge")
-
-
-def _e1_series(x: float) -> float:
-    # E1(x) = -gamma - ln x + sum_{n>=1} (-1)^(n+1) x^n / (n * n!)
-    if x <= 0:
-        raise DomainError(f"E1 requires x > 0, got {x}")
-    s = -EULER_GAMMA - math.log(x)
-    t = 1.0
-    for n in range(1, 60):
-        t *= -x / n
-        s -= t / n
-        if abs(t) < 1e-18 * max(abs(s), 1e-300):
-            break
-    return s
-
-
-def beta_fn(x: float, y: float) -> float:
-    """Euler Beta function; exact factorial path for integer arguments."""
-    if x <= 0 or y <= 0:
-        raise DomainError(f"beta_fn requires positive arguments, got ({x}, {y})")
-    xi, yi = round(x), round(y)
-    if x == xi and y == yi and xi + yi <= 170:
-        return (
-            math.factorial(xi - 1) * math.factorial(yi - 1)
-            / math.factorial(xi + yi - 1)
-        )
-    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
-
-
-def hyp2f1_unit_params(c: int, z: float) -> float:
-    """Gauss hypergeometric 2F1(1, 1; c; z) for integer c >= 2 and z < 1.
-
-    Direct series for |z| <= 0.5, otherwise the Euler integral
-    (c-1) * int_0^1 (1-t)^(c-2) / (1 - z t) dt.
-    """
-    if c < 2 or c != int(c):
-        raise DomainError(f"hyp2f1_unit_params requires integer c >= 2, got {c}")
-    if z >= 1.0:
-        raise DomainError(f"hyp2f1_unit_params requires z < 1, got {z}")
-    c = int(c)
-    if z == 0.0:
-        return 1.0
-    if abs(z) <= 0.5:
-        # term ratio: z * (n+1) / (c+n)
-        s = 1.0
-        t = 1.0
-        for n in range(0, 500):
-            t *= z * (n + 1) / (c + n)
-            s += t
-            if abs(t) < 1e-17 * abs(s):
-                return s
-        raise ConvergenceError("2F1 series did not converge")
-    val, _ = adaptive_quad(
-        lambda t: (1.0 - t) ** (c - 2) / (1.0 - z * t),
-        0.0,
-        1.0,
-        QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=2000),
-    )
-    return (c - 1) * val
-
-
 def _gk15(f, lo, hi):
     """GK15 values and |K15 - G7| error estimates on every panel [lo, hi],
     with one call of the vectorized integrand for all panels."""
@@ -184,8 +86,7 @@ def _gk15(f, lo, hi):
     return k15, np.abs(k15 - g7)
 
 
-def adaptive_quad(f, a: float, b: float, config: QuadratureConfig | None = None,
-                  vectorized: bool = False):
+def adaptive_quad(f, a: float, b: float, config: QuadratureConfig | None = None):
     """Adaptive Gauss-Kronrod integration of f over the finite interval [a, b].
 
     Globally adaptive GK15/G7 refinement (QUADPACK's QAG rule), batched by
@@ -197,16 +98,12 @@ def adaptive_quad(f, a: float, b: float, config: QuadratureConfig | None = None,
     integrand.  Cutting a panel in four counts as three subdivisions (the
     panels three bisections make); the starting panels are always made.
 
-    Returns (value, error_estimate).  `f` must accept an ndarray of abscissae
-    when vectorized=True; a scalar function is wrapped otherwise.  Raises
-    ConvergenceError, carrying the achieved error estimate, when the next
-    round would exceed max_subdivisions.
+    Returns (value, error_estimate).  `f` must accept an ndarray of
+    abscissae.  Raises ConvergenceError, carrying the achieved error
+    estimate, when the next round would exceed max_subdivisions.
     """
     if config is None:
         config = QuadratureConfig()
-    if not vectorized:
-        g = f
-        f = lambda xs: np.array([g(x) for x in xs])
     edges = np.linspace(a, b, 5)
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _gk15(f, lo, hi)
@@ -259,5 +156,5 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
         xs = ts / one_minus
         return fv(xs) / one_minus**2
 
-    val, _ = adaptive_quad(mapped, 0.0, 1.0, config, vectorized=True)
+    val, _ = adaptive_quad(mapped, 0.0, 1.0, config)
     return val

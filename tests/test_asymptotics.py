@@ -6,7 +6,6 @@ closed forms, and hand-derivable special points of the quantile map.
 
 import math
 
-import numpy as np
 import pytest
 
 from cdfsched.asymptotics import (

@@ -1,7 +1,7 @@
 """SINR distributions, association, and scenario plumbing.
 
-Oracles: numerical differentiation and quadrature of the stated CDF, and
-hand-computed path-loss / noise-budget values.
+Oracles: quadrature of the stated SINR density, numerical differentiation
+of its CDF, and hand-computed path-loss / noise-budget values.
 """
 
 import math
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from cdfsched.channel import (
-    AggregateInterferenceMixture,
     Cell,
     LinkProfile,
     Scenario,
@@ -78,23 +77,6 @@ class TestLinkProfile:
         p = LinkProfile.general(3.0, (2.0, 0.7, 0.2))
         assert p.weights == tuple(varpi_weights(p.rho_int))
         assert "weights" not in repr(p)
-
-
-class TestMixture:
-    def test_pdf_normalization(self):
-        p = LinkProfile.general(5.0, (1.0, 0.3))
-        mix = AggregateInterferenceMixture.from_profile(p)
-        assert mix.normalization() == pytest.approx(1.0, rel=1e-9)
-
-    def test_mean_is_sum_of_scales(self):
-        # E[sum rho_b * Exp_b] = sum rho_b
-        p = LinkProfile.general(5.0, (2.0, 0.7, 0.2))
-        mix = AggregateInterferenceMixture.from_profile(p)
-        mean = adaptive_quad_halfline(
-            lambda xs: xs * mix.pdf(xs),
-            QuadratureConfig(rel_tol=1e-11), vectorized=True,
-        )
-        assert mean == pytest.approx(sum(p.rho_int), rel=1e-9)
 
 
 class TestSinrDistribution:
@@ -183,8 +165,6 @@ class TestScenario:
         assert s.noise_psd_dbm_hz == -170.0
         assert s.num_rb == 16
         assert s.shadowing_sigma_db == 8.0
-        assert s.macro_radius_m == 500.0
-        assert s.pico_radius_m == 100.0
 
     def test_noise_power_per_rb(self):
         s = _scenario([Cell("macro", (0, 0), 43.0)], [(10.0, 0.0)])

@@ -7,7 +7,9 @@ file in examples_scenarios/ anchors the parsing checks.
 import csv
 import io
 import json
-import os
+import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,14 +123,14 @@ class TestRateCommands:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("noise_psd", [float("nan"), float("-inf")])
     @pytest.mark.parametrize("command", [["rate-exact", "--M", "4"],
                                          ["plan-feedback", "--eta", "0.9"]])
-    def test_non_finite_link_scale_exits_two(self, capsys, tmp_path,
-                                             noise_psd, command):
-        # a NaN noise PSD makes rho0 NaN, and -inf (zero noise) makes it inf
-        path = write_json(tmp_path, dict(MINIMAL, noise_psd_dbm_hz=noise_psd))
-        with np.errstate(divide="ignore"):
+    def test_non_finite_link_scale_exits_two(self, capsys, tmp_path, command):
+        # every scenario value is finite, but 1e4 dBm overflows to an
+        # infinite received power in mW, so rho0 is infinite
+        cells = [{"tier": "macro", "position_m": [0, 0], "tx_power_dbm": 1e4}]
+        path = write_json(tmp_path, dict(MINIMAL, cells=cells))
+        with np.errstate(over="ignore"):
             code, _, err = run_cli(capsys, command[0], "--scenario", path,
                                    *command[1:])
         assert code == 2
@@ -185,6 +187,74 @@ class TestSeedPrecedence:
                                "--M", "2")
         assert code == 2
         assert SEED_ENV_VAR in err
+
+
+class TestSeedRange:
+    def _rows(self, capsys, seed):
+        code, out, err = run_cli(capsys, "rate-exact", "--scenario", GOLDEN,
+                                 "--M", "4", "--seed", str(seed))
+        assert code == 0, err
+        return out
+
+    def test_seeds_above_two_to_the_63_differ(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._rows(capsys, 2**63) != self._rows(capsys, 2**63 + 1)
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_out_of_range_flag_seed_exits_two(self, capsys, seed):
+        code, _, err = run_cli(capsys, "rate-exact", "--scenario", GOLDEN,
+                               "--M", "4", "--seed", str(seed))
+        assert code == 2
+        assert "master seed must be in [0, 2**64)" in err
+
+    def test_non_integer_file_seed_exits_two(self, capsys, tmp_path):
+        path = write_json(tmp_path, dict(MINIMAL, seed=4.5))
+        code, _, err = run_cli(capsys, "rate-exact", "--scenario", path,
+                               "--M", "4")
+        assert code == 2
+        assert "seed must be an integer" in err
+
+
+def _golden_text(**fields):
+    """The golden file with fields replaced, as JSON text; a string "1e999"
+    is written as that bare number, which json parses to inf."""
+    raw = json.loads(Path(GOLDEN).read_text())
+    raw.update(fields)
+    return re.sub(r'"(-?1e999)"', r"\1", json.dumps(raw))
+
+
+#: scenario files that must be refused with exit 2
+BAD_SCENARIOS = {
+    "nan_literal": _golden_text(noise_psd_dbm_hz=math.nan),
+    "minus_infinity_literal": _golden_text(noise_psd_dbm_hz=-math.inf),
+    "noise_psd_parses_to_inf": _golden_text(noise_psd_dbm_hz="-1e999"),
+    "bandwidth_parses_to_inf": _golden_text(bandwidth_hz="1e999"),
+    "shadowing_parses_to_inf": _golden_text(shadowing_sigma_db="1e999"),
+    "cell_position_inf": _golden_text(
+        cells=[{"tier": "macro", "position_m": [0, 0]},
+               {"tier": "macro", "position_m": ["1e999", 0]}]),
+    "user_position_inf": _golden_text(users=[[120, 40], [0, "1e999"]]),
+    "noise_power_underflows": _golden_text(noise_psd_dbm_hz=-4000),
+    "noise_power_overflows": _golden_text(noise_psd_dbm_hz=4000),
+    "fractional_num_rb": _golden_text(num_rb=16.7),
+    "boolean_num_rb": _golden_text(num_rb=True),
+}
+
+
+@pytest.mark.parametrize("text", BAD_SCENARIOS.values(), ids=BAD_SCENARIOS)
+def test_bad_scenario_exits_two_without_warnings(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "rate-exact", "--scenario",
+                                 str(path), "--M", "1")
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
 
 
 class TestSimulateCommand:

@@ -1,14 +1,13 @@
 """Closed-form scheduled-rate machinery.
 
-Oracles: mpmath incomplete-gamma forms for the half-line integrals,
-pointwise partial-fraction identities for the residue coefficients, and
-direct adaptive quadrature for every rate quantity.
+Oracles: pointwise partial-fraction identities for the residue
+coefficients of the mpmath closed-form engine, and direct adaptive
+quadrature for every rate quantity.
 """
 
 import math
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -18,17 +17,12 @@ from cdfsched.cli import load_scenario, scenario_profiles
 from cdfsched.errors import DomainError
 from cdfsched.exact_rate import (
     RateBreakdown,
-    expansion_terms,
     g_k,
     g_k_quadrature,
-    integral_I1,
-    integral_I2,
-    psi_coefficients,
-    selected_rate_conditional,
     sum_rate_exact,
     user_rate_exact,
 )
-from cdfsched.exact_rate import _rate_quadrature
+from cdfsched.exact_rate import _psi_table, _rate_quadrature
 
 NL = LinkProfile.noise_limited(2.0)
 IL = LinkProfile.interference_limited(4.0, 1.0)
@@ -37,71 +31,21 @@ G2 = LinkProfile.general(5.0, (1.0, 0.3))
 G3 = LinkProfile.general(3.0, (2.0, 0.7, 0.2))
 
 
-def _i2_oracle(alpha, beta, gamma):
-    # int_0^inf e^(-a x) (b + x)^(-g) dx = a^(g-1) e^(ab) Gamma(1-g, ab)
-    with mp.workdps(60):
-        val = mp.power(alpha, gamma - 1) * mp.exp(alpha * beta) \
-            * mp.gammainc(1 - gamma, alpha * beta)
-        return float(val)
-
-
-class TestIntegralI2:
-    @pytest.mark.parametrize("alpha,beta,gamma", [
-        (0.5, 1.0, 1), (0.5, 1.0, 4), (2.0, 0.3, 3), (0.05, 5.0, 7),
-        (1.0, 1.0, 12),
-    ])
-    def test_against_incomplete_gamma(self, alpha, beta, gamma):
-        assert integral_I2(alpha, beta, gamma) == pytest.approx(
-            _i2_oracle(alpha, beta, gamma), rel=1e-9)
-
-    def test_cancellation_fallback(self):
-        # the upward recursion loses everything here; the quadrature
-        # fallback must still deliver the oracle value
-        assert integral_I2(50.0, 0.1, 10) == pytest.approx(
-            _i2_oracle(50.0, 0.1, 10), rel=1e-8)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            integral_I2(-1.0, 1.0, 1)
-        with pytest.raises(DomainError):
-            integral_I2(1.0, 1.0, 0)
-
-
-class TestIntegralI1:
-    def _oracle(self, alpha, beta, gamma):
-        with mp.workdps(50):
-            return float(mp.quad(
-                lambda x: mp.exp(-alpha * x) / ((1 + x) * (beta + x) ** gamma),
-                [0, 1, 10, mp.inf]))
-
-    @pytest.mark.parametrize("alpha,beta,gamma", [
-        (0.5, 2.0, 1), (0.5, 2.0, 5), (1.5, 0.4, 3), (0.2, 8.0, 2),
-    ])
-    def test_partial_fraction_path(self, alpha, beta, gamma):
-        assert integral_I1(alpha, beta, gamma) == pytest.approx(
-            self._oracle(alpha, beta, gamma), rel=1e-9)
-
-    def test_gamma_zero_collapses(self):
-        assert integral_I1(0.7, 3.0, 0) == pytest.approx(
-            integral_I2(0.7, 1.0, 1), rel=1e-14)
-
-    def test_merged_pole_branch(self):
-        # beta == 1 merges the two poles: I1 = I2(alpha, 1, gamma+1)
-        assert integral_I1(0.9, 1.0 + 1e-9, 4) == pytest.approx(
-            integral_I2(0.9, 1.0, 5), rel=1e-6)
+def _betas(p):
+    return [p.rho0 / r for r in p.rho_int]
 
 
 class TestPsiCoefficients:
     def test_single_interferer_trivial(self):
         # J = 1: the expansion is already a single pole, psi_j = 1
         for j in (1, 2, 5):
-            assert psi_coefficients(G1, (j,), 1, j) == pytest.approx(1.0)
+            assert _psi_table(_betas(G1), (j,), 0)[j] == pytest.approx(1.0)
 
     def test_two_interferer_binomial_form(self):
         # J = 2 closed form:
         #   psi_i^(b) = (-1)^(j_b - i) C(l - i, j_b - i)
         #               * (beta_other - beta_b)^(-(l + 1 - i))
-        betas = [G2.rho0 / r for r in G2.rho_int]
+        betas = _betas(G2)
         for j1, j2 in ((2, 1), (1, 3), (3, 2)):
             ell = j1 + j2 - 1
             jv = (j1, j2)
@@ -110,7 +54,7 @@ class TestPsiCoefficients:
                     expect = (-1.0) ** (jb - i) \
                         * math.comb(ell - i, jb - i) \
                         * (other - betas[b]) ** (-(ell + 1 - i))
-                    got = psi_coefficients(G2, jv, b + 1, i)
+                    got = _psi_table(betas, jv, b)[i]
                     assert got == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("p,jv", [
@@ -118,28 +62,17 @@ class TestPsiCoefficients:
     ])
     def test_pointwise_partial_fraction_identity(self, p, jv):
         # prod_b (beta_b + x)^(-j_b) == sum_b sum_i psi_i^(b) (beta_b+x)^(-i)
-        betas = [p.rho0 / r for r in p.rho_int]
+        betas = _betas(p)
         for x in (0.13, 1.7, 9.0):
             lhs = 1.0
             for beta, j in zip(betas, jv):
                 lhs *= (beta + x) ** (-j)
             rhs = 0.0
             for b, j in enumerate(jv):
+                psi = _psi_table(betas, jv, b)
                 for i in range(1, j + 1):
-                    rhs += psi_coefficients(p, jv, b + 1, i) \
-                        / (betas[b] + x) ** i
+                    rhs += psi[i] / (betas[b] + x) ** i
             assert rhs == pytest.approx(lhs, rel=1e-10)
-
-    def test_expansion_terms_enumeration(self):
-        terms = list(expansion_terms(G2, 2))
-        assert all(sum(t.j_vector) == 3 for t in terms)
-        assert all(t.i >= 1 for t in terms)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            psi_coefficients(G2, (1,), 1, 1)
-        with pytest.raises(DomainError):
-            psi_coefficients(G2, (1, 1), 3, 1)
 
 
 class TestGk:
@@ -180,16 +113,6 @@ class TestUserRate:
         series = user_rate_exact(p, K0, N, M)
         quad = _rate_quadrature(p, K0, N, M)
         assert series == pytest.approx(quad, rel=1e-8)
-
-    def test_conditional_rate_power_relation(self):
-        # E[log2(1+X) | tau0] with tau0=1 equals the best-M marginal rate
-        N, M = 16, 4
-        direct = selected_rate_conditional(NL, N, M, 1)
-        # oracle through the xi1 expansion with closed-form G
-        from cdfsched.feedback import xi1_vector
-        expect = sum(float(c) * g_k(NL, N - m)
-                     for m, c in enumerate(xi1_vector(N, M)) if c != 0)
-        assert direct == pytest.approx(expect, rel=1e-8)
 
     @pytest.mark.parametrize("rho0,expect,rel", [
         (1e-8, 4.089343984132659e-9, 1e-8),

@@ -15,11 +15,9 @@ from cdfsched.channel import LinkProfile, sinr_cdf
 from cdfsched.errors import DomainError
 from cdfsched.feedback import (
     BestMPoly,
-    PoweredPoly,
     bestm_cdf,
     feedback_count_pmf,
     feedback_count_pmf_exact,
-    selected_cdf_conditional,
     xi1,
     xi1_exact,
     xi1_vector,
@@ -97,13 +95,6 @@ class TestPolyEvaluation:
         v = poly.eval_in_f(u)
         assert np.all(np.diff(v) >= -1e-12)
 
-    def test_powered_poly_is_power(self):
-        poly = BestMPoly.build(12, 3)
-        pw = PoweredPoly.build(12, 3, 4)
-        u = np.linspace(0.05, 0.999, 37)
-        assert pw.eval_in_f(u) == pytest.approx(poly.eval_in_f(u) ** 4,
-                                                rel=1e-9)
-
     def test_derivative_matches_finite_difference(self):
         poly = BestMPoly.build(10, 4)
         for u in (0.2, 0.6, 0.9):
@@ -122,12 +113,6 @@ class TestBestMCdf:
         for x in (0.3, 1.5, 6.0):
             assert bestm_cdf(P, 8, 1, x) == pytest.approx(
                 float(sinr_cdf(P, x)) ** 8, rel=1e-10)
-
-    def test_selected_conditional_is_power_of_bestm(self):
-        for x in (0.5, 2.0):
-            expect = bestm_cdf(P, 16, 4, x) ** 3
-            assert selected_cdf_conditional(P, 16, 4, 3, x) == pytest.approx(
-                expect, rel=1e-9)
 
 
 class TestFeedbackCount:

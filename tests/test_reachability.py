@@ -1,0 +1,42 @@
+"""No dead code in the package.
+
+Every module-level function and class in src/cdfsched must be reached,
+through the names it is referred by, from a root: the public exports
+(cdfsched.__all__), every definition in cli.py, or the scalar reference
+scheduler kept as the simulator's oracle.
+"""
+
+import ast
+from pathlib import Path
+
+import cdfsched
+
+SRC = Path(cdfsched.__file__).parent
+ORACLES = {"schedule_slot", "best_m_select"}
+
+
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_definition_is_reachable():
+    defs, roots = {}, set(cdfsched.__all__) | ORACLES
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+                if path.name == "cli.py":
+                    roots.add(node.name)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots.update(_names(node))  # runs at import time
+    reached, frontier = set(), roots & defs.keys()
+    while frontier:
+        reached |= frontier
+        frontier = {name for n in frontier for node in defs[n]
+                    for name in _names(node)} & defs.keys() - reached
+    unreached = sorted(defs.keys() - reached)
+    assert not unreached, f"definitions nothing reaches: {unreached}"

@@ -1,8 +1,8 @@
 """Monte Carlo scheduler simulation.
 
-Oracles: the stated SINR distribution (empirical CDF within sampling
-error), hand-worked tiny scheduling examples, and closed-form outage and
-fairness values.
+Oracles: the stated SINR distribution, which physical Rayleigh draws made
+here must match within sampling error; hand-worked tiny scheduling
+examples; and closed-form outage and fairness values.
 """
 
 import math
@@ -16,13 +16,11 @@ from cdfsched.exact_rate import user_rate_exact
 from cdfsched.simulator import (
     SimConfig,
     best_m_select,
-    draw_small_scale,
     drop_rng,
     fairness_theta,
     schedule_slot,
     simulate,
     simulate_profiles,
-    slot_sinr,
 )
 
 NL = LinkProfile.noise_limited(2.0)
@@ -30,18 +28,24 @@ IL = LinkProfile.interference_limited(4.0, 1.0)
 G2 = LinkProfile.general(5.0, (1.0, 0.3))
 
 
-class TestChannelDraws:
-    def test_small_scale_moments(self):
-        rng = drop_rng(7, 0)
-        draws = np.array([draw_small_scale(rng) for _ in range(20000)])
-        assert abs(draws.mean()) < 0.02
-        assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.03)
+def _slot_sinr(p, N, rng):
+    """Per-RB SINR of one slot from complex Gaussian gains of unit power."""
+    h0 = rng.normal(0.0, math.sqrt(0.5), size=(N, 2))
+    sig = p.rho0 * (h0**2).sum(axis=1)
+    # interference_limited profiles neglect noise by definition
+    denom = np.zeros(N) if p.kind == "interference_limited" else np.ones(N)
+    for rho_b in p.rho_int:
+        hb = rng.normal(0.0, math.sqrt(0.5), size=(N, 2))
+        denom += rho_b * (hb**2).sum(axis=1)
+    return sig / denom
 
+
+class TestChannelDraws:
     @pytest.mark.parametrize("p", [NL, IL, G2])
     def test_slot_sinr_matches_stated_cdf(self, p):
         rng = drop_rng(11, 0)
         samples = np.concatenate(
-            [slot_sinr(p, 16, rng) for _ in range(2000)]
+            [_slot_sinr(p, 16, rng) for _ in range(2000)]
         )
         n = samples.size
         for x in (0.5, 2.0, 8.0):
@@ -49,6 +53,20 @@ class TestChannelDraws:
             expect = float(sinr_cdf(p, x))
             sigma = math.sqrt(expect * (1 - expect) / n)
             assert abs(emp - expect) < 4 * sigma + 1e-4
+
+
+class TestDropRng:
+    @pytest.mark.parametrize("seed", [0, 42, 2**62, 2**63 - 1])
+    def test_streams_below_two_to_the_63_unchanged(self, seed):
+        # the uint64 key draws what a plain [seed, drop] list key always drew
+        old = np.random.Generator(np.random.Philox(key=[seed, 3]))
+        assert np.array_equal(drop_rng(seed, 3).random(8), old.random(8))
+
+    def test_seed_range_is_zero_to_two_to_the_64(self):
+        drop_rng(2**64 - 1, 0)
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError):
+                drop_rng(seed, 0)
 
 
 class TestBestMSelect:

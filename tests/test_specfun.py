@@ -1,7 +1,7 @@
-"""Special functions and adaptive quadrature.
+"""Adaptive quadrature and the Euler-Mascheroni constant.
 
-Oracles: mpmath's arbitrary-precision implementations for E1 / Beta / 2F1,
-and closed-form antiderivatives for the quadrature.
+Oracles: closed-form antiderivatives for the quadrature, and mpmath for
+the constant.
 """
 
 import math
@@ -18,76 +18,11 @@ from cdfsched.specfun import (
     QuadratureConfig,
     adaptive_quad,
     adaptive_quad_halfline,
-    beta_fn,
-    exp_e1,
-    exp_integral_e1,
-    hyp2f1_unit_params,
 )
 
 
-class TestExpIntegral:
-    def test_against_mpmath_oracle(self):
-        for x in np.geomspace(1e-3, 80.0, 40):
-            expected = float(mp.e1(x))
-            assert exp_integral_e1(float(x)) == pytest.approx(expected,
-                                                             rel=1e-13)
-
-    def test_asymptotic_identity_at_50(self):
-        # x * e^x * E1(x) -> 1 as x -> inf
-        x = 50.0
-        assert abs(x * exp_e1(x) - 1.0) < 0.02
-
-    def test_exp_e1_stable_for_huge_argument(self):
-        # e^x underflow region for E1 alone; product must stay finite
-        x = 5000.0
-        val = exp_e1(x)
-        expected = float(mp.exp(x) * mp.e1(x))
-        assert val == pytest.approx(expected, rel=1e-13)
-
-    def test_series_continued_fraction_seam(self):
-        below = exp_integral_e1(1.0 - 1e-9)
-        above = exp_integral_e1(1.0 + 1e-9)
-        assert below == pytest.approx(above, rel=1e-7)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            exp_e1(0.0)
-        with pytest.raises(DomainError):
-            exp_integral_e1(-1.0)
-
-    def test_euler_gamma_value(self):
-        assert EULER_GAMMA == pytest.approx(float(mp.euler), abs=1e-15)
-
-
-class TestBeta:
-    def test_integer_factorial_path(self):
-        assert beta_fn(3, 4) == pytest.approx(1.0 / 60.0, rel=1e-15)
-        assert beta_fn(1, 1) == 1.0
-        assert beta_fn(1, 7) == pytest.approx(1.0 / 7.0, rel=1e-15)
-
-    def test_against_mpmath(self):
-        for x, y in ((0.5, 0.5), (2.5, 7.0), (40.0, 3.0)):
-            assert beta_fn(x, y) == pytest.approx(float(mp.beta(x, y)),
-                                                  rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            beta_fn(0.0, 1.0)
-
-
-class TestHyp2F1:
-    @pytest.mark.parametrize("c", [2, 3, 10, 40])
-    @pytest.mark.parametrize("z", [-10.0, -2.0, -0.6, -0.3, 0.0, 0.3, 0.7,
-                                   0.95])
-    def test_against_mpmath(self, c, z):
-        expected = float(mp.hyp2f1(1, 1, c, z))
-        assert hyp2f1_unit_params(c, z) == pytest.approx(expected, rel=1e-10)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            hyp2f1_unit_params(1, 0.5)
-        with pytest.raises(DomainError):
-            hyp2f1_unit_params(3, 1.0)
+def test_euler_gamma_value():
+    assert EULER_GAMMA == pytest.approx(float(mp.euler), abs=1e-15)
 
 
 class TestAdaptiveQuad:
@@ -107,8 +42,7 @@ class TestAdaptiveQuad:
             return x**13 - 3 * x**5 + 2
 
         val, _ = adaptive_quad(f, -1.0, 2.0,
-                               QuadratureConfig(max_subdivisions=1),
-                               vectorized=True)
+                               QuadratureConfig(max_subdivisions=1))
         exact = (2.0**14 - 1.0) / 14 - 3 * (2.0**6 - 1.0) / 6 + 2 * 3.0
         assert val == pytest.approx(exact, rel=1e-14)
         assert len(calls) == 1
@@ -117,14 +51,12 @@ class TestAdaptiveQuad:
         # the sqrt cusp at 0.3 needs many rounds; six subdivisions are two
         with pytest.raises(ConvergenceError) as info:
             adaptive_quad(lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0,
-                          QuadratureConfig(max_subdivisions=6),
-                          vectorized=True)
+                          QuadratureConfig(max_subdivisions=6))
         assert math.isfinite(info.value.achieved_error)
         assert info.value.achieved_error > 0.0
 
     def test_oscillatory(self):
-        val, _ = adaptive_quad(lambda x: np.sin(x), 0.0, 20.0,
-                               vectorized=True)
+        val, _ = adaptive_quad(lambda x: np.sin(x), 0.0, 20.0)
         assert val == pytest.approx(1.0 - math.cos(20.0), rel=1e-12)
 
     def test_halfline_exponential(self):
@@ -137,10 +69,6 @@ class TestAdaptiveQuad:
         assert adaptive_quad_halfline(
             lambda xs: xs**3 * np.exp(-xs), vectorized=True
         ) == pytest.approx(6.0, rel=1e-11)
-
-    def test_scalar_callable_wrapped(self):
-        val, _ = adaptive_quad(lambda x: x * x, 0.0, 3.0)
-        assert val == pytest.approx(9.0, rel=1e-13)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
