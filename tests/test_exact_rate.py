@@ -1,18 +1,20 @@
 """Closed-form scheduled-rate machinery.
 
 Oracles: pointwise partial-fraction identities for the residue
-coefficients of the mpmath closed-form engine, and direct adaptive
-quadrature for every rate quantity.
+coefficients of the mpmath closed-form engine, mpmath incomplete-gamma
+forms and mpmath quadrature for its half-line and level integrals, and
+direct adaptive quadrature for every rate quantity.
 """
 
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from cdfsched import exact_rate
-from cdfsched.channel import LinkProfile
+from cdfsched.channel import INTERFERENCE_LIMITED, LinkProfile
 from cdfsched.cli import load_scenario, scenario_profiles
 from cdfsched.errors import DomainError
 from cdfsched.exact_rate import (
@@ -22,13 +24,20 @@ from cdfsched.exact_rate import (
     sum_rate_exact,
     user_rate_exact,
 )
-from cdfsched.exact_rate import _psi_table, _rate_quadrature
+from cdfsched.exact_rate import (
+    _ClosedFormEngine,
+    _i2_mp,
+    _psi_table,
+    _rate_quadrature,
+)
 
 NL = LinkProfile.noise_limited(2.0)
 IL = LinkProfile.interference_limited(4.0, 1.0)
 G1 = LinkProfile.general(5.0, (1.0,))
 G2 = LinkProfile.general(5.0, (1.0, 0.3))
 G3 = LinkProfile.general(3.0, (2.0, 0.7, 0.2))
+# rho_int == rho0 puts the interferer pole on the noise pole (beta = 1)
+GM = LinkProfile.general(2.0, (2.0,))
 
 
 def _betas(p):
@@ -73,6 +82,94 @@ class TestPsiCoefficients:
                 for i in range(1, j + 1):
                     rhs += psi[i] / (betas[b] + x) ** i
             assert rhs == pytest.approx(lhs, rel=1e-10)
+
+
+def _i2_oracle(alpha, beta, gamma):
+    # int_0^inf e^(-a x) (b + x)^(-g) dx = a^(g-1) e^(ab) Gamma(1-g, ab)
+    with mp.workdps(60):
+        return mp.power(alpha, gamma - 1) * mp.exp(alpha * beta) \
+            * mp.gammainc(1 - gamma, alpha * beta)
+
+
+class TestI2Recursion:
+    @pytest.mark.parametrize("alpha,beta,gamma", [
+        (0.5, 1.0, 1), (0.5, 1.0, 4), (2.0, 0.3, 3), (0.05, 5.0, 7),
+        (1.0, 1.0, 12), (50.0, 0.1, 10),
+    ])
+    def test_table_against_incomplete_gamma(self, alpha, beta, gamma):
+        with mp.workdps(30):
+            vals, losses = _i2_mp(mp.mpf(alpha), mp.mpf(beta), gamma)
+        assert len(vals) == len(losses) == gamma
+        for g, v in enumerate(vals, start=1):
+            assert float(v) == pytest.approx(
+                float(_i2_oracle(alpha, beta, g)), rel=1e-12)
+
+
+def _sf_mp(p, x):
+    """1 - F of the SINR in mpf arithmetic, in its product form."""
+    rho0 = mp.mpf(p.rho0)
+    out = mp.mpf(1) if p.kind == INTERFERENCE_LIMITED else mp.exp(-x / rho0)
+    for r in p.rho_int:
+        out *= rho0 / (rho0 + r * x)
+    return out
+
+
+def _level_oracle(p, ell):
+    # T(ell) = int_0^inf (1 - F(x))^(ell+1) / (1 + x) dx, taken in
+    # y = x / rho0 so that the breakpoints sit on the SINR's own scale
+    with mp.workdps(30):
+        rho0 = mp.mpf(p.rho0)
+        return mp.quad(
+            lambda y: rho0 * _sf_mp(p, rho0 * y) ** (ell + 1) / (1 + rho0 * y),
+            [0, 1, 10, mp.inf])
+
+
+class TestLevelIntegral:
+    """The engine's level integrals T(ell): E1 for the noise-limited kind,
+    2F1 for the interference-limited kind, and the multinomial /
+    partial-fraction / I1 assembly for the general kind."""
+
+    @pytest.mark.parametrize("p", [NL, IL, G1, G2, G3, GM],
+                             ids=["NL", "IL", "G1", "G2", "G3", "merged"])
+    @pytest.mark.parametrize("ell", [0, 1, 3, 7])
+    def test_against_quadrature(self, p, ell):
+        val, _ = _ClosedFormEngine(p).t(ell, 30)
+        assert float(val) == pytest.approx(float(_level_oracle(p, ell)),
+                                           rel=1e-12)
+
+    @pytest.mark.parametrize("rho0", [1e3, 10.0, 1.0, 0.1, 0.0125, 2e-4])
+    def test_noise_limited_exponential_integral(self, rho0):
+        # T(0) = e^a E1(a) with a = 1/rho0 from 1e-3 to 5000, where e^a
+        # alone overflows a float
+        p = LinkProfile.noise_limited(rho0)
+        val, lost = _ClosedFormEngine(p).t(0, 30)
+        assert lost == 0.0
+        assert float(val) == pytest.approx(float(_level_oracle(p, 0)),
+                                           rel=1e-12)
+
+    @pytest.mark.parametrize("ratio", [11.0, 3.0, 1.6, 1.3, 1.0, 0.7, 0.3,
+                                       0.05])
+    @pytest.mark.parametrize("ell", [0, 1, 8, 38])
+    def test_interference_limited_hypergeometric(self, ratio, ell):
+        # 2F1(1, 1; ell + 2; 1 - rho0/rho1) for z = 1 - ratio from -10 to
+        # 0.95 and c = ell + 2 from 2 to 40
+        p = LinkProfile.interference_limited(ratio, 1.0)
+        val, _ = _ClosedFormEngine(p).t(ell, 30)
+        assert float(val) == pytest.approx(float(_level_oracle(p, ell)),
+                                           rel=1e-12)
+
+    @pytest.mark.parametrize("p", [G2, G3], ids=["G2", "G3"])
+    @pytest.mark.parametrize("ell", [7, 12])
+    def test_lost_digits_bound_the_error(self, p, ell):
+        # at 15 digits the multinomial sum visibly cancels; the reported
+        # loss, which drives precision escalation in g(), must cover it
+        val, lost = _ClosedFormEngine(p).t(ell, 15)
+        ref = _level_oracle(p, ell)
+        with mp.workdps(30):
+            rel_err = abs(val - ref) / abs(ref)
+            assert rel_err > 0
+            actual = 15 + float(mp.log10(rel_err))
+        assert lost >= actual
 
 
 class TestGk:

@@ -70,6 +70,12 @@ class TestAdaptiveQuad:
             lambda xs: xs**3 * np.exp(-xs), vectorized=True
         ) == pytest.approx(6.0, rel=1e-11)
 
+    def test_halfline_scalar_callable(self):
+        # without vectorized=True, f is called one float abscissa at a time
+        assert adaptive_quad_halfline(
+            lambda x: x * math.exp(-x)
+        ) == pytest.approx(1.0, rel=1e-11)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=0.0)
