@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 from scipy.optimize import brentq
@@ -27,7 +25,7 @@ from .channel import (
     sinr_sf,
 )
 from .errors import DomainError, PreconditionError
-from .feedback import BestMPoly, xi1_vector
+from .feedback import BestMPoly
 from .specfun import EULER_GAMMA
 
 
@@ -176,34 +174,6 @@ class TailDiagnosticReport:
     limit_estimate: float
 
 
-@lru_cache(maxsize=512)
-def _tail_polys(N: int, M: int):
-    """Coefficients of S_Y and f_Y/f in powers of the base survival s = 1-F.
-
-    Working in s avoids the catastrophic 1 - F_Y cancellation deep in the
-    tail.  Returns (q, r) with S_Y(x) = sum_j q[j] s^j (q[0] = 0) and
-    F_Y'(F) = sum_j r[j] s^j.
-    """
-    c = xi1_vector(N, M)
-    q = [Fraction(0)] * (N + 1)
-    r = [Fraction(0)] * N
-    for m, cm in enumerate(c):
-        e = N - m
-        # (1-s)^e = sum_j C(e, j) (-s)^j
-        for j in range(1, e + 1):
-            q[j] -= cm * comb(e, j) * (-1) ** j
-        for j in range(0, e):
-            r[j] += cm * e * comb(e - 1, j) * (-1) ** j
-    return tuple(float(v) for v in q), tuple(float(v) for v in r)
-
-
-def _horner(coeffs, s: float) -> float:
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * s + c
-    return out
-
-
 def tail_convergence_diagnostic(p: LinkProfile, N: int,
                                 M: int) -> TailDiagnosticReport:
     """Evaluate the domain-of-attraction functional on a geometric grid.
@@ -213,13 +183,13 @@ def tail_convergence_diagnostic(p: LinkProfile, N: int,
     """
     if not 1 <= M <= N:
         raise DomainError(f"need 1 <= M <= N, got M={M}, N={N}")
-    q_coef, r_coef = _tail_polys(N, M)
+    poly = BestMPoly.build(N, M)
 
     def hazard_inverse(x: float) -> float:
-        # (1 - F_Y) / f_Y
+        # (1 - F_Y) / f_Y, with 1 - F_Y taken in s = 1 - F to keep the tail
         s = sinr_sf(p, x)
         f = float(sinr_pdf(p, x))
-        return _horner(q_coef, s) / (_horner(r_coef, s) * f)
+        return float(poly.sf_in_s(s) / (poly.derivative_in_f(1.0 - s) * f))
 
     if p.kind == INTERFERENCE_LIMITED:
         family = FRECHET
@@ -239,16 +209,13 @@ def tail_convergence_diagnostic(p: LinkProfile, N: int,
             values.append(float((4.0 * d_h2 - d_h) / 3.0))
         values = tuple(values)
 
-    # compare mean magnitude over the last decade against the one before it
+    # compare the mean distance from the limit (0 for gumbel, the last value
+    # for frechet) over the last decade against the one before it
+    arr = np.asarray(values)
+    gap = np.abs(arr - arr[-1]) if family == FRECHET else np.abs(arr)
     logs = np.log10(grid)
-    last = np.abs(values)[logs > logs[-1] - 1.0]
-    prev = np.abs(values)[(logs > logs[-1] - 2.0) & (logs <= logs[-1] - 1.0)]
-    if family == FRECHET:
-        arr = np.asarray(values)
-        last = np.abs(arr - arr[-1])[logs > logs[-1] - 1.0]
-        prev = np.abs(arr - arr[-1])[
-            (logs > logs[-1] - 2.0) & (logs <= logs[-1] - 1.0)
-        ]
+    last = gap[logs > logs[-1] - 1.0]
+    prev = gap[(logs > logs[-1] - 2.0) & (logs <= logs[-1] - 1.0)]
     trend = bool(last.mean() < prev.mean())
     return TailDiagnosticReport(
         family=family,

@@ -197,7 +197,11 @@ def build_link_profile(scenario: Scenario, user_index: int,
         rx_dbm[c] = cell.tx_power_dbm - path_loss_db(cell.tier, d) + shadow[c]
 
     serving = int(np.argmax(rx_dbm))  # argmax takes the first maximum
-    rx_mw = 10.0 ** (rx_dbm / 10.0)
+    with np.errstate(over="ignore"):  # a huge dBm value is an inf in mW
+        rx_mw = 10.0 ** (rx_dbm / 10.0)
+    if not np.isfinite(rx_mw).all():
+        raise DomainError("rho0 must be positive and finite, but a received "
+                          "power overflows in mW")
     noise_mw = 10.0 ** (scenario.noise_power_rb_dbm / 10.0)
 
     interferers = np.delete(rx_mw, serving)

@@ -1,15 +1,16 @@
 """Exact per-user and sum rates for CDF-based scheduling with best-M feedback.
 
-The closed form is a triple sum: an alternating binomial sum over ell, a
-multinomial expansion over interferer exponent vectors, and a partial
-fraction expansion whose residues feed the half-line integrals I1/I2.  The
-alternating outer sum loses roughly 0.3 * eps decimal digits, so the
-closed-form engine runs on mpmath with working precision chosen adaptively
-from measured cancellation; the public entry points return floats.
+Above a small N * K0 a rate is one positive integral: the Binomial(K0, M/N)
+feedback count collapses in closed form, leaving the binomial-tail F_Y of
+`feedback`, which `_rate_quadrature` integrates in floating point.
 
-For rate assembly at large user counts the conditioned expectation is
-evaluated by direct quadrature of the scheduler-side CDF power instead of
-the xi2 expansion, whose coefficients grow without bound in tau0.
+Below it the rate is the paper's series, the exact xi2 rationals weighting
+G(eps) = int log2(1+x) d(F^eps).  The closed form of G is a triple sum
+(alternating binomial over ell, multinomial over interferer exponent
+vectors, partial fractions feeding the half-line integrals I1/I2) that
+loses about 0.3 * eps decimal digits, so its engine runs on mpmath with
+working precision chosen from measured cancellation; the public entry
+points return floats.
 """
 
 from __future__ import annotations
@@ -397,7 +398,7 @@ def _rate_quadrature(p: LinkProfile, K0: int, N: int, M: int) -> float:
         FY = poly.eval_in_f(F)
         fY = poly.derivative_in_f(F) * sinr_pdf(p, xs)
         mix = (1.0 - prob + prob * FY) ** (K0 - 1)
-        return rho0 * np.maximum(fY, 0.0) * mix * np.log1p(xs) / _LN2
+        return rho0 * fY * mix * np.log1p(xs) / _LN2
 
     val = adaptive_quad_halfline(
         integrand,

@@ -1,14 +1,16 @@
 """Best-M order-statistics algebra.
 
-The scheduler-side CQI CDF under best-M feedback is a polynomial in the
-per-block SINR CDF F:
+A user feeds back its M best of N blocks and the scheduler sees a uniform
+pick among them.  In the per-block SINR CDF u = F(x) that CQI has the
+binomial-tail CDF (David & Nagaraja, *Order Statistics*, 3rd ed., 2003)
 
-    F_Y(x) = sum_m xi1(N, M, m) * F(x)^(N-m),   m = 0 .. M-1
+    F_Y(u) = sum_{i<M} (M-i)/M * C(N, i) * u^(N-i) * (1-u)^i,
 
-and its tau0-th power expands with coefficients xi2.  Both coefficient
-families are alternating sums that cancel catastrophically in floating
-point for larger N, so they are computed once in exact rational arithmetic
-and cached.
+a sum of positive terms, which `BestMPoly` evaluates in floating point.
+The paper's coefficients xi1 (F_Y in powers of u) and xi2 (its tau0-th
+power) alternate in sign and cancel in floating point, so they are kept as
+exact rationals: the input of the xi2-series rate path and the tests'
+exact reference.
 """
 
 from __future__ import annotations
@@ -100,41 +102,62 @@ def xi2(N: int, M: int, tau0: int, m: int) -> float:
     return float(vec[m])
 
 
+def _homogeneous_horner(w, u, s):
+    """sum_i w[i] * u^(n-1-i) * s^i for n = len(w): Horner in u, carrying the
+    powers of s along.  With u, s >= 0 and w > 0 every step adds a
+    nonnegative term, so nothing cancels."""
+    acc = np.full_like(u, w[0])
+    s_pow = np.ones_like(u)
+    for c in w[1:]:
+        s_pow *= s
+        acc *= u
+        acc += c * s_pow
+    return acc
+
+
 @dataclass(frozen=True)
 class BestMPoly:
-    """The best-M CDF as a polynomial in the user CDF F."""
+    """The best-M CDF F_Y as a function of the user CDF u = F(x), its
+    derivative in u, and its survival function in s = 1 - u, each a
+    positive binomial sum (see the module docstring)."""
 
     N: int
     M: int
-    xi1: tuple[float, ...]
+    cdf_w: tuple[float, ...]
+    pdf_w: tuple[float, ...]
 
     @classmethod
     def build(cls, N: int, M: int) -> "BestMPoly":
         _check_nm(N, M)
-        return cls(N=N, M=M, xi1=tuple(float(c) for c in xi1_vector(N, M)))
+        return cls(N=N, M=M,
+                   cdf_w=tuple((M - i) * comb(N, i) / M for i in range(M)),
+                   pdf_w=tuple(N * comb(N - 1, j) / M for j in range(M)))
 
     def eval_in_f(self, F):
-        """Evaluate sum_m xi1[m] F^(N-m) for F in [0, 1]."""
-        F = np.asarray(F, dtype=float)
-        inner = np.zeros_like(F)
-        for c in self.xi1:  # Horner in F, highest power of the inner poly first
-            inner = inner * F + c
-        out = inner * F ** (self.N - self.M + 1)
-        return np.clip(out, 0.0, 1.0)
+        """F_Y = sum_{i<M} (M-i)/M C(N,i) F^(N-i) (1-F)^i for F in [0, 1]."""
+        u = np.asarray(F, dtype=float)
+        return (_homogeneous_horner(self.cdf_w, u, 1.0 - u)
+                * u ** (self.N - self.M + 1))
 
     def derivative_in_f(self, F):
-        """d/dF of the polynomial (the chain-rule factor for the density)."""
-        F = np.asarray(F, dtype=float)
-        out = np.zeros_like(F)
-        for m, c in enumerate(self.xi1):
-            out += c * (self.N - m) * F ** (self.N - m - 1)
-        return out
+        """dF_Y/dF = N/M sum_{j<M} C(N-1,j) F^(N-1-j) (1-F)^j, the
+        chain-rule factor for the density."""
+        u = np.asarray(F, dtype=float)
+        return (_homogeneous_horner(self.pdf_w, u, 1.0 - u)
+                * u ** (self.N - self.M))
+
+    def sf_in_s(self, s):
+        """1 - F_Y = sum_{i=1..N} min(i,M)/M C(N,i) (1-s)^(N-i) s^i, in the
+        base survival s = 1 - F, which keeps its digits deep in the tail."""
+        s = np.asarray(s, dtype=float)
+        N, M = self.N, self.M
+        w = tuple(min(i, M) * comb(N, i) / M for i in range(1, N + 1))
+        return _homogeneous_horner(w, 1.0 - s, s) * s
 
 
 def bestm_cdf(p: LinkProfile, N: int, M: int, x) -> float:
     """CDF of the fed-back CQI seen by the scheduler for this user."""
-    poly = BestMPoly.build(N, M)
-    return poly.eval_in_f(sinr_cdf(p, x))
+    return BestMPoly.build(N, M).eval_in_f(sinr_cdf(p, x))
 
 
 def feedback_count_pmf(K: int, M: int, N: int, tau0: int) -> float:

@@ -168,7 +168,6 @@ def _run_drop(profiles, N: int, config: SimConfig,
     M = config.M
     if M > N:
         raise DomainError(f"M={M} exceeds N={N}")
-    polys = BestMPoly.build(N, M)
     slots = config.slots_per_drop
     n_batches = min(_STAT_BATCHES, slots)
 
@@ -212,11 +211,11 @@ def _run_drop(profiles, N: int, config: SimConfig,
                 kth = np.partition(cqi, N - M, axis=2)[:, :, N - M]
                 mask = cqi >= kth[:, :, None]
                 if config.policy == "cdf":
+                    # F_Y is one increasing map shared by all users, so
+                    # ranking by F_k(x) picks the argmax of F_Y(F_k(x))
                     score = np.empty_like(cqi)
                     for k, p in enumerate(profiles):
-                        score[:, k, :] = polys.eval_in_f(
-                            sinr_cdf(p, cqi[:, k, :])
-                        )
+                        score[:, k, :] = sinr_cdf(p, cqi[:, k, :])
                 else:
                     score = cqi.copy()
                 score[~mask] = -1.0

@@ -6,6 +6,7 @@ closed forms, and hand-derivable special points of the quantile map.
 
 import math
 
+import mpmath as mp
 import pytest
 
 from cdfsched.asymptotics import (
@@ -21,7 +22,7 @@ from cdfsched.asymptotics import (
 )
 from cdfsched.channel import LinkProfile, sinr_cdf_inv
 from cdfsched.errors import DomainError, PreconditionError
-from cdfsched.feedback import bestm_cdf
+from cdfsched.feedback import bestm_cdf, xi1_vector
 
 NL = LinkProfile.noise_limited(2.0)
 IL = LinkProfile.interference_limited(4.0, 1.0)
@@ -152,6 +153,36 @@ class TestTailDiagnostics:
         assert rep.family == FRECHET
         assert rep.trend_decreasing
         assert rep.limit_estimate > 0
+
+    def test_wide_carrier_noise_limited_is_gumbel(self):
+        rep = tail_convergence_diagnostic(NL, 100, 50)
+        assert rep.family == GUMBEL
+        assert rep.trend_decreasing
+        assert abs(rep.limit_estimate) < 1e-3
+
+    def test_wide_carrier_interference_limited_limit(self):
+        # 1 - F_Y ~ (N/M) s in the tail, so the tail index stays 1
+        rep = tail_convergence_diagnostic(IL, 100, 50)
+        assert rep.family == FRECHET
+        assert rep.trend_decreasing
+        assert rep.limit_estimate == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("N,M", [(100, 8), (100, 50)])
+    def test_frechet_functional_matches_exact_rationals(self, N, M):
+        # x f_Y / (1 - F_Y) from the exact xi1 polynomial at 120 digits
+        rep = tail_convergence_diagnostic(IL, N, M)
+        with mp.workdps(120):
+            c = [mp.mpf(v.numerator) / v.denominator for v in xi1_vector(N, M)]
+            rho0, rho1 = (mp.mpf(r) for r in (IL.rho0, IL.rho_int[0]))
+            for x, got in zip(rep.x_grid, rep.values):
+                x = mp.mpf(x)
+                F = rho1 * x / (rho1 * x + rho0)
+                f = rho0 * rho1 / (rho1 * x + rho0) ** 2
+                FY = mp.fsum(cm * F ** (N - m) for m, cm in enumerate(c))
+                dFY = mp.fsum(cm * (N - m) * F ** (N - m - 1)
+                              for m, cm in enumerate(c))
+                ref = x * dFY * f / (1 - FY)
+                assert abs(got - ref) <= 1e-10 * ref
 
     def test_domain(self):
         with pytest.raises(DomainError):

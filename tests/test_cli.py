@@ -12,7 +12,6 @@ import re
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from cdfsched.cli import SEED_ENV_VAR, load_scenario, main, scenario_profiles
@@ -130,9 +129,8 @@ class TestRateCommands:
         # infinite received power in mW, so rho0 is infinite
         cells = [{"tier": "macro", "position_m": [0, 0], "tx_power_dbm": 1e4}]
         path = write_json(tmp_path, dict(MINIMAL, cells=cells))
-        with np.errstate(over="ignore"):
-            code, _, err = run_cli(capsys, command[0], "--scenario", path,
-                                   *command[1:])
+        code, _, err = run_cli(capsys, command[0], "--scenario", path,
+                               *command[1:])
         assert code == 2
         assert "rho0 must be positive and finite" in err
 
@@ -237,6 +235,13 @@ BAD_SCENARIOS = {
     "user_position_inf": _golden_text(users=[[120, 40], [0, "1e999"]]),
     "noise_power_underflows": _golden_text(noise_psd_dbm_hz=-4000),
     "noise_power_overflows": _golden_text(noise_psd_dbm_hz=4000),
+    "tx_power_overflows": _golden_text(
+        cells=[{"tier": "macro", "position_m": [0, 0], "tx_power_dbm": 1e4},
+               {"tier": "macro", "position_m": [1000, 0]}]),
+    "two_tx_powers_overflow": _golden_text(
+        cells=[{"tier": "macro", "position_m": [0, 0], "tx_power_dbm": 1e4},
+               {"tier": "macro", "position_m": [1000, 0],
+                "tx_power_dbm": 1e4}]),
     "fractional_num_rb": _golden_text(num_rb=16.7),
     "boolean_num_rb": _golden_text(num_rb=True),
 }

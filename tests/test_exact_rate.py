@@ -17,6 +17,7 @@ from cdfsched import exact_rate
 from cdfsched.channel import INTERFERENCE_LIMITED, LinkProfile
 from cdfsched.cli import load_scenario, scenario_profiles
 from cdfsched.errors import DomainError
+from cdfsched.feedback import xi1_vector
 from cdfsched.exact_rate import (
     RateBreakdown,
     g_k,
@@ -226,6 +227,53 @@ class TestUserRate:
             user_rate_exact(NL, 0, 16, 4)
         with pytest.raises(DomainError):
             user_rate_exact(NL, 2, 16, 17)
+
+
+def _collapsed_reference(rho0, K0, N, M):
+    """The collapsed rate integral of a noise-limited user, taken in
+    u = F(x), x = -rho0 log(1 - u), by mpmath quadrature at 25 digits; at
+    each node F_Y is summed from the exact xi1 rationals at enough digits
+    to absorb their cancellation."""
+    coeffs = xi1_vector(N, M)
+    dps = 40 + int(math.log10(float(max(abs(v) for v in coeffs))))
+    with mp.workdps(dps):
+        c = [mp.mpf(v.numerator) / v.denominator for v in coeffs]
+
+    def integrand(u):
+        with mp.workdps(dps):
+            FY = mp.fsum(cm * u ** (N - m) for m, cm in enumerate(c))
+            dFY = mp.fsum(cm * (N - m) * u ** (N - m - 1)
+                          for m, cm in enumerate(c))
+            mix = (1 - mp.mpf(M) / N * (1 - FY)) ** (K0 - 1)
+            val = dFY * mix * mp.log(1 - rho0 * mp.log1p(-u))
+        return +val  # rounded to the quadrature's precision
+
+    with mp.workdps(25):
+        val = mp.quad(integrand, [0, 0.5, 0.9, 0.99, 1])
+        return float(mp.mpf(M) / N * val / mp.log(2))
+
+
+class TestWideCarrier:
+    """Carriers of 25 to 100 blocks, where the float xi1 polynomial loses
+    every digit and its quadrature used to stall."""
+
+    @pytest.mark.parametrize("N,M", [(25, 12), (32, 8), (32, 16), (50, 8),
+                                     (64, 8), (100, 8), (100, 50)])
+    def test_rate_matches_exact_rational_reference(self, N, M):
+        got = user_rate_exact(NL, 10, N, M)
+        assert math.isfinite(got)
+        assert got == pytest.approx(_collapsed_reference(2.0, 10, N, M),
+                                    rel=1e-8)
+
+    @pytest.mark.parametrize("N", [25, 50, 100])
+    def test_every_m(self, N):
+        rates = [user_rate_exact(NL, 10, N, M) for M in range(1, N + 1)]
+        assert all(math.isfinite(r) and r > 0 for r in rates)
+        # more feedback never lowers the rate of identical users
+        assert all(b >= a * (1 - 1e-12) for a, b in zip(rates, rates[1:]))
+        # at M = N the scheduler sees the plain SINR, whatever N is
+        assert rates[-1] == pytest.approx(user_rate_exact(NL, 10, 16, 16),
+                                          rel=1e-10)
 
 
 class TestSumRate:

@@ -1,11 +1,14 @@
 """Best-M order-statistics algebra.
 
-Oracles: exact rational convolution for the power coefficients, direct
-order-statistics limits (M=1 and M=N), and the binomial feedback count.
+Oracles: exact rational convolution for the power coefficients, the exact
+xi1 polynomial summed in mpmath for the floating-point best-M layer,
+direct order-statistics limits (M=1 and M=N), and the binomial feedback
+count.
 """
 
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,11 +86,56 @@ class TestXi2:
             xi2(16, 2, 2, 3)
 
 
+#: u from 1e-3 to 1 - 1e-6, dense at both ends
+U_GRID = np.concatenate([np.geomspace(1e-3, 0.5, 25),
+                         1.0 - np.geomspace(0.5, 1e-6, 25)[1:]])
+
+
+def _exact_layer(N, M, u):
+    """(F_Y, dF_Y/dF, 1 - F_Y) at the float u from the exact xi1 rationals,
+    summed at 120 digits, far beyond the cancellation of the alternating
+    coefficients (max |xi1| is 5.7e40 at N = 100, M = 50)."""
+    with mp.workdps(120):
+        u = mp.mpf(u)
+        c = [mp.mpf(x.numerator) / x.denominator for x in xi1_vector(N, M)]
+        F = mp.fsum(cm * u ** (N - m) for m, cm in enumerate(c))
+        dF = mp.fsum(cm * (N - m) * u ** (N - m - 1) for m, cm in enumerate(c))
+        return F, dF, 1 - F
+
+
+def _rel(got, ref):
+    with mp.workdps(120):
+        return float(abs(mp.mpf(float(got)) - ref) / abs(ref))
+
+
 class TestPolyEvaluation:
-    def test_bestm_poly_endpoints(self):
-        poly = BestMPoly.build(16, 4)
+    @pytest.mark.parametrize("N,M", [(16, 4), (100, 1), (100, 50),
+                                     (100, 100)])
+    def test_bestm_poly_endpoints(self, N, M):
+        poly = BestMPoly.build(N, M)
         assert poly.eval_in_f(0.0) == 0.0
-        assert poly.eval_in_f(1.0) == pytest.approx(1.0, abs=1e-12)
+        assert poly.eval_in_f(1.0) == 1.0
+
+    @pytest.mark.parametrize("N,M", [(32, 8), (64, 32), (100, 8), (100, 50),
+                                     (100, 99)])
+    def test_matches_exact_rationals(self, N, M):
+        poly = BestMPoly.build(N, M)
+        for u in U_GRID:
+            F, dF, _ = _exact_layer(N, M, u)
+            assert _rel(poly.eval_in_f(u), F) < 1e-13
+            assert _rel(poly.derivative_in_f(u), dF) < 1e-13
+            # the survival at the float s, whose 1 - s is exact at 120 digits
+            s = 1.0 - u
+            with mp.workdps(120):
+                _, _, S = _exact_layer(N, M, 1 - mp.mpf(s))
+            assert _rel(poly.sf_in_s(s), S) < 1e-13
+
+    def test_survival_keeps_the_deep_tail(self):
+        # 1 - F_Y ~ (N/M) s as s -> 0, far below where 1 - eval_in_f is 0
+        poly = BestMPoly.build(100, 50)
+        assert poly.sf_in_s(1e-30) == pytest.approx(2e-30, rel=1e-12)
+        assert poly.sf_in_s(0.0) == 0.0
+        assert poly.sf_in_s(1.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_bestm_poly_monotone(self):
         poly = BestMPoly.build(16, 5)

@@ -216,6 +216,50 @@ class TestSimulateProfiles:
                       master_seed=0)
 
 
+#: heterogeneous users: noise-limited at three SNRs, one interference-
+#: limited, one general with two interferers
+HETERO = [NL, IL, G2, LinkProfile.noise_limited(0.5),
+          LinkProfile.noise_limited(20.0)]
+
+#: two-sided Student-t level matching 3 sigma for the 7 degrees of
+#: freedom of a drop's 8 statistics batches
+T_3SIGMA_8_BATCHES = 4.53
+
+
+class TestWideCarrier:
+    """N = 100 blocks, where the float xi1 polynomial loses every digit."""
+
+    def test_cdf_policy_is_fair_and_matches_exact_rates(self):
+        N, M = 100, 50
+        rep = simulate_profiles(HETERO, N, _cfg(M=M, slots_per_drop=4000,
+                                                master_seed=2026))
+        tol = T_3SIGMA_8_BATCHES
+        assert abs(rep.fairness_theta - 1.0) <= tol * rep.fairness_theta_stderr
+        for p, rate, se in zip(HETERO, rep.per_user_rate,
+                               rep.per_user_rate_stderr):
+            exact = user_rate_exact(p, len(HETERO), N, M)
+            assert abs(rate - exact) <= tol * se
+
+    @pytest.mark.parametrize("N,M,slots", [(16, 4, 200), (100, 50, 8)])
+    def test_oracle_winner_is_argmax_of_user_cdfs(self, N, M, slots):
+        # F_Y is one increasing map shared by all users, so the scalar
+        # oracle's literal F_Y(F_k) score picks the fed-back user with the
+        # largest F_k, which is what the vectorized simulator ranks by
+        rng = drop_rng(17, N)
+        for _ in range(slots):
+            feedback = [best_m_select(_slot_sinr(p, N, rng), M)
+                        for p in HETERO]
+            assignment, _ = schedule_slot(feedback, "cdf", HETERO, N)
+            expect = np.full(N, -1)
+            best = np.full(N, -1.0)
+            for k, fb in enumerate(feedback):
+                for rb, val in fb:
+                    u = sinr_cdf(HETERO[k], val)
+                    if u > best[rb]:  # ties keep the lower user index
+                        best[rb], expect[rb] = u, k
+            assert list(assignment) == list(expect)
+
+
 class TestSimulateScenario:
     def _scenario(self):
         cells = (Cell("macro", (0.0, 0.0), 43.0),
