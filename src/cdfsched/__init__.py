@@ -30,7 +30,6 @@ from .channel import (
 from .errors import (
     CancellationError,
     ConvergenceError,
-    DistinctnessError,
     DomainError,
     PreconditionError,
     ScenarioError,
@@ -57,7 +56,6 @@ __all__ = [
     "SimConfig",
     "CancellationError",
     "ConvergenceError",
-    "DistinctnessError",
     "DomainError",
     "PreconditionError",
     "ScenarioError",

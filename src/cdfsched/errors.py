@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class DistinctnessError(ValueError):
-    """Interferer power scales too close for the partial-fraction weights."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative routine failed to reach the requested tolerance."""
 

@@ -2,7 +2,8 @@
 
 Above a small N * K0 a rate is one positive integral: the Binomial(K0, M/N)
 feedback count collapses in closed form, leaving the binomial-tail F_Y of
-`feedback`, which `_rate_quadrature` integrates in floating point.
+`feedback`, which `_rate_quadrature` integrates in floating point over the
+product-form SINR law of `channel`.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  The closed form of G is a triple sum
@@ -10,7 +11,8 @@ G(eps) = int log2(1+x) d(F^eps).  The closed form of G is a triple sum
 vectors, partial fractions feeding the half-line integrals I1/I2) that
 loses about 0.3 * eps decimal digits, so its engine runs on mpmath with
 working precision chosen from measured cancellation; the public entry
-points return floats.
+points return floats.  The partial fractions live only here, in the
+engine, the independent oracle for the product-form quadrature.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ CLOSED_FORM_MAX_INTERFERERS = 4
 _LN2 = math.log(2.0)
 
 _MAX_DPS = 600
+
+#: relative gap below which two partial-fraction poles count as merged
+_MERGED_POLE_TOL = 1e-6
 
 
 def _psi_table(betas, j_vector, b):
@@ -211,7 +216,7 @@ class _ClosedFormEngine:
             beta = betas[b]
             if gamma == 0:
                 return i2_one, 0.0
-            if abs(beta - 1) < mp.mpf("1e-6"):
+            if abs(beta - 1) < _MERGED_POLE_TOL:
                 vals, losses = i2_table("merged", mp.mpf(1), gmax + 1)
                 return vals[gamma], losses[gamma]
             vals, losses = i2_table(b, beta, gmax)
@@ -269,11 +274,11 @@ class _ClosedFormEngine:
                     f"closed form limited to eps <= {CLOSED_FORM_MAX_EPS} for "
                     f"general profiles (got eps={eps}); use the quadrature path"
                 )
-            if p.num_interferers > CLOSED_FORM_MAX_INTERFERERS:
+            if _series_budget(p) == 0:
                 raise CancellationError(
                     "closed form limited to profiles with at most "
-                    f"{CLOSED_FORM_MAX_INTERFERERS} interferers; use the "
-                    "quadrature path"
+                    f"{CLOSED_FORM_MAX_INTERFERERS} interferers, no two tied "
+                    f"within {_MERGED_POLE_TOL:.0e}; use the quadrature path"
                 )
         dps = int(max(30, min_digits + 12 + 0.302 * eps))
         while True:
@@ -367,10 +372,14 @@ def _series_budget(p: LinkProfile) -> int:
 
     The multinomial expansion cost grows steeply with the interferer count,
     while the quadrature path is exponent-independent, so the crossover
-    moves down as J grows.
+    moves down as J grows.  Tied interferers get none: the partial
+    fractions have a pole there.
     """
     if p.kind != GENERAL or p.num_interferers <= 1:
         return CLOSED_FORM_MAX_EPS
+    r = p.rho_int  # sorted descending
+    if any(a - b < _MERGED_POLE_TOL * a for a, b in zip(r, r[1:])):
+        return 0
     if p.num_interferers == 2:
         return 32
     if p.num_interferers <= CLOSED_FORM_MAX_INTERFERERS:

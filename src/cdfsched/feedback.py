@@ -115,6 +115,15 @@ def _homogeneous_horner(w, u, s):
     return acc
 
 
+def _over_m(N: int, M: int, numerators) -> tuple[float, ...]:
+    """Integer weights divided by M; C(N, i) outgrows a float above N = 1030."""
+    try:
+        return tuple(n / M for n in numerators)
+    except OverflowError:
+        raise DomainError(
+            f"best-M weights overflow a float at N={N}, M={M}") from None
+
+
 @dataclass(frozen=True)
 class BestMPoly:
     """The best-M CDF F_Y as a function of the user CDF u = F(x), its
@@ -130,8 +139,9 @@ class BestMPoly:
     def build(cls, N: int, M: int) -> "BestMPoly":
         _check_nm(N, M)
         return cls(N=N, M=M,
-                   cdf_w=tuple((M - i) * comb(N, i) / M for i in range(M)),
-                   pdf_w=tuple(N * comb(N - 1, j) / M for j in range(M)))
+                   cdf_w=_over_m(N, M, ((M - i) * comb(N, i)
+                                        for i in range(M))),
+                   pdf_w=_over_m(N, M, (N * comb(N - 1, j) for j in range(M))))
 
     def eval_in_f(self, F):
         """F_Y = sum_{i<M} (M-i)/M C(N,i) F^(N-i) (1-F)^i for F in [0, 1]."""
@@ -151,7 +161,7 @@ class BestMPoly:
         base survival s = 1 - F, which keeps its digits deep in the tail."""
         s = np.asarray(s, dtype=float)
         N, M = self.N, self.M
-        w = tuple(min(i, M) * comb(N, i) / M for i in range(1, N + 1))
+        w = _over_m(N, M, (min(i, M) * comb(N, i) for i in range(1, N + 1)))
         return _homogeneous_horner(w, 1.0 - s, s) * s
 
 

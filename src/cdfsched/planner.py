@@ -95,34 +95,22 @@ def min_feedback_asymptotic(profiles, N: int, eta: float) -> int:
     return answer
 
 
-def plan_feedback(profiles, N: int, eta: float,
-                  use_exact: bool = True) -> PlanResult:
+def plan_feedback(profiles, N: int, eta: float) -> PlanResult:
     """Solve both formulations and report the chosen budget.
 
-    ratio_at_m reports the exact-rate ratio at the exact solution when
-    use_exact is set, otherwise the asymptotic ratio at its solution.
+    ratio_at_m reports the exact-rate ratio at the exact solution;
+    m_asymptotic is None where the extreme-value regime fails.
     """
     _check_eta(eta)
     profiles = list(profiles)
-    evaluations = 0
-    m_exact = None
-    if use_exact:
-        m_exact = min_feedback_exact(profiles, N, eta)
-        evaluations += N + 1
+    m_exact = min_feedback_exact(profiles, N, eta)
+    evaluations = N + 1
     try:
         m_asym = min_feedback_asymptotic(profiles, N, eta)
         evaluations += N + 1
     except PreconditionError:
         m_asym = None
-    if use_exact:
-        full = sum_rate_exact(profiles, N, N).sum_rate
-        ratio = sum_rate_exact(profiles, N, m_exact).sum_rate / full
-    else:
-        if m_asym is None:
-            raise PreconditionError(
-                "asymptotic planning infeasible and exact planning disabled"
-            )
-        ratio = (sum_rate_asymptotic(profiles, N, m_asym)
-                 / sum_rate_asymptotic(profiles, N, N))
+    full = sum_rate_exact(profiles, N, N).sum_rate
+    ratio = sum_rate_exact(profiles, N, m_exact).sum_rate / full
     return PlanResult(m_exact=m_exact, m_asymptotic=m_asym, eta=eta,
                       ratio_at_m=ratio, evaluations=evaluations)

@@ -1,11 +1,14 @@
 """SINR distributions, association, and scenario plumbing.
 
-Oracles: quadrature of the stated SINR density, numerical differentiation
-of its CDF, and hand-computed path-loss / noise-budget values.
+Oracles: 50-digit mpmath evaluation and root finding on the product-form
+SINR survival, quadrature of the stated SINR density, numerical
+differentiation of its CDF, and hand-computed path-loss / noise-budget
+values.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,10 +22,10 @@ from cdfsched.channel import (
     sinr_cdf_inv,
     sinr_pdf,
     sinr_sf,
-    varpi_weights,
 )
-from cdfsched.errors import DistinctnessError, DomainError, ScenarioError
+from cdfsched.errors import DomainError, ScenarioError
 from cdfsched.specfun import QuadratureConfig, adaptive_quad_halfline
+from mp_reference import pdf_mp, sf_mp
 
 PROFILES = [
     LinkProfile.noise_limited(2.0),
@@ -32,19 +35,53 @@ PROFILES = [
     LinkProfile.general(3.0, (2.0, 0.7, 0.2)),
 ]
 
+# golden-scenario scales, where a partial-fraction expansion of the tail
+# cancels to about 4e-4 relative at x = 3e6
+J4 = LinkProfile.general(9e4, (3e4, 2e3, 500.0, 90.0))
+TIED = LinkProfile.general(5.0, (1.0, 1.0))
+# high SNR, weak interferers: near x = 0 the computed log S moves only
+# through its noise term, so a quantile that stops on step size stalls
+HIGH_SNR = LinkProfile.general(1200101.4748638747, (46.667026793307265,
+                                                    11.91840134989674,
+                                                    1.83367465110823))
 
-class TestVarpi:
-    def test_single_interferer(self):
-        assert varpi_weights((2.0,)) == pytest.approx([1.0])
 
-    def test_weights_sum_to_one(self):
-        # the CDF must vanish at x = 0, which forces sum varpi_b = 1
-        w = varpi_weights((3.0, 1.0, 0.25))
-        assert w.sum() == pytest.approx(1.0, rel=1e-12)
+class TestProductFormLaw:
+    """The survival and density against 50-digit mpmath, and the quantile
+    against a 50-digit root of the product-form survival."""
 
-    def test_distinctness_enforced(self):
-        with pytest.raises(DistinctnessError):
-            varpi_weights((1.0, 1.0 + 1e-12))
+    @pytest.mark.parametrize("p,xs", [
+        *[(p, tuple(p.rho0 * t for t in (1e-3, 0.1, 1.0, 10.0, 50.0)))
+          for p in PROFILES],
+        (J4, (1e4, 1e5, 1e6, 3e6)),
+    ], ids=["NL", "IL", "G1", "G2", "G3", "J4"])
+    def test_against_mpmath(self, p, xs):
+        for x in xs:
+            with mp.workdps(50):
+                sf, pdf = float(sf_mp(p, x)), float(pdf_mp(p, x))
+            assert sinr_sf(p, x) == pytest.approx(sf, rel=1e-13, abs=0)
+            assert sinr_pdf(p, x) == pytest.approx(pdf, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("p", PROFILES + [J4, TIED, HIGH_SNR],
+                             ids=["NL", "IL", "G1", "G2", "G3", "J4", "tied",
+                                  "high_snr"])
+    @pytest.mark.parametrize("q,rel", [(0.5, 1e-12), (1 - 1e-12, 1e-12),
+                                       (1e-6, 1e-9)])
+    def test_quantile_is_the_mpmath_root(self, p, q, rel):
+        # at q = 1e-6, log S = log(1 - q) is about -q and carries the
+        # float's absolute error, hence the looser tolerance
+        x = sinr_cdf_inv(p, q)
+        with mp.workdps(50):
+            target = mp.log(1 - mp.mpf(q))
+            root = mp.findroot(lambda z: mp.log(sf_mp(p, z)) - target,
+                               mp.mpf(x))
+        assert x == pytest.approx(float(root), rel=rel, abs=0)
+
+    def test_tied_scales_are_a_valid_law(self):
+        total = adaptive_quad_halfline(lambda xs: sinr_pdf(TIED, xs),
+                                       QuadratureConfig(rel_tol=1e-11),
+                                       vectorized=True)
+        assert total == pytest.approx(1.0, rel=1e-9)
 
 
 class TestLinkProfile:
@@ -72,11 +109,6 @@ class TestLinkProfile:
     def test_non_finite_scales_rejected(self, make):
         with pytest.raises(DomainError):
             make()
-
-    def test_weights_stored_at_construction(self):
-        p = LinkProfile.general(3.0, (2.0, 0.7, 0.2))
-        assert p.weights == tuple(varpi_weights(p.rho_int))
-        assert "weights" not in repr(p)
 
 
 class TestSinrDistribution:
@@ -199,9 +231,22 @@ class TestAssociation:
                  Cell("macro", (100.0, 0.0), 43.0)]
         s = _scenario(cells, [(0.0, 0.0)], shadowing_sigma_db=0.0)
         p = build_link_profile(s, 0, np.zeros(2))
-        # equidistant: association must pick cell 0; interferer tie is
-        # perturbed away from the serving scale, so rho_int has one entry
+        # equidistant: association must pick cell 0, and cell 1 is the one
+        # interferer, at the serving power
         assert p.num_interferers == 1
+        assert p.rho_int[0] == p.rho0
+
+    def test_tied_interferers_are_kept(self, caplog):
+        # two interferers at exactly equal power: the tie stays as it is
+        cells = [Cell("macro", (0.0, 50.0), 43.0),
+                 Cell("macro", (-500.0, 0.0), 43.0),
+                 Cell("macro", (500.0, 0.0), 43.0)]
+        s = _scenario(cells, [(0.0, 0.0)], shadowing_sigma_db=0.0)
+        with caplog.at_level("DEBUG"):
+            p = build_link_profile(s, 0, np.zeros(3))
+        assert p.num_interferers == 2
+        assert p.rho_int[0] == p.rho_int[1]
+        assert not caplog.records
 
     def test_weak_interferers_folded_into_noise(self):
         cells = [Cell("macro", (0.0, 0.0), 43.0),

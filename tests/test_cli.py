@@ -122,6 +122,18 @@ class TestRateCommands:
         assert code == 2
         assert "error:" in err
 
+    def test_overflowing_best_m_weights_exit_two(self, capsys, tmp_path):
+        # C(1100, i) overflows a float, so the best-M weights cannot be built
+        path = tmp_path / "wide.json"
+        path.write_text(_golden_text(num_rb=1100))
+        code, out, err = run_cli(capsys, "rate-exact", "--scenario",
+                                 str(path), "--M", "550")
+        assert code == 2
+        assert err.startswith("error:")
+        assert "N=1100, M=550" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("command", [["rate-exact", "--M", "4"],
                                          ["plan-feedback", "--eta", "0.9"]])
     def test_non_finite_link_scale_exits_two(self, capsys, tmp_path, command):

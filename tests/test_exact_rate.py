@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from cdfsched import exact_rate
-from cdfsched.channel import INTERFERENCE_LIMITED, LinkProfile
+from cdfsched.channel import LinkProfile
 from cdfsched.cli import load_scenario, scenario_profiles
-from cdfsched.errors import DomainError
+from cdfsched.errors import CancellationError, DomainError
 from cdfsched.feedback import xi1_vector
 from cdfsched.exact_rate import (
     RateBreakdown,
@@ -31,6 +31,7 @@ from cdfsched.exact_rate import (
     _psi_table,
     _rate_quadrature,
 )
+from mp_reference import pdf_mp, sf_mp
 
 NL = LinkProfile.noise_limited(2.0)
 IL = LinkProfile.interference_limited(4.0, 1.0)
@@ -106,22 +107,13 @@ class TestI2Recursion:
                 float(_i2_oracle(alpha, beta, g)), rel=1e-12)
 
 
-def _sf_mp(p, x):
-    """1 - F of the SINR in mpf arithmetic, in its product form."""
-    rho0 = mp.mpf(p.rho0)
-    out = mp.mpf(1) if p.kind == INTERFERENCE_LIMITED else mp.exp(-x / rho0)
-    for r in p.rho_int:
-        out *= rho0 / (rho0 + r * x)
-    return out
-
-
 def _level_oracle(p, ell):
     # T(ell) = int_0^inf (1 - F(x))^(ell+1) / (1 + x) dx, taken in
     # y = x / rho0 so that the breakpoints sit on the SINR's own scale
     with mp.workdps(30):
         rho0 = mp.mpf(p.rho0)
         return mp.quad(
-            lambda y: rho0 * _sf_mp(p, rho0 * y) ** (ell + 1) / (1 + rho0 * y),
+            lambda y: rho0 * sf_mp(p, rho0 * y) ** (ell + 1) / (1 + rho0 * y),
             [0, 1, 10, mp.inf])
 
 
@@ -274,6 +266,48 @@ class TestWideCarrier:
         # at M = N the scheduler sees the plain SINR, whatever N is
         assert rates[-1] == pytest.approx(user_rate_exact(NL, 10, 16, 16),
                                           rel=1e-10)
+
+
+def _product_form_rate_reference(p, K0, N, M):
+    """The collapsed rate integral built from the product-form SINR law and
+    the exact binomial-tail F_Y, by mpmath quadrature at 30 digits."""
+    with mp.workdps(30):
+        prob = mp.mpf(M) / N
+        cdf_w = [mp.mpf(M - i) / M * math.comb(N, i) for i in range(M)]
+        pdf_w = [mp.mpf(N) / M * math.comb(N - 1, j) for j in range(M)]
+
+        def integrand(x):
+            s = sf_mp(p, x)
+            u = 1 - s
+            FY = mp.fsum(w * u ** (N - i) * s**i for i, w in enumerate(cdf_w))
+            dFY = mp.fsum(w * u ** (N - 1 - j) * s**j
+                          for j, w in enumerate(pdf_w))
+            mix = (1 - prob * (1 - FY)) ** (K0 - 1)
+            return dFY * pdf_mp(p, x) * mix * mp.log1p(x)
+
+        rho0 = mp.mpf(p.rho0)
+        val = mp.quad(integrand, [0, rho0 / 10, rho0, 10 * rho0, 100 * rho0,
+                                  mp.inf])
+        return float(prob * val / mp.log(2))
+
+
+class TestTiedInterferers:
+    """Interferer scales 1 and 1 - gap.  The partial fractions of the
+    closed form have a pole at the tie; the product-form law has none, so
+    the rate stays smooth through it."""
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, 2e-9, 1e-7, 1e-5])
+    @pytest.mark.parametrize("K0", [1, 2, 10])
+    def test_rate_matches_reference(self, gap, K0):
+        p = LinkProfile.general(5.0, (1.0, 1.0 - gap))
+        got = user_rate_exact(p, K0, 16, 4)
+        assert math.isfinite(got)
+        assert got == pytest.approx(_product_form_rate_reference(p, K0, 16, 4),
+                                    rel=1e-10)
+
+    def test_closed_form_refuses_a_tie(self):
+        with pytest.raises(CancellationError):
+            g_k(LinkProfile.general(5.0, (1.0, 1.0)), 4)
 
 
 class TestSumRate:

@@ -116,6 +116,19 @@ class TestPolyEvaluation:
         assert poly.eval_in_f(0.0) == 0.0
         assert poly.eval_in_f(1.0) == 1.0
 
+    @pytest.mark.parametrize("N,M", [(1030, 515), (1100, 550)])
+    def test_overflowing_weights_raise_domain_error(self, N, M):
+        # C(N, i) outgrows a float above about N = 1030
+        with pytest.raises(DomainError, match=f"N={N}, M={M}"):
+            BestMPoly.build(N, M)
+
+    def test_wide_carrier_below_overflow(self):
+        poly = BestMPoly.build(1100, 100)
+        assert poly.eval_in_f(1.0) == 1.0
+        # the survival sums C(N, i) up to i = N, which overflows here
+        with pytest.raises(DomainError, match="N=1100, M=100"):
+            poly.sf_in_s(0.5)
+
     @pytest.mark.parametrize("N,M", [(32, 8), (64, 32), (100, 8), (100, 50),
                                      (100, 99)])
     def test_matches_exact_rationals(self, N, M):

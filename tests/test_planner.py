@@ -6,6 +6,7 @@ the limiting targets eta -> 0+ and eta = 1.
 
 import pytest
 
+from cdfsched.asymptotics import sum_rate_asymptotic
 from cdfsched.channel import LinkProfile
 from cdfsched.errors import DomainError, PreconditionError
 from cdfsched.exact_rate import sum_rate_exact
@@ -67,12 +68,17 @@ class TestPlanFeedback:
         assert out.ratio_at_m >= 0.95
         assert out.evaluations > 0
 
-    def test_asymptotic_only_mode(self):
-        out = plan_feedback(PROFILES, 8, 0.9, use_exact=False)
-        assert out.m_exact is None
-        assert out.m_asymptotic is not None
-        assert out.ratio_at_m >= 0.9
+    def test_asymptotic_budget_meets_target(self):
+        out = plan_feedback(PROFILES, 8, 0.9)
+        M = out.m_asymptotic
+        assert M is not None
+        assert (sum_rate_asymptotic(PROFILES, 8, M)
+                / sum_rate_asymptotic(PROFILES, 8, 8)) >= 0.9
 
-    def test_asymptotic_only_single_user_raises(self):
-        with pytest.raises(PreconditionError):
-            plan_feedback([NL], 8, 0.9, use_exact=False)
+    def test_single_user_has_no_asymptotic_budget(self):
+        # K0 = 1 never reaches the extreme-value regime; the exact solver
+        # still answers
+        out = plan_feedback([NL], 8, 0.9)
+        assert out.m_asymptotic is None
+        assert out.m_exact == min_feedback_exact([NL], 8, 0.9)
+        assert out.evaluations == 9

@@ -3,7 +3,8 @@
 Every module-level function and class in src/cdfsched must be reached,
 through the names it is referred by, from a root: the public exports
 (cdfsched.__all__), every definition in cli.py, or the scalar reference
-scheduler kept as the simulator's oracle.
+scheduler kept as the simulator's oracle.  Every module-level import must
+be read in its own module (the package __init__ only re-exports).
 """
 
 import ast
@@ -40,3 +41,20 @@ def test_every_definition_is_reachable():
                     for name in _names(node)} & defs.keys() - reached
     unreached = sorted(defs.keys() - reached)
     assert not unreached, f"definitions nothing reaches: {unreached}"
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = [alias.asname or alias.name.split(".")[0]
+                 for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unread += [f"{path.name}: {name}" for name in bound
+                   if name not in read]
+    assert not unread, f"imports never read: {unread}"
