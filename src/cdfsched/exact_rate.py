@@ -3,7 +3,10 @@
 Above a small N * K0 a rate is one positive integral: the Binomial(K0, M/N)
 feedback count collapses in closed form, leaving the binomial-tail F_Y of
 `feedback`, which `_rate_quadrature` integrates in floating point over the
-product-form SINR law of `channel`.
+product-form SINR law of `channel`.  The planner, which needs every M,
+takes `user_rates_all_m`: the same integrals for all M = 1..N from one
+column-valued quadrature.  A single rate keeps its own path, since running
+one M through the columns is slower.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  The closed form of G is a triple sum
@@ -33,8 +36,17 @@ from .channel import (
     sinr_pdf,
 )
 from .errors import CancellationError, DomainError
-from .feedback import BestMPoly, feedback_count_pmf_exact, xi2_vector
-from .specfun import QuadratureConfig, adaptive_quad_halfline
+from .feedback import (
+    BestMPoly,
+    bestm_columns,
+    feedback_count_pmf_exact,
+    xi2_vector,
+)
+from .specfun import (
+    QuadratureConfig,
+    adaptive_quad_columns,
+    adaptive_quad_halfline,
+)
 
 #: largest eps for which the general-kind closed form is attempted
 CLOSED_FORM_MAX_EPS = 64
@@ -415,6 +427,38 @@ def _rate_quadrature(p: LinkProfile, K0: int, N: int, M: int) -> float:
         vectorized=True,
     )
     return prob * val
+
+
+@lru_cache(maxsize=1024)
+def user_rates_all_m(p: LinkProfile, K0: int, N: int) -> tuple[float, ...]:
+    """The collapsed-quadrature rate of `_rate_quadrature` at every
+    M = 1..N; entry M-1 is best-M.
+
+    One column-valued quadrature on a shared mesh takes all N integrands,
+    built from `bestm_columns`, at about the cost of one rate.  It is the
+    quadrature whatever N * K0.  A single (user, M) rate keeps its own
+    path, `user_rate_exact`: run through the columns for one M it would be
+    slower.
+    """
+    if K0 < 1:
+        raise DomainError(f"K0 must be >= 1, got {K0}")
+    if N < 1:
+        raise DomainError(f"need N >= 1, got N={N}")
+    prob = np.arange(1, N + 1) / N
+    rho0 = p.rho0
+
+    def integrand(ys):
+        xs = rho0 * ys
+        FY, dFY = bestm_columns(N, sinr_cdf(p, xs))
+        mix = (1.0 - prob + prob * FY) ** (K0 - 1)
+        weight = rho0 * sinr_pdf(p, xs) * np.log1p(xs) / _LN2
+        return dFY * mix * weight[:, None]
+
+    vals = adaptive_quad_columns(
+        integrand,
+        QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=6000),
+    )
+    return tuple((prob * vals).tolist())
 
 
 def user_rate_exact(p: LinkProfile, K0: int, N: int, M: int,

@@ -3,8 +3,12 @@
 Given a cell's link profiles, find the least M such that the sum rate at
 best-M feedback retains at least a fraction eta of the full-feedback sum
 rate.  The exact and the extreme-value-approximate rate evaluators give two
-solvers; the scan is linear in M and verifies (rather than assumes) that
-the rate ratio is nondecreasing in M, logging any violation.
+solvers; each scans M linearly and verifies (rather than assumes) that the
+rate ratio is nondecreasing in M, logging any violation.  The exact scan
+reads every M from one all-M rate surface per user
+(`exact_rate.user_rates_all_m`); the reported ratio at the chosen M comes
+from `sum_rate_exact`, the evaluator behind `rate-exact`, which also checks
+the surface's pick.
 """
 
 from __future__ import annotations
@@ -12,9 +16,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .asymptotics import sum_rate_asymptotic
 from .errors import DomainError, PreconditionError
-from .exact_rate import sum_rate_exact
+from .exact_rate import sum_rate_exact, user_rates_all_m
 
 log = logging.getLogger(__name__)
 
@@ -34,26 +40,24 @@ def _check_eta(eta: float):
 
 
 def min_feedback_exact(profiles, N: int, eta: float) -> int:
-    """Smallest M with sum_rate_exact(M) / sum_rate_exact(N) >= eta.
+    """Smallest M with sum_rate(M) / sum_rate(N) >= eta.
 
-    Ascending linear scan; always feasible since the ratio is 1 at M = N.
+    The users' rate surfaces give the sum rate at every M at once; always
+    feasible since the ratio is 1 at M = N.
     """
     _check_eta(eta)
     profiles = list(profiles)
-    full = sum_rate_exact(profiles, N, N).sum_rate
-    prev_ratio = None
-    answer = None
-    for M in range(1, N + 1):
-        ratio = sum_rate_exact(profiles, N, M).sum_rate / full
-        if prev_ratio is not None and ratio < prev_ratio - 1e-9:
-            log.warning(
-                "sum-rate ratio not monotone in M: ratio(%d)=%.12g < "
-                "ratio(%d)=%.12g", M, ratio, M - 1, prev_ratio,
-            )
-        prev_ratio = ratio
-        if answer is None and ratio >= eta:
-            answer = M
-    return answer
+    if not profiles:
+        raise DomainError("need at least one profile")
+    K0 = len(profiles)
+    sums = np.sum([user_rates_all_m(p, K0, N) for p in profiles], axis=0)
+    ratios = sums / sums[-1]
+    for M in np.flatnonzero(np.diff(ratios) < -1e-9) + 2:
+        log.warning(
+            "sum-rate ratio not monotone in M: ratio(%d)=%.12g < "
+            "ratio(%d)=%.12g", M, ratios[M - 1], M - 1, ratios[M - 2],
+        )
+    return int(np.argmax(ratios >= eta)) + 1
 
 
 def min_feedback_asymptotic(profiles, N: int, eta: float) -> int:

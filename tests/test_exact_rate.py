@@ -16,7 +16,7 @@ import pytest
 from cdfsched import exact_rate
 from cdfsched.channel import LinkProfile
 from cdfsched.cli import load_scenario, scenario_profiles
-from cdfsched.errors import CancellationError, DomainError
+from cdfsched.errors import CancellationError, ConvergenceError, DomainError
 from cdfsched.feedback import xi1_vector
 from cdfsched.exact_rate import (
     RateBreakdown,
@@ -24,6 +24,7 @@ from cdfsched.exact_rate import (
     g_k_quadrature,
     sum_rate_exact,
     user_rate_exact,
+    user_rates_all_m,
 )
 from cdfsched.exact_rate import (
     _ClosedFormEngine,
@@ -31,6 +32,7 @@ from cdfsched.exact_rate import (
     _psi_table,
     _rate_quadrature,
 )
+from cdfsched.specfun import QuadratureConfig
 from mp_reference import pdf_mp, sf_mp
 
 NL = LinkProfile.noise_limited(2.0)
@@ -327,26 +329,102 @@ class TestSumRate:
             sum_rate_exact([], 16, 4)
 
 
+def _golden_profiles():
+    golden = Path(__file__).resolve().parents[1] / "examples_scenarios" \
+        / "hetnet_two_macro_four_pico.json"
+    scenario, raw = load_scenario(str(golden))
+    return scenario_profiles(scenario, raw["seed"])
+
+
+def _counting(monkeypatch, name):
+    """Count the integrand calls of the quadrature exact_rate imports as
+    `name`."""
+    calls = []
+    quad = getattr(exact_rate, name)
+
+    def counting(f, *args, **kwargs):
+        def counted(xs):
+            calls.append(len(xs))
+            return f(xs)
+        return quad(counted, *args, **kwargs)
+
+    monkeypatch.setattr(exact_rate, name, counting)
+    return calls
+
+
 def test_quadrature_calls_per_rate_on_a_large_cell(monkeypatch):
     """Round-batched refinement on the rho0-scaled map: at K0 = 50 with the
     golden scenario's users, a collapsed-quadrature rate costs only a few
     calls of its integrand, whatever M."""
-    golden = Path(__file__).resolve().parents[1] / "examples_scenarios" \
-        / "hetnet_two_macro_four_pico.json"
-    scenario, raw = load_scenario(str(golden))
-    profiles = scenario_profiles(scenario, raw["seed"])
-    calls = []
-    quad = exact_rate.adaptive_quad_halfline
-
-    def counting(f, config=None, vectorized=False):
-        def counted(xs):
-            calls.append(len(xs))
-            return f(xs)
-        return quad(counted, config, vectorized)
-
-    monkeypatch.setattr(exact_rate, "adaptive_quad_halfline", counting)
+    profiles = _golden_profiles()
+    calls = _counting(monkeypatch, "adaptive_quad_halfline")
     for p in profiles:
         for M in range(1, 17):
             # uncached, so that every rate is computed here
             _rate_quadrature.__wrapped__(p, 50, 16, M)
     assert len(calls) / (16 * len(profiles)) <= 8
+
+
+#: the criterion-02 profiles, the golden-scale J = 4 profile, a tie and the
+#: extreme serving scales
+SURFACE_PROFILES = [
+    LinkProfile.noise_limited(0.5), LinkProfile.noise_limited(2.0),
+    LinkProfile.noise_limited(20.0),
+    LinkProfile.interference_limited(1.0, 1.0), IL,
+    LinkProfile.interference_limited(30.0, 1.5),
+    LinkProfile.general(4.0, (1.0,)), LinkProfile.general(10.0, (0.2,)), G2,
+    LinkProfile.general(8.0, (2.0, 0.5)),
+    LinkProfile.general(9e4, (3e4, 2e3, 500.0, 90.0)),
+    LinkProfile.general(5.0, (1.0, 1.0)),
+    LinkProfile.noise_limited(1e-8), LinkProfile.noise_limited(1e8),
+]
+
+
+class TestRateSurface:
+    """user_rates_all_m: every M of the collapsed quadrature on one mesh."""
+
+    @pytest.mark.parametrize("p", SURFACE_PROFILES,
+                             ids=lambda p: f"{p.kind}-{p.rho0:g}-{p.rho_int}")
+    @pytest.mark.parametrize("K0", [1, 5, 20, 50])
+    def test_every_m_matches_the_single_rate(self, p, K0):
+        rates = user_rates_all_m(p, K0, 16)
+        assert len(rates) == 16
+        for M in range(1, 17):
+            assert rates[M - 1] == pytest.approx(_rate_quadrature(p, K0, 16, M),
+                                                 rel=1e-10)
+
+    @pytest.mark.parametrize("p", SURFACE_PROFILES,
+                             ids=lambda p: f"{p.kind}-{p.rho0:g}-{p.rho_int}")
+    @pytest.mark.parametrize("N", [50, 100])
+    def test_wide_carriers(self, p, N):
+        rates = user_rates_all_m(p, 10, N)
+        for M in (1, 8, N // 2, N):
+            assert rates[M - 1] == pytest.approx(_rate_quadrature(p, 10, N, M),
+                                                 rel=1e-10)
+
+    def test_integrand_calls_on_a_large_cell(self, monkeypatch):
+        """All 16 M of a K0 = 50 golden-cell user take fewer integrand
+        calls than a handful of single rates (about 65 for all 16)."""
+        profiles = _golden_profiles()
+        calls = _counting(monkeypatch, "adaptive_quad_columns")
+        for p in profiles:
+            user_rates_all_m.__wrapped__(p, 50, 16)  # uncached
+        assert len(calls) / len(profiles) <= 8
+
+    def test_exhausted_budget_raises(self, monkeypatch):
+        quad = exact_rate.adaptive_quad_columns
+        monkeypatch.setattr(
+            exact_rate, "adaptive_quad_columns",
+            lambda f, config: quad(f, QuadratureConfig(
+                abs_tol=config.abs_tol, rel_tol=config.rel_tol,
+                max_subdivisions=4)))
+        with pytest.raises(ConvergenceError) as info:
+            user_rates_all_m.__wrapped__(G3, 50, 16)
+        assert math.isfinite(info.value.achieved_error)
+        assert info.value.achieved_error > 0.0
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            user_rates_all_m(NL, 0, 16)
+        with pytest.raises(DomainError):
+            user_rates_all_m(NL, 2, 0)

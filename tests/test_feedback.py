@@ -19,6 +19,7 @@ from cdfsched.errors import DomainError
 from cdfsched.feedback import (
     BestMPoly,
     bestm_cdf,
+    bestm_columns,
     feedback_count_pmf,
     feedback_count_pmf_exact,
     xi1,
@@ -162,6 +163,56 @@ class TestPolyEvaluation:
             h = 1e-7
             num = (poly.eval_in_f(u + h) - poly.eval_in_f(u - h)) / (2 * h)
             assert poly.derivative_in_f(u) == pytest.approx(num, rel=1e-5)
+
+
+def _exact_columns(N, u):
+    """(F_Y, dF_Y/dF) for every M = 1..N at the float u, from the exact xi1
+    rationals summed at 120 digits, as in `_exact_layer`."""
+    with mp.workdps(120):
+        u = mp.mpf(u)
+        pw = [u**k for k in range(N + 1)]
+        out = []
+        for M in range(1, N + 1):
+            c = [mp.mpf(x.numerator) / x.denominator
+                 for x in xi1_vector(N, M)]
+            out.append((mp.fsum(cm * pw[N - m] for m, cm in enumerate(c)),
+                        mp.fsum(cm * (N - m) * pw[N - m - 1]
+                                for m, cm in enumerate(c))))
+        return out
+
+
+class TestBestMColumns:
+    """Every best-M layer at once, from cumulative binomial sums."""
+
+    @pytest.mark.parametrize("N", [16, 25, 50, 100])
+    def test_matches_exact_rationals(self, N):
+        cdf, pdf = bestm_columns(N, U_GRID)
+        assert cdf.shape == pdf.shape == (len(U_GRID), N)
+        for k in range(0, len(U_GRID), 2):  # keeps both ends of the grid
+            for M, (F, dF) in enumerate(_exact_columns(N, U_GRID[k]), start=1):
+                assert _rel(cdf[k, M - 1], F) < 1e-14
+                assert _rel(pdf[k, M - 1], dF) < 1e-14
+
+    @pytest.mark.parametrize("N", [16, 25, 50, 100])
+    def test_columns_match_bestm_poly(self, N):
+        cdf, pdf = bestm_columns(N, U_GRID)
+        for M in range(1, N + 1):
+            poly = BestMPoly.build(N, M)
+            np.testing.assert_allclose(cdf[:, M - 1], poly.eval_in_f(U_GRID),
+                                       rtol=1e-14, atol=0)
+            np.testing.assert_allclose(pdf[:, M - 1],
+                                       poly.derivative_in_f(U_GRID),
+                                       rtol=1e-14, atol=0)
+
+    def test_endpoints(self):
+        cdf, pdf = bestm_columns(16, np.array([0.0, 1.0]))
+        assert np.all(cdf[0] == 0.0) and np.all(cdf[1] == 1.0)
+        # at u = 1 only the j = 0 term survives: dF_Y/du = N/M
+        np.testing.assert_allclose(pdf[1], 16 / np.arange(1, 17), rtol=1e-15)
+
+    def test_overflowing_weights_raise_domain_error(self):
+        with pytest.raises(DomainError, match="N=1100"):
+            bestm_columns(1100, np.array([0.5]))
 
 
 class TestBestMCdf:

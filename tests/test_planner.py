@@ -4,21 +4,33 @@ Oracles: brute-force evaluation of the sum-rate ratio over every M, and
 the limiting targets eta -> 0+ and eta = 1.
 """
 
+import logging
+
+import numpy as np
 import pytest
 
+from cdfsched import planner
 from cdfsched.asymptotics import sum_rate_asymptotic
 from cdfsched.channel import LinkProfile
 from cdfsched.errors import DomainError, PreconditionError
-from cdfsched.exact_rate import sum_rate_exact
+from cdfsched.exact_rate import sum_rate_exact, user_rates_all_m
 from cdfsched.planner import (
     PlanResult,
     min_feedback_exact,
     min_feedback_asymptotic,
     plan_feedback,
 )
+from test_acceptance import N_RB, het_profiles
 
 NL = LinkProfile.noise_limited(2.0)
 PROFILES = [LinkProfile.noise_limited(r) for r in (1.0, 2.0, 4.0, 8.0)] * 3
+
+
+def _brute_force(profiles, N, eta):
+    """Smallest M whose sum_rate_exact ratio meets eta, one M at a time."""
+    full = sum_rate_exact(profiles, N, N).sum_rate
+    return next(M for M in range(1, N + 1)
+                if sum_rate_exact(profiles, N, M).sum_rate / full >= eta)
 
 
 class TestExactPlanner:
@@ -31,12 +43,32 @@ class TestExactPlanner:
 
     def test_matches_brute_force(self):
         N, eta = 8, 0.95
-        full = sum_rate_exact(PROFILES, N, N).sum_rate
-        expect = min(
-            M for M in range(1, N + 1)
-            if sum_rate_exact(PROFILES, N, M).sum_rate / full >= eta
-        )
-        assert min_feedback_exact(PROFILES, N, eta) == expect
+        assert min_feedback_exact(PROFILES, N, eta) == \
+            _brute_force(PROFILES, N, eta)
+
+    @pytest.mark.parametrize("K0,N,eta", [(20, N_RB, 0.9), (20, N_RB, 0.99),
+                                          (50, N_RB, 0.9), (50, N_RB, 0.99),
+                                          (10, 100, 0.9)])
+    def test_matches_brute_force_on_heterogeneous_cells(self, K0, N, eta):
+        # the criterion-09 cells, and a 100-block carrier
+        profiles = het_profiles(K0)
+        assert min_feedback_exact(profiles, N, eta) == \
+            _brute_force(profiles, N, eta)
+
+    def test_non_monotone_ratio_is_logged(self, monkeypatch, caplog):
+        # a surface whose rate dips at M = 3 still gives the first M that
+        # meets the target, and the dip is logged
+        surface = (0.5, 0.8, 0.7, 0.9, 1.0)
+        monkeypatch.setattr(planner, "user_rates_all_m",
+                            lambda p, K0, N: surface)
+        with caplog.at_level(logging.WARNING, logger="cdfsched.planner"):
+            assert min_feedback_exact([NL, NL], 5, 0.75) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "sum-rate ratio not monotone in M: ratio(3)=0.7 < ratio(2)=0.8"]
+
+    def test_empty_cell_rejected(self):
+        with pytest.raises(DomainError):
+            min_feedback_exact([], 8, 0.9)
 
     def test_eta_domain(self):
         with pytest.raises(DomainError):
@@ -67,6 +99,14 @@ class TestPlanFeedback:
         assert out.m_asymptotic == min_feedback_asymptotic(PROFILES, 8, 0.95)
         assert out.ratio_at_m >= 0.95
         assert out.evaluations > 0
+
+    def test_ratio_at_m_matches_the_surface(self):
+        profiles = het_profiles(20)
+        out = plan_feedback(profiles, N_RB, 0.9)
+        sums = np.sum([user_rates_all_m(p, 20, N_RB) for p in profiles],
+                      axis=0)
+        assert out.ratio_at_m == pytest.approx(
+            sums[out.m_exact - 1] / sums[-1], abs=1e-9)
 
     def test_asymptotic_budget_meets_target(self):
         out = plan_feedback(PROFILES, 8, 0.9)

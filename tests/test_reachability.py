@@ -1,4 +1,5 @@
-"""No dead code in the package.
+"""No dead code in the package, and no missing name the benchmark's tracer
+rebinds.
 
 Every module-level function and class in src/cdfsched must be reached,
 through the names it is referred by, from a root: the public exports
@@ -8,11 +9,15 @@ be read in its own module (the package __init__ only re-exports).
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import cdfsched
 
 SRC = Path(cdfsched.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "cdfbench" \
+    / "tracing.py"
 ORACLES = {"schedule_slot", "best_m_select"}
 
 
@@ -58,3 +63,27 @@ def test_every_import_is_read():
         unread += [f"{path.name}: {name}" for name in bound
                    if name not in read]
     assert not unread, f"imports never read: {unread}"
+
+
+def _constant(tree, name):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not defined in {TRACING.name}")
+
+
+def test_names_the_tracer_rebinds_exist():
+    """The traced benchmark run rebinds imported names in package modules;
+    each must exist, and the wrapped quadrature keep its signature."""
+    tree = ast.parse(TRACING.read_text())
+    wanted = [(mod, name) for mod, name, _ in _constant(tree, "BOUNDARIES")]
+    wanted += [(mod, "BestMPoly") for mod in _constant(tree, "POLY_USERS")]
+    wanted.append(("exact_rate", "adaptive_quad_halfline"))
+    missing = [f"{mod}.{name}" for mod, name in wanted
+               if not hasattr(importlib.import_module(f"cdfsched.{mod}"),
+                              name)]
+    assert not missing, f"names the tracer rebinds are gone: {missing}"
+    quad = importlib.import_module("cdfsched.exact_rate").adaptive_quad_halfline
+    assert list(inspect.signature(quad).parameters) == \
+        ["f", "config", "vectorized"]

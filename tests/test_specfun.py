@@ -17,6 +17,7 @@ from cdfsched.specfun import (
     EULER_GAMMA,
     QuadratureConfig,
     adaptive_quad,
+    adaptive_quad_columns,
     adaptive_quad_halfline,
 )
 
@@ -96,3 +97,32 @@ class TestAdaptiveQuad:
             for k, c in enumerate(coeffs)
         )
         assert val == pytest.approx(exact, rel=1e-10, abs=1e-10)
+
+
+class TestAdaptiveQuadColumns:
+    def test_columns_on_one_mesh(self):
+        # int x^k e^-x = k!, and int e^(-x/30) = 30 needs a wider mesh
+        vals = adaptive_quad_columns(lambda xs: np.stack(
+            [np.exp(-xs), xs**3 * np.exp(-xs), np.exp(-xs / 30)], axis=1),
+            QuadratureConfig())
+        np.testing.assert_allclose(vals, [1.0, 6.0, 30.0], rtol=1e-11)
+
+    def test_each_column_meets_its_own_tolerance(self):
+        # a column 1e-20 times smaller is held to its own relative tolerance
+        vals = adaptive_quad_columns(
+            lambda xs: np.stack([np.exp(-xs), 1e-20 * xs * np.exp(-xs)],
+                                axis=1),
+            QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10))
+        np.testing.assert_allclose(vals, [1.0, 1e-20], rtol=1e-10)
+
+    def test_budget_exhaustion_reports_worst_column(self):
+        # the kink at x = 1/3 stalls the second column only
+        with pytest.raises(ConvergenceError) as info:
+            adaptive_quad_columns(
+                lambda xs: np.stack([np.exp(-xs),
+                                     np.sqrt(np.abs(xs - 1 / 3)) * np.exp(-xs)],
+                                    axis=1),
+                QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15,
+                                 max_subdivisions=30))
+        assert math.isfinite(info.value.achieved_error)
+        assert info.value.achieved_error > 1e-15
