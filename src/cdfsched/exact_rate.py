@@ -5,8 +5,9 @@ feedback count collapses in closed form, leaving the binomial-tail F_Y of
 `feedback`, which `_rate_quadrature` integrates in floating point over the
 product-form SINR law of `channel`.  The planner, which needs every M,
 takes `user_rates_all_m`: the same integrals for all M = 1..N from one
-column-valued quadrature.  A single rate keeps its own path, since running
-one M through the columns is slower.
+column-valued quadrature.  A single rate keeps its one-M integrand
+(`BestMPoly`) on the same quadrature loop, since building all N columns
+for one M is slower.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  The closed form of G is a triple sum
@@ -437,8 +438,8 @@ def user_rates_all_m(p: LinkProfile, K0: int, N: int) -> tuple[float, ...]:
     One column-valued quadrature on a shared mesh takes all N integrands,
     built from `bestm_columns`, at about the cost of one rate.  It is the
     quadrature whatever N * K0.  A single (user, M) rate keeps its own
-    path, `user_rate_exact`: run through the columns for one M it would be
-    slower.
+    integrand, `_rate_quadrature`'s: building all N columns for one M
+    would be slower.
     """
     if K0 < 1:
         raise DomainError(f"K0 must be >= 1, got {K0}")

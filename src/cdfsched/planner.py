@@ -27,6 +27,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PlanResult:
+    """Both solvers' budgets and the exact-rate ratio at m_exact.
+
+    `evaluations` counts the sum-rate values the solvers compared, N + 1
+    for each solver that ran (M = 1..N and the full-feedback reference).
+    It counts M values, not evaluator calls: the exact solver reads all of
+    its values from one rate surface per user.
+    """
+
     m_exact: int | None
     m_asymptotic: int | None
     eta: float

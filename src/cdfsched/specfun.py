@@ -5,8 +5,8 @@ functions (E1, 2F1) from mpmath; this quadrature is its independent oracle.
 `adaptive_quad` integrates one scalar integrand; `adaptive_quad_columns`
 integrates a column-valued one over [0, inf) on one shared mesh, as
 vector integrands share one in DCUHRE (Berntsen, Espelid & Genz, ACM TOMS
-17(4), 1991), for the planner's all-M rate surfaces.  The two loops stay
-apart: one loop generic in the integrand's shape slowed single rates.
+17(4), 1991), for the planner's all-M rate surfaces.  Both run one round
+loop, and a scalar integrand is its one-column case.
 """
 
 from __future__ import annotations
@@ -80,15 +80,58 @@ class QuadratureConfig:
 
 
 def _gk15(f, lo, hi):
-    """GK15 values and |K15 - G7| error estimates on every panel [lo, hi],
-    with one call of the vectorized integrand for all panels."""
+    """GK15 values and |K15 - G7| error estimates, (panels, C), on every
+    panel [lo, hi], with one call of the vectorized integrand for all
+    panels.  f maps n abscissae to n values (C = 1) or to an (n, C) array."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     fx = np.asarray(f((mid[:, None] + half[:, None] * _GK_NODES).ravel()),
-                    dtype=float).reshape(len(lo), len(_GK_NODES))
-    k15 = half * (fx @ _GK_WEIGHTS)
-    g7 = half * (fx[:, 1::2] @ _G7_WEIGHTS)
+                    dtype=float).reshape(len(lo), len(_GK_NODES), -1)
+    k15 = half[:, None] * (_GK_WEIGHTS @ fx)
+    g7 = half[:, None] * (_G7_WEIGHTS @ fx[:, 1::2])
     return k15, np.abs(k15 - g7)
+
+
+def _adaptive_columns(f, a: float, b: float, config: QuadratureConfig):
+    """The round loop behind `adaptive_quad` and `adaptive_quad_columns`.
+
+    Integrates every column of f over [a, b] on one shared mesh and returns
+    the (C,) values and error estimates.  Column c has tolerance
+    tol_c = max(abs_tol, rel_tol * |value_c|); a panel's error counts in
+    units of tol_c, at its worst column, and the loop stops when every
+    column's summed error is within its tolerance.
+    """
+    edges = np.linspace(a, b, 5)
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = _gk15(f, lo, hi)
+    budget = config.max_subdivisions - 3
+    while True:
+        total_val, total_err = vals.sum(0), errs.sum(0)
+        tol = np.maximum(config.rel_tol * np.abs(total_val), config.abs_tol)
+        if (total_err <= tol).all():
+            return total_val, total_err
+        scaled = (errs / tol).max(1)
+        order = np.argsort(-scaled)
+        # cut until the panels left alone carry under an eighth of a tolerance
+        cut_so_far = scaled[order].cumsum()
+        count = min(int(cut_so_far.searchsorted(cut_so_far[-1] - 0.125)) + 1,
+                    len(order), budget // 3)
+        if count <= 0:
+            worst = float(total_err[np.argmax(total_err / tol)])
+            raise ConvergenceError(
+                f"adaptive quadrature stalled at error {worst:.3e}",
+                achieved_error=worst,
+            )
+        budget -= 3 * count
+        cut, keep = order[:count], order[count:]
+        step = 0.25 * (hi[cut] - lo[cut])
+        new_lo = (lo[cut] + step * np.arange(4)[:, None]).ravel()
+        new_hi = np.concatenate((new_lo[count:], hi[cut]))
+        new_vals, new_errs = _gk15(f, new_lo, new_hi)
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        vals = np.concatenate((vals[keep], new_vals))
+        errs = np.concatenate((errs[keep], new_errs))
 
 
 def adaptive_quad(f, a: float, b: float, config: QuadratureConfig | None = None):
@@ -109,34 +152,8 @@ def adaptive_quad(f, a: float, b: float, config: QuadratureConfig | None = None)
     """
     if config is None:
         config = QuadratureConfig()
-    edges = np.linspace(a, b, 5)
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk15(f, lo, hi)
-    budget = config.max_subdivisions - 3
-    while True:
-        total_val, total_err = float(vals.sum()), float(errs.sum())
-        tol = max(config.abs_tol, config.rel_tol * abs(total_val))
-        if total_err <= tol:
-            return total_val, total_err
-        order = np.argsort(errs)[::-1]
-        left_alone = total_err - np.cumsum(errs[order])
-        count = min(int(np.searchsorted(-left_alone, -0.125 * tol)) + 1,
-                    len(order), budget // 3)
-        if count <= 0:
-            raise ConvergenceError(
-                f"adaptive quadrature stalled at error {total_err:.3e}",
-                achieved_error=total_err,
-            )
-        budget -= 3 * count
-        cut, keep = order[:count], order[count:]
-        step = 0.25 * (hi[cut] - lo[cut])
-        new_lo = (lo[cut] + step * np.arange(4)[:, None]).ravel()
-        new_hi = np.concatenate((new_lo[count:], hi[cut]))
-        new_vals, new_errs = _gk15(f, new_lo, new_hi)
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        vals = np.concatenate((vals[keep], new_vals))
-        errs = np.concatenate((errs[keep], new_errs))
+    val, err = _adaptive_columns(f, a, b, config)
+    return float(val[0]), float(err[0])
 
 
 def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
@@ -165,29 +182,12 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
     return val
 
 
-def _gk15_columns(f, lo, hi):
-    """`_gk15` for an integrand with one value per column: f maps n
-    abscissae to an (n, C) array, and values and error estimates are
-    (panels, C)."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    fx = np.asarray(f((mid[:, None] + half[:, None] * _GK_NODES).ravel()),
-                    dtype=float).reshape(len(lo), len(_GK_NODES), -1)
-    k15 = half[:, None] * (_GK_WEIGHTS @ fx)
-    g7 = half[:, None] * (_G7_WEIGHTS @ fx[:, 1::2])
-    return k15, np.abs(k15 - g7)
-
-
 def adaptive_quad_columns(f, config: QuadratureConfig):
     """Integrate every column of f over [0, inf) on one shared mesh.
 
-    `f` maps an ndarray of n abscissae to an (n, C) array.  The rules are
-    `adaptive_quad`'s on `adaptive_quad_halfline`'s map x = t / (1 - t):
-    GK15/G7 panels, four starting panels, rounds that cut panels in four
-    with one integrand call per round, and the max_subdivisions budget.
-    Column c has tolerance tol_c = max(abs_tol, rel_tol * |value_c|); a
-    panel's error counts in units of tol_c, at its worst column, and the
-    loop stops when every column's summed error is within its tolerance.
+    `f` maps an ndarray of n abscissae to an (n, C) array.  The loop is
+    `adaptive_quad`'s, on `adaptive_quad_halfline`'s map x = t / (1 - t),
+    with each column held to its own tolerance (see `_adaptive_columns`).
 
     Returns the C values.  Raises ConvergenceError, carrying the worst
     column's achieved error estimate, when the next round would exceed
@@ -197,33 +197,5 @@ def adaptive_quad_columns(f, config: QuadratureConfig):
         one_minus = 1.0 - ts
         return f(ts / one_minus) / (one_minus**2)[:, None]
 
-    edges = np.linspace(0.0, 1.0, 5)
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk15_columns(mapped, lo, hi)
-    budget = config.max_subdivisions - 3
-    while True:
-        total_val, total_err = vals.sum(axis=0), errs.sum(axis=0)
-        tol = np.maximum(config.abs_tol, config.rel_tol * np.abs(total_val))
-        if np.all(total_err <= tol):
-            return total_val
-        scaled = (errs / tol).max(axis=1)
-        order = np.argsort(scaled)[::-1]
-        left_alone = scaled.sum() - np.cumsum(scaled[order])
-        count = min(int(np.searchsorted(-left_alone, -0.125)) + 1,
-                    len(order), budget // 3)
-        if count <= 0:
-            worst = float(total_err[np.argmax(total_err / tol)])
-            raise ConvergenceError(
-                f"adaptive quadrature stalled at error {worst:.3e}",
-                achieved_error=worst,
-            )
-        budget -= 3 * count
-        cut, keep = order[:count], order[count:]
-        step = 0.25 * (hi[cut] - lo[cut])
-        new_lo = (lo[cut] + step * np.arange(4)[:, None]).ravel()
-        new_hi = np.concatenate((new_lo[count:], hi[cut]))
-        new_vals, new_errs = _gk15_columns(mapped, new_lo, new_hi)
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        vals = np.concatenate((vals[keep], new_vals))
-        errs = np.concatenate((errs[keep], new_errs))
+    vals, _ = _adaptive_columns(mapped, 0.0, 1.0, config)
+    return vals

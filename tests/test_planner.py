@@ -13,7 +13,12 @@ from cdfsched import planner
 from cdfsched.asymptotics import sum_rate_asymptotic
 from cdfsched.channel import LinkProfile
 from cdfsched.errors import DomainError, PreconditionError
-from cdfsched.exact_rate import sum_rate_exact, user_rates_all_m
+from cdfsched.exact_rate import (
+    CLOSED_FORM_MAX_EPS,
+    _series_budget,
+    sum_rate_exact,
+    user_rates_all_m,
+)
 from cdfsched.planner import (
     PlanResult,
     min_feedback_exact,
@@ -24,6 +29,10 @@ from test_acceptance import N_RB, het_profiles
 
 NL = LinkProfile.noise_limited(2.0)
 PROFILES = [LinkProfile.noise_limited(r) for r in (1.0, 2.0, 4.0, 8.0)] * 3
+# small cells whose every rate sum_rate_exact takes from the xi2 series,
+# while the planner's surface is always a quadrature
+SERIES_CELLS = [([NL], 8), (PROFILES, 4), (het_profiles(1), N_RB),
+                (het_profiles(2), 8)]
 
 
 def _brute_force(profiles, N, eta):
@@ -42,18 +51,31 @@ class TestExactPlanner:
         assert min_feedback_exact(PROFILES, 8, 1.0) == 8
 
     def test_matches_brute_force(self):
-        N, eta = 8, 0.95
-        assert min_feedback_exact(PROFILES, N, eta) == \
-            _brute_force(PROFILES, N, eta)
+        # twelve users at N = 8 take the quadrature; one user at N = 8 and
+        # twelve at N = 4 take the series in sum_rate_exact
+        eta = 0.95
+        for profiles, N in ((PROFILES, 8), ([NL], 8), (PROFILES, 4)):
+            assert min_feedback_exact(profiles, N, eta) == \
+                _brute_force(profiles, N, eta)
 
     @pytest.mark.parametrize("K0,N,eta", [(20, N_RB, 0.9), (20, N_RB, 0.99),
                                           (50, N_RB, 0.9), (50, N_RB, 0.99),
-                                          (10, 100, 0.9)])
+                                          (10, 100, 0.9), (1, N_RB, 0.9),
+                                          (2, 8, 0.9), (2, 8, 0.99)])
     def test_matches_brute_force_on_heterogeneous_cells(self, K0, N, eta):
-        # the criterion-09 cells, and a 100-block carrier
+        # the criterion-09 cells, a 100-block carrier, and two small cells
+        # (K0 = 1, 2) whose rates sum_rate_exact takes from the series
         profiles = het_profiles(K0)
         assert min_feedback_exact(profiles, N, eta) == \
             _brute_force(profiles, N, eta)
+
+    def test_small_cells_take_the_series(self):
+        # the premise of the series cases above: the surface and
+        # sum_rate_exact are different evaluators there
+        for profiles, N in SERIES_CELLS:
+            assert all(N * len(profiles)
+                       <= min(CLOSED_FORM_MAX_EPS, _series_budget(p))
+                       for p in profiles)
 
     def test_non_monotone_ratio_is_logged(self, monkeypatch, caplog):
         # a surface whose rate dips at M = 3 still gives the first M that
@@ -100,11 +122,15 @@ class TestPlanFeedback:
         assert out.ratio_at_m >= 0.95
         assert out.evaluations > 0
 
-    def test_ratio_at_m_matches_the_surface(self):
-        profiles = het_profiles(20)
-        out = plan_feedback(profiles, N_RB, 0.9)
-        sums = np.sum([user_rates_all_m(p, 20, N_RB) for p in profiles],
-                      axis=0)
+    @pytest.mark.parametrize("profiles,N", [
+        (het_profiles(20), N_RB), (het_profiles(2), 8)],
+        ids=["quadrature", "series"])
+    def test_ratio_at_m_matches_the_surface(self, profiles, N):
+        # ratio_at_m comes from sum_rate_exact, which on the series cell
+        # is a different evaluator from the surface
+        out = plan_feedback(profiles, N, 0.9)
+        sums = np.sum([user_rates_all_m(p, len(profiles), N)
+                       for p in profiles], axis=0)
         assert out.ratio_at_m == pytest.approx(
             sums[out.m_exact - 1] / sums[-1], abs=1e-9)
 
