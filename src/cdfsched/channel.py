@@ -61,6 +61,8 @@ class Scenario:
     def __post_init__(self):
         if not self.cells:
             raise ScenarioError("scenario needs at least one cell")
+        if not self.users:
+            raise ScenarioError("scenario needs at least one user")
         if (isinstance(self.num_rb, bool)
                 or not isinstance(self.num_rb, numbers.Integral)
                 or self.num_rb < 1):

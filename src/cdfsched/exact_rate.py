@@ -2,12 +2,11 @@
 
 Above a small N * K0 a rate is one positive integral: the Binomial(K0, M/N)
 feedback count collapses in closed form, leaving the binomial-tail F_Y of
-`feedback`, which `_rate_quadrature` integrates in floating point over the
-product-form SINR law of `channel`.  The planner, which needs every M,
-takes `user_rates_all_m`: the same integrals for all M = 1..N from one
-column-valued quadrature.  A single rate keeps its one-M integrand
-(`BestMPoly`) on the same quadrature loop, since building all N columns
-for one M is slower.
+`feedback`, which `_collapsed_rates` integrates in floating point over the
+product-form SINR law of `channel`.  Its integrand takes any set of M at
+once, from one table of binomial terms times the `BestMPoly` weights of
+each M: a single rate is its one-column case, and the planner's
+`user_rates_all_m` its all-M case, the N integrals on one shared mesh.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  The closed form of G is a triple sum
@@ -37,17 +36,8 @@ from .channel import (
     sinr_pdf,
 )
 from .errors import CancellationError, DomainError
-from .feedback import (
-    BestMPoly,
-    bestm_columns,
-    feedback_count_pmf_exact,
-    xi2_vector,
-)
-from .specfun import (
-    QuadratureConfig,
-    adaptive_quad_columns,
-    adaptive_quad_halfline,
-)
+from .feedback import BestMPoly, feedback_count_pmf_exact, xi2_vector
+from .specfun import QuadratureConfig, adaptive_quad_halfline
 
 #: largest eps for which the general-kind closed form is attempted
 CLOSED_FORM_MAX_EPS = 64
@@ -340,7 +330,7 @@ def g_k_quadrature(p: LinkProfile, eps: int,
     if config is None:
         config = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-11,
                                   max_subdivisions=6000)
-    rho0 = p.rho0  # integrated in y = x / rho0, as in _rate_quadrature
+    rho0 = p.rho0  # integrated in y = x / rho0, as in _collapsed_rates
 
     def integrand(ys):
         xs = rho0 * ys
@@ -400,9 +390,42 @@ def _series_budget(p: LinkProfile) -> int:
     return 0
 
 
+@lru_cache(maxsize=256)
+def _bestm_weights(N: int, Ms: tuple[int, ...]) -> np.ndarray:
+    """The (max Ms, 2C) weight matrix of the best-M kernel for the C budgets
+    Ms: column c holds `BestMPoly.build(N, Ms[c]).cdf_w`, column C + c its
+    `pdf_w`, each zero past its own M.  Read-only, as it is shared."""
+    C = len(Ms)
+    weights = np.zeros((max(Ms), 2 * C))
+    for c, M in enumerate(Ms):
+        poly = BestMPoly.build(N, M)
+        weights[:M, c] = poly.cdf_w
+        weights[:M, C + c] = poly.pdf_w
+    weights.setflags(write=False)
+    return weights
+
+
+def _bestm_kernel(N: int, Ms: tuple[int, ...], u):
+    """F_Y and dF_Y/du of best-M at every M in Ms, each (len(u), len(Ms)).
+
+    With s = 1 - u, both are sums of the same nonnegative terms
+    s^i * u^(N-1-i), i < M: F_Y = u * sum_i cdf_w[i] * term_i and
+    dF_Y/du = sum_i pdf_w[i] * term_i (the binomial-tail form of
+    `feedback`), so one table of terms times the stacked weights gives
+    every column, and nothing cancels.
+    """
+    i = np.arange(max(Ms))
+    u = np.asarray(u, dtype=float)[:, None]
+    terms = (1.0 - u) ** i * u ** (N - 1 - i)
+    sums = terms @ _bestm_weights(N, Ms)
+    return u * sums[:, :len(Ms)], sums[:, len(Ms):]
+
+
 @lru_cache(maxsize=8192)
-def _rate_quadrature(p: LinkProfile, K0: int, N: int, M: int) -> float:
-    """Scheduled-rate integral with the feedback-count binomial collapsed.
+def _collapsed_rates(p: LinkProfile, K0: int, N: int,
+                     Ms: tuple[int, ...]) -> tuple[float, ...]:
+    """Scheduled-rate integral with the feedback-count binomial collapsed,
+    at every M in Ms from one quadrature on a shared mesh.
 
     Averaging tau0 * F_Y^(tau0-1) over the Binomial(K0, M/N) feedback count
     telescopes to K0 * (M/N) * (1 - M/N + (M/N) F_Y)^(K0-1), leaving one
@@ -410,56 +433,35 @@ def _rate_quadrature(p: LinkProfile, K0: int, N: int, M: int) -> float:
     y = x / rho0, so that the half-line map samples the SINR on its own
     scale; unscaled, every first node misses the density at rho0 = 1e-8.
     """
-    poly = BestMPoly.build(N, M)
-    prob = M / N
+    prob = np.array(Ms) / N
     rho0 = p.rho0
 
     def integrand(ys):
         xs = rho0 * ys
-        F = sinr_cdf(p, xs)
-        FY = poly.eval_in_f(F)
-        fY = poly.derivative_in_f(F) * sinr_pdf(p, xs)
+        FY, dFY = _bestm_kernel(N, Ms, sinr_cdf(p, xs))
         mix = (1.0 - prob + prob * FY) ** (K0 - 1)
-        return rho0 * fY * mix * np.log1p(xs) / _LN2
+        weight = rho0 * sinr_pdf(p, xs) * np.log1p(xs) / _LN2
+        return dFY * mix * weight[:, None]
 
-    val = adaptive_quad_halfline(
+    vals = adaptive_quad_halfline(
         integrand,
         QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=6000),
         vectorized=True,
     )
-    return prob * val
+    return tuple((prob * vals).tolist())
 
 
-@lru_cache(maxsize=1024)
 def user_rates_all_m(p: LinkProfile, K0: int, N: int) -> tuple[float, ...]:
-    """The collapsed-quadrature rate of `_rate_quadrature` at every
-    M = 1..N; entry M-1 is best-M.
+    """The collapsed-quadrature rate at every M = 1..N; entry M-1 is best-M.
 
-    One column-valued quadrature on a shared mesh takes all N integrands,
-    built from `bestm_columns`, at about the cost of one rate.  It is the
-    quadrature whatever N * K0.  A single (user, M) rate keeps its own
-    integrand, `_rate_quadrature`'s: building all N columns for one M
-    would be slower.
+    One quadrature takes all N columns, at about the cost of one rate.  It
+    is the quadrature whatever N * K0.
     """
     if K0 < 1:
         raise DomainError(f"K0 must be >= 1, got {K0}")
     if N < 1:
         raise DomainError(f"need N >= 1, got N={N}")
-    prob = np.arange(1, N + 1) / N
-    rho0 = p.rho0
-
-    def integrand(ys):
-        xs = rho0 * ys
-        FY, dFY = bestm_columns(N, sinr_cdf(p, xs))
-        mix = (1.0 - prob + prob * FY) ** (K0 - 1)
-        weight = rho0 * sinr_pdf(p, xs) * np.log1p(xs) / _LN2
-        return dFY * mix * weight[:, None]
-
-    vals = adaptive_quad_columns(
-        integrand,
-        QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=6000),
-    )
-    return tuple((prob * vals).tolist())
+    return _collapsed_rates(p, K0, N, tuple(range(1, N + 1)))
 
 
 def user_rate_exact(p: LinkProfile, K0: int, N: int, M: int,
@@ -483,7 +485,7 @@ def user_rate_exact(p: LinkProfile, K0: int, N: int, M: int,
             total += float(w) * float(_conditional_rate_series(p, N, M, tau0))
         return total / K0
     # the 1/K0 scheduling share cancels against the K0 from the collapsed sum
-    return _rate_quadrature(p, K0, N, M)
+    return _collapsed_rates(p, K0, N, (M,))[0]
 
 
 def sum_rate_exact(profiles, N: int, M: int) -> RateBreakdown:

@@ -6,8 +6,11 @@ binomial-tail CDF (David & Nagaraja, *Order Statistics*, 3rd ed., 2003)
 
     F_Y(u) = sum_{i<M} (M-i)/M * C(N, i) * u^(N-i) * (1-u)^i,
 
-a sum of positive terms, which `BestMPoly` evaluates in floating point;
-`bestm_columns` gives it at every M at once, by cumulative sums.
+a sum of positive terms, which `BestMPoly` evaluates in floating point by
+Horner sums for the scalar and bulk callers (quantiles, tail diagnostics,
+the reference scheduler).  Its weights are also the columns of the rate
+integrand's best-M kernel in `exact_rate`, which takes one M or all of
+them from one table of terms.
 The paper's coefficients xi1 (F_Y in powers of u) and xi2 (its tau0-th
 power) alternate in sign and cancel in floating point, so they are kept as
 exact rationals: the input of the xi2-series rate path and the tests'
@@ -164,39 +167,6 @@ class BestMPoly:
         N, M = self.N, self.M
         w = _over_m(N, M, (min(i, M) * comb(N, i) for i in range(1, N + 1)))
         return _homogeneous_horner(w, 1.0 - s, s) * s
-
-
-@lru_cache(maxsize=64)
-def _column_weights(N: int):
-    """C(N, i) and C(N-1, i) for i = 0..N-1 as read-only float arrays."""
-    try:
-        out = (np.array([float(comb(N, i)) for i in range(N)]),
-               np.array([float(comb(N - 1, i)) for i in range(N)]))
-    except OverflowError:
-        raise DomainError(
-            f"best-M weights overflow a float at N={N}") from None
-    for w in out:
-        w.setflags(write=False)
-    return out
-
-
-def bestm_columns(N: int, F):
-    """F_Y and dF_Y/dF at every M = 1..N at once, each of shape
-    (len(F), N); column M-1 is best-M.
-
-    With s = 1 - u, the binomial-tail identities
-    F_Y(u; M) = (1/M) sum_{j<M} P(Bin(N, s) <= j) and
-    dF_Y/du = (N/M) P(Bin(N-1, s) <= M-1) make every column a cumulative
-    sum of nonnegative binomial terms, so nothing cancels.
-    """
-    c_n, c_n1 = _column_weights(N)
-    u = np.asarray(F, dtype=float)[:, None]
-    i = np.arange(N)
-    powers = (1.0 - u) ** i * u ** (N - 1 - i)  # s^i u^(N-1-i)
-    m = np.arange(1, N + 1)
-    cdf = np.cumsum(np.cumsum(c_n * u * powers, axis=1), axis=1) / m
-    pdf = np.cumsum(c_n1 * powers, axis=1) * (N / m)
-    return cdf, pdf
 
 
 def bestm_cdf(p: LinkProfile, N: int, M: int, x) -> float:

@@ -48,13 +48,12 @@ class SimConfig:
 
 @dataclass
 class DropStats:
-    per_user_rate_sum: np.ndarray   # (K0,) bits/s/Hz summed over slot-RBs
-    assignment_counts: np.ndarray   # (K0,) integer
-    outage_rb_count: int
-    # per-batch views for standard errors, shape (_STAT_BATCHES, ...)
-    batch_rate_sum: np.ndarray
-    batch_counts: np.ndarray
-    batch_outage: np.ndarray
+    """One drop's tallies per batch of slots, shape (_STAT_BATCHES, ...):
+    the batches give the standard errors, their sums the estimates."""
+
+    batch_rate_sum: np.ndarray      # (B, K0) bits/s/Hz summed over slot-RBs
+    batch_counts: np.ndarray        # (B, K0) integer assignment counts
+    batch_outage: np.ndarray        # (B,) outage resource blocks
     batch_slots: np.ndarray
 
 
@@ -237,9 +236,6 @@ def _run_drop(profiles, N: int, config: SimConfig,
             done += n
 
     return DropStats(
-        per_user_rate_sum=batch_rate.sum(axis=0),
-        assignment_counts=batch_counts.sum(axis=0),
-        outage_rb_count=int(batch_outage.sum()),
         batch_rate_sum=batch_rate,
         batch_counts=batch_counts,
         batch_outage=batch_outage,
@@ -250,9 +246,9 @@ def _run_drop(profiles, N: int, config: SimConfig,
 def _aggregate(drops: list[DropStats], K0: int, N: int,
                slots_total: int) -> RateReport:
     rb_total = slots_total * N
-    rate_sum = np.sum([d.per_user_rate_sum for d in drops], axis=0)
-    counts = np.sum([d.assignment_counts for d in drops], axis=0)
-    outage = sum(d.outage_rb_count for d in drops)
+    rate_sum = np.sum([d.batch_rate_sum.sum(axis=0) for d in drops], axis=0)
+    counts = np.sum([d.batch_counts.sum(axis=0) for d in drops], axis=0)
+    outage = sum(int(d.batch_outage.sum()) for d in drops)
 
     per_user = rate_sum / rb_total
     if K0 >= 2 and counts.sum() > 0:
@@ -319,8 +315,6 @@ def simulate(scenario: Scenario, config: SimConfig) -> RateReport:
     """Full drop-based simulation: each drop redraws shadowing, re-associates
     users, rebuilds link profiles, then runs the slot loop."""
     K0 = len(scenario.users)
-    if K0 < 1:
-        raise DomainError("scenario needs at least one user")
     if config.M > scenario.num_rb:
         raise DomainError(
             f"M={config.M} exceeds num_rb={scenario.num_rb}"

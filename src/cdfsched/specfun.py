@@ -2,11 +2,11 @@
 
 Everything here is pure and stateless.  The closed form takes its special
 functions (E1, 2F1) from mpmath; this quadrature is its independent oracle.
-`adaptive_quad` integrates one scalar integrand; `adaptive_quad_columns`
-integrates a column-valued one over [0, inf) on one shared mesh, as
+`adaptive_quad_halfline` is the one entry point: it integrates a scalar or
+a column-valued integrand over [0, inf), the columns on one shared mesh as
 vector integrands share one in DCUHRE (Berntsen, Espelid & Genz, ACM TOMS
-17(4), 1991), for the planner's all-M rate surfaces.  Both run one round
-loop, and a scalar integrand is its one-column case.
+17(4), 1991).  A rate at one M is a one-column integrand, the planner's
+all-M rate surface an N-column one.
 """
 
 from __future__ import annotations
@@ -82,34 +82,65 @@ class QuadratureConfig:
 def _gk15(f, lo, hi):
     """GK15 values and |K15 - G7| error estimates, (panels, C), on every
     panel [lo, hi], with one call of the vectorized integrand for all
-    panels.  f maps n abscissae to n values (C = 1) or to an (n, C) array."""
+    panels.  f maps n abscissae to an (n, C) array."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    fx = np.asarray(f((mid[:, None] + half[:, None] * _GK_NODES).ravel()),
-                    dtype=float).reshape(len(lo), len(_GK_NODES), -1)
+    fx = f((mid[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(
+        len(lo), len(_GK_NODES), -1)
     k15 = half[:, None] * (_GK_WEIGHTS @ fx)
     g7 = half[:, None] * (_G7_WEIGHTS @ fx[:, 1::2])
     return k15, np.abs(k15 - g7)
 
 
-def _adaptive_columns(f, a: float, b: float, config: QuadratureConfig):
-    """The round loop behind `adaptive_quad` and `adaptive_quad_columns`.
+def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
+                           vectorized: bool = False):
+    """Integrate f over [0, inf) via the substitution x = t / (1 - t).
 
-    Integrates every column of f over [a, b] on one shared mesh and returns
-    the (C,) values and error estimates.  Column c has tolerance
-    tol_c = max(abs_tol, rel_tol * |value_c|); a panel's error counts in
-    units of tol_c, at its worst column, and the loop stops when every
-    column's summed error is within its tolerance.
+    Suitable for integrands decaying at least exponentially.  With
+    vectorized=True, f maps an ndarray of n abscissae to n values, or to an
+    (n, C) array whose C columns are integrated on one shared mesh;
+    otherwise it is called one float abscissa at a time.
+
+    Globally adaptive GK15/G7 refinement in t (QUADPACK's QAG rule),
+    batched by rounds.  It starts from [0, 1] cut into four panels.  Column
+    c has tolerance tol_c = max(abs_tol, rel_tol * |value_c|); a panel's
+    error counts in units of tol_c, at its worst column.  While some
+    column's summed error estimate exceeds its tolerance, a round cuts
+    into four the panels with the largest errors, as many as it takes for
+    the panels left alone to carry less than an eighth of a tolerance, and
+    evaluates all the new panels in one call of the integrand.  Cutting a
+    panel in four counts as three subdivisions (the panels three
+    bisections make); the starting panels are always made.
+
+    Returns the integral value, or the C values of a column-valued f.
+    Raises ConvergenceError, carrying the worst column's achieved error
+    estimate, when the next round would exceed max_subdivisions.
     """
-    edges = np.linspace(a, b, 5)
+    if config is None:
+        config = QuadratureConfig()
+    if not vectorized:
+        g = f
+        fv = lambda xs: np.array([g(x) for x in xs])
+    else:
+        fv = f
+    column_valued = False
+
+    def mapped(ts):
+        nonlocal column_valued
+        one_minus = 1.0 - ts
+        fx = np.asarray(fv(ts / one_minus), dtype=float)
+        column_valued = fx.ndim == 2
+        return fx.reshape(len(ts), -1) / (one_minus**2)[:, None]
+
+    edges = np.linspace(0.0, 1.0, 5)
     lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk15(f, lo, hi)
+    vals, errs = _gk15(mapped, lo, hi)
     budget = config.max_subdivisions - 3
     while True:
         total_val, total_err = vals.sum(0), errs.sum(0)
         tol = np.maximum(config.rel_tol * np.abs(total_val), config.abs_tol)
         if (total_err <= tol).all():
-            return total_val, total_err
+            return total_val if column_valued else float(total_val[0])
         scaled = (errs / tol).max(1)
         order = np.argsort(-scaled)
         # cut until the panels left alone carry under an eighth of a tolerance
@@ -127,75 +158,8 @@ def _adaptive_columns(f, a: float, b: float, config: QuadratureConfig):
         step = 0.25 * (hi[cut] - lo[cut])
         new_lo = (lo[cut] + step * np.arange(4)[:, None]).ravel()
         new_hi = np.concatenate((new_lo[count:], hi[cut]))
-        new_vals, new_errs = _gk15(f, new_lo, new_hi)
+        new_vals, new_errs = _gk15(mapped, new_lo, new_hi)
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
         vals = np.concatenate((vals[keep], new_vals))
         errs = np.concatenate((errs[keep], new_errs))
-
-
-def adaptive_quad(f, a: float, b: float, config: QuadratureConfig | None = None):
-    """Adaptive Gauss-Kronrod integration of f over the finite interval [a, b].
-
-    Globally adaptive GK15/G7 refinement (QUADPACK's QAG rule), batched by
-    rounds.  It starts from [a, b] cut into four panels.  While the summed
-    error estimate exceeds max(abs_tol, rel_tol * |value|), a round cuts
-    into four the panels with the largest error estimates, as many as it
-    takes for the panels left alone to carry less than an eighth of that
-    tolerance, and evaluates all the new panels in one call of the
-    integrand.  Cutting a panel in four counts as three subdivisions (the
-    panels three bisections make); the starting panels are always made.
-
-    Returns (value, error_estimate).  `f` must accept an ndarray of
-    abscissae.  Raises ConvergenceError, carrying the achieved error
-    estimate, when the next round would exceed max_subdivisions.
-    """
-    if config is None:
-        config = QuadratureConfig()
-    val, err = _adaptive_columns(f, a, b, config)
-    return float(val[0]), float(err[0])
-
-
-def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
-                           vectorized: bool = False):
-    """Integrate f over [0, inf) via the substitution x = t / (1 - t).
-
-    Suitable for integrands decaying at least exponentially.  Returns the
-    integral value; raises ConvergenceError (carrying the achieved error
-    estimate) on failure.
-    """
-    if config is None:
-        config = QuadratureConfig()
-    if not vectorized:
-        g = f
-        fv = lambda xs: np.array([g(x) for x in xs])
-    else:
-        fv = f
-
-    def mapped(ts):
-        ts = np.asarray(ts, dtype=float)
-        one_minus = 1.0 - ts
-        xs = ts / one_minus
-        return fv(xs) / one_minus**2
-
-    val, _ = adaptive_quad(mapped, 0.0, 1.0, config)
-    return val
-
-
-def adaptive_quad_columns(f, config: QuadratureConfig):
-    """Integrate every column of f over [0, inf) on one shared mesh.
-
-    `f` maps an ndarray of n abscissae to an (n, C) array.  The loop is
-    `adaptive_quad`'s, on `adaptive_quad_halfline`'s map x = t / (1 - t),
-    with each column held to its own tolerance (see `_adaptive_columns`).
-
-    Returns the C values.  Raises ConvergenceError, carrying the worst
-    column's achieved error estimate, when the next round would exceed
-    max_subdivisions.
-    """
-    def mapped(ts):
-        one_minus = 1.0 - ts
-        return f(ts / one_minus) / (one_minus**2)[:, None]
-
-    vals, _ = _adaptive_columns(mapped, 0.0, 1.0, config)
-    return vals

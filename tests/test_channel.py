@@ -206,6 +206,8 @@ class TestScenario:
     def test_validation(self):
         with pytest.raises(ScenarioError):
             _scenario([], [(0.0, 1.0)])
+        with pytest.raises(ScenarioError, match="at least one user"):
+            _scenario([Cell("macro", (0, 0), 43.0)], [])
         with pytest.raises(ScenarioError):
             _scenario([Cell("macro", (0, 0), 43.0)], [(1.0, 1.0)], num_rb=0)
         with pytest.raises(ScenarioError):

@@ -274,6 +274,18 @@ def test_bad_scenario_exits_two_without_warnings(capsys, tmp_path, text):
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ("rate-exact",), ("rate-asymptotic",), ("plan-feedback", "--eta", "0.9"),
+    ("simulate", "--slots", "10")])
+def test_scenario_without_users_exits_two(capsys, tmp_path, command):
+    path = tmp_path / "no_users.json"
+    path.write_text(_golden_text(users=[]))
+    code, out, err = run_cli(capsys, *command, "--scenario", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 class TestSimulateCommand:
     def test_reproducible_stdout(self, capsys):
         argv = ("simulate", "--scenario", GOLDEN, "--M", "4",

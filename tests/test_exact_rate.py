@@ -29,8 +29,8 @@ from cdfsched.exact_rate import (
 from cdfsched.exact_rate import (
     _ClosedFormEngine,
     _i2_mp,
+    _collapsed_rates,
     _psi_table,
-    _rate_quadrature,
 )
 from cdfsched.specfun import QuadratureConfig
 from mp_reference import pdf_mp, sf_mp
@@ -203,7 +203,7 @@ class TestUserRate:
     def test_series_matches_collapsed_quadrature(self, p, K0, M):
         N = 16
         series = user_rate_exact(p, K0, N, M)
-        quad = _rate_quadrature(p, K0, N, M)
+        quad = _collapsed_rates(p, K0, N, (M,))[0]
         assert series == pytest.approx(quad, rel=1e-8)
 
     @pytest.mark.parametrize("rho0,expect,rel", [
@@ -336,32 +336,36 @@ def _golden_profiles():
     return scenario_profiles(scenario, raw["seed"])
 
 
-def _counting(monkeypatch, name):
-    """Count the integrand calls of the quadrature exact_rate imports as
-    `name`."""
-    calls = []
-    quad = getattr(exact_rate, name)
+def _counting(monkeypatch):
+    """Count the calls of the quadrature exact_rate imports, and the
+    integrand calls each makes: (quadratures, integrand calls)."""
+    quads, calls = [], []
+    quad = exact_rate.adaptive_quad_halfline
 
     def counting(f, *args, **kwargs):
         def counted(xs):
             calls.append(len(xs))
             return f(xs)
+        quads.append(f)
         return quad(counted, *args, **kwargs)
 
-    monkeypatch.setattr(exact_rate, name, counting)
-    return calls
+    monkeypatch.setattr(exact_rate, "adaptive_quad_halfline", counting)
+    return quads, calls
 
 
 def test_quadrature_calls_per_rate_on_a_large_cell(monkeypatch):
     """Round-batched refinement on the rho0-scaled map: at K0 = 50 with the
     golden scenario's users, a collapsed-quadrature rate costs only a few
-    calls of its integrand, whatever M."""
+    calls of its integrand, whatever M.  Each rate is exactly one call of
+    exact_rate's half-line quadrature, the span the benchmark's tracer
+    times."""
     profiles = _golden_profiles()
-    calls = _counting(monkeypatch, "adaptive_quad_halfline")
+    quads, calls = _counting(monkeypatch)
     for p in profiles:
         for M in range(1, 17):
-            # uncached, so that every rate is computed here
-            _rate_quadrature.__wrapped__(p, 50, 16, M)
+            _collapsed_rates.cache_clear()  # so that every rate is computed
+            user_rate_exact(p, 50, 16, M)
+    assert len(quads) == 16 * len(profiles)
     assert len(calls) / (16 * len(profiles)) <= 8
 
 
@@ -387,11 +391,23 @@ class TestRateSurface:
                              ids=lambda p: f"{p.kind}-{p.rho0:g}-{p.rho_int}")
     @pytest.mark.parametrize("K0", [1, 5, 20, 50])
     def test_every_m_matches_the_single_rate(self, p, K0):
+        # one integrand on two meshes: the shared mesh holds every column
+        # to the tolerance its own mesh would
         rates = user_rates_all_m(p, K0, 16)
         assert len(rates) == 16
         for M in range(1, 17):
-            assert rates[M - 1] == pytest.approx(_rate_quadrature(p, K0, 16, M),
-                                                 rel=1e-10)
+            assert rates[M - 1] == pytest.approx(
+                _collapsed_rates(p, K0, 16, (M,))[0], rel=1e-10)
+
+    @pytest.mark.parametrize("p", [SURFACE_PROFILES[1], SURFACE_PROFILES[5],
+                                   SURFACE_PROFILES[9], SURFACE_PROFILES[12]],
+                             ids=lambda p: f"{p.kind}-{p.rho0:g}-{p.rho_int}")
+    @pytest.mark.parametrize("K0", [1, 50])
+    def test_matches_the_mpmath_reference(self, p, K0):
+        rates = user_rates_all_m(p, K0, 16)
+        for M in (1, 8, 16):
+            assert rates[M - 1] == pytest.approx(
+                _product_form_rate_reference(p, K0, 16, M), rel=1e-10)
 
     @pytest.mark.parametrize("p", SURFACE_PROFILES,
                              ids=lambda p: f"{p.kind}-{p.rho0:g}-{p.rho_int}")
@@ -399,27 +415,31 @@ class TestRateSurface:
     def test_wide_carriers(self, p, N):
         rates = user_rates_all_m(p, 10, N)
         for M in (1, 8, N // 2, N):
-            assert rates[M - 1] == pytest.approx(_rate_quadrature(p, 10, N, M),
-                                                 rel=1e-10)
+            assert rates[M - 1] == pytest.approx(
+                _collapsed_rates(p, 10, N, (M,))[0], rel=1e-10)
 
     def test_integrand_calls_on_a_large_cell(self, monkeypatch):
-        """All 16 M of a K0 = 50 golden-cell user take fewer integrand
-        calls than a handful of single rates (about 65 for all 16)."""
+        """All 16 M of a K0 = 50 golden-cell user take one quadrature and
+        fewer integrand calls than a handful of single rates (about 65 for
+        all 16)."""
         profiles = _golden_profiles()
-        calls = _counting(monkeypatch, "adaptive_quad_columns")
+        quads, calls = _counting(monkeypatch)
         for p in profiles:
-            user_rates_all_m.__wrapped__(p, 50, 16)  # uncached
+            _collapsed_rates.cache_clear()  # so that every surface is computed
+            user_rates_all_m(p, 50, 16)
+        assert len(quads) == len(profiles)
         assert len(calls) / len(profiles) <= 8
 
     def test_exhausted_budget_raises(self, monkeypatch):
-        quad = exact_rate.adaptive_quad_columns
+        quad = exact_rate.adaptive_quad_halfline
         monkeypatch.setattr(
-            exact_rate, "adaptive_quad_columns",
-            lambda f, config: quad(f, QuadratureConfig(
+            exact_rate, "adaptive_quad_halfline",
+            lambda f, config, vectorized: quad(f, QuadratureConfig(
                 abs_tol=config.abs_tol, rel_tol=config.rel_tol,
-                max_subdivisions=4)))
+                max_subdivisions=4), vectorized))
+        _collapsed_rates.cache_clear()
         with pytest.raises(ConvergenceError) as info:
-            user_rates_all_m.__wrapped__(G3, 50, 16)
+            user_rates_all_m(G3, 50, 16)
         assert math.isfinite(info.value.achieved_error)
         assert info.value.achieved_error > 0.0
 

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from cdfsched.channel import LinkProfile, sinr_cdf
 from cdfsched.errors import DomainError
+from cdfsched.exact_rate import _bestm_kernel
 from cdfsched.feedback import (
     BestMPoly,
     bestm_cdf,
-    bestm_columns,
     feedback_count_pmf,
     feedback_count_pmf_exact,
     xi1,
@@ -181,12 +181,16 @@ def _exact_columns(N, u):
         return out
 
 
+ALL_M = {N: tuple(range(1, N + 1)) for N in (16, 25, 50, 100)}
+
+
 class TestBestMColumns:
-    """Every best-M layer at once, from cumulative binomial sums."""
+    """Every best-M layer at once, from the rate integrand's kernel: one
+    table of binomial terms times the stacked BestMPoly weights."""
 
     @pytest.mark.parametrize("N", [16, 25, 50, 100])
     def test_matches_exact_rationals(self, N):
-        cdf, pdf = bestm_columns(N, U_GRID)
+        cdf, pdf = _bestm_kernel(N, ALL_M[N], U_GRID)
         assert cdf.shape == pdf.shape == (len(U_GRID), N)
         for k in range(0, len(U_GRID), 2):  # keeps both ends of the grid
             for M, (F, dF) in enumerate(_exact_columns(N, U_GRID[k]), start=1):
@@ -195,7 +199,7 @@ class TestBestMColumns:
 
     @pytest.mark.parametrize("N", [16, 25, 50, 100])
     def test_columns_match_bestm_poly(self, N):
-        cdf, pdf = bestm_columns(N, U_GRID)
+        cdf, pdf = _bestm_kernel(N, ALL_M[N], U_GRID)
         for M in range(1, N + 1):
             poly = BestMPoly.build(N, M)
             np.testing.assert_allclose(cdf[:, M - 1], poly.eval_in_f(U_GRID),
@@ -204,15 +208,26 @@ class TestBestMColumns:
                                        poly.derivative_in_f(U_GRID),
                                        rtol=1e-14, atol=0)
 
+    def test_any_budgets_match_their_all_m_columns(self):
+        # a rate at one M takes a one-column kernel, zero-padded to its own M
+        cdf, pdf = _bestm_kernel(50, ALL_M[50], U_GRID)
+        for Ms in [(1,), (4,), (50,), (7, 3, 50)]:
+            got_cdf, got_pdf = _bestm_kernel(50, Ms, U_GRID)
+            cols = [M - 1 for M in Ms]
+            np.testing.assert_allclose(got_cdf, cdf[:, cols], rtol=1e-14,
+                                       atol=0)
+            np.testing.assert_allclose(got_pdf, pdf[:, cols], rtol=1e-14,
+                                       atol=0)
+
     def test_endpoints(self):
-        cdf, pdf = bestm_columns(16, np.array([0.0, 1.0]))
+        cdf, pdf = _bestm_kernel(16, ALL_M[16], np.array([0.0, 1.0]))
         assert np.all(cdf[0] == 0.0) and np.all(cdf[1] == 1.0)
         # at u = 1 only the j = 0 term survives: dF_Y/du = N/M
         np.testing.assert_allclose(pdf[1], 16 / np.arange(1, 17), rtol=1e-15)
 
     def test_overflowing_weights_raise_domain_error(self):
         with pytest.raises(DomainError, match="N=1100"):
-            bestm_columns(1100, np.array([0.5]))
+            _bestm_kernel(1100, (1, 550), np.array([0.5]))
 
 
 class TestBestMCdf:

@@ -16,8 +16,6 @@ from cdfsched.errors import ConvergenceError, DomainError
 from cdfsched.specfun import (
     EULER_GAMMA,
     QuadratureConfig,
-    adaptive_quad,
-    adaptive_quad_columns,
     adaptive_quad_halfline,
 )
 
@@ -26,39 +24,57 @@ def test_euler_gamma_value():
     assert EULER_GAMMA == pytest.approx(float(mp.euler), abs=1e-15)
 
 
+def _pulled_back(p):
+    """p(x / (1 + x)) / (1 + x)^2, whose integral over [0, inf) is that of p
+    over [0, 1]: the half-line map x = t / (1 - t) turns it back into p."""
+    return lambda xs: p(xs / (1.0 + xs)) / (1.0 + xs) ** 2
+
+
+def _deg13(t):
+    return t**13 - 3 * t**5 + 2
+
+
+#: int_0^1 of _deg13
+DEG13 = 1 / 14 - 3 / 6 + 2
+
+
 class TestAdaptiveQuad:
     def test_polynomial_exact(self):
         # Gauss-Kronrod 15 integrates degree-13 polynomials exactly
-        val, err = adaptive_quad(lambda x: x**13 - 3 * x**5 + 2, -1.0, 2.0)
-        exact = (2.0**14 - 1.0) / 14 - 3 * (2.0**6 - 1.0) / 6 + 2 * 3.0
-        assert val == pytest.approx(exact, rel=1e-14)
+        val = adaptive_quad_halfline(_pulled_back(_deg13), vectorized=True)
+        assert val == pytest.approx(DEG13, rel=1e-14)
 
     def test_degree_13_exact_on_the_starting_panels(self):
         # G7 is exact to degree 13 as well, so |K15 - G7| vanishes and one
         # integrand call settles it, whatever the subdivision budget
         calls = []
+        f = _pulled_back(_deg13)
 
-        def f(x):
-            calls.append(len(x))
-            return x**13 - 3 * x**5 + 2
+        def counted(xs):
+            calls.append(len(xs))
+            return f(xs)
 
-        val, _ = adaptive_quad(f, -1.0, 2.0,
-                               QuadratureConfig(max_subdivisions=1))
-        exact = (2.0**14 - 1.0) / 14 - 3 * (2.0**6 - 1.0) / 6 + 2 * 3.0
-        assert val == pytest.approx(exact, rel=1e-14)
+        val = adaptive_quad_halfline(counted,
+                                     QuadratureConfig(max_subdivisions=1),
+                                     vectorized=True)
+        assert val == pytest.approx(DEG13, rel=1e-14)
         assert len(calls) == 1
 
     def test_subdivision_budget_exhausted(self):
         # the sqrt cusp at 0.3 needs many rounds; six subdivisions are two
         with pytest.raises(ConvergenceError) as info:
-            adaptive_quad(lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0,
-                          QuadratureConfig(max_subdivisions=6))
+            adaptive_quad_halfline(
+                lambda xs: np.sqrt(np.abs(xs - 0.3)) * np.exp(-xs),
+                QuadratureConfig(max_subdivisions=6), vectorized=True)
         assert math.isfinite(info.value.achieved_error)
         assert info.value.achieved_error > 0.0
 
     def test_oscillatory(self):
-        val, _ = adaptive_quad(lambda x: np.sin(x), 0.0, 20.0)
-        assert val == pytest.approx(1.0 - math.cos(20.0), rel=1e-12)
+        # int_0^inf e^(-x/5) sin x = 1 / (1 + 1/25)
+        val = adaptive_quad_halfline(lambda xs: np.exp(-xs / 5) * np.sin(xs),
+                                     QuadratureConfig(rel_tol=1e-13),
+                                     vectorized=True)
+        assert val == pytest.approx(1.0 / (1.0 + 1 / 25), rel=1e-12)
 
     def test_halfline_exponential(self):
         assert adaptive_quad_halfline(
@@ -87,42 +103,48 @@ class TestAdaptiveQuad:
     @given(st.lists(st.floats(-3, 3), min_size=1, max_size=6),
            st.floats(0.1, 4.0))
     def test_polynomial_antiderivative_property(self, coeffs, width):
-        # quadrature of any low-degree polynomial matches its antiderivative
-        def f(x):
-            return sum(c * x**k for k, c in enumerate(coeffs))
+        # quadrature of any low-degree polynomial in t = x / (1 + x) over
+        # [0, width] matches its antiderivative
+        def p(t):
+            return sum(c * (width * t)**k for k, c in enumerate(coeffs))
 
-        val, _ = adaptive_quad(f, -width, width)
-        exact = sum(
-            c * (width ** (k + 1) - (-width) ** (k + 1)) / (k + 1)
-            for k, c in enumerate(coeffs)
-        )
+        val = adaptive_quad_halfline(_pulled_back(p), vectorized=True)
+        exact = sum(c * width**k / (k + 1) for k, c in enumerate(coeffs))
         assert val == pytest.approx(exact, rel=1e-10, abs=1e-10)
 
 
 class TestAdaptiveQuadColumns:
     def test_columns_on_one_mesh(self):
         # int x^k e^-x = k!, and int e^(-x/30) = 30 needs a wider mesh
-        vals = adaptive_quad_columns(lambda xs: np.stack(
+        vals = adaptive_quad_halfline(lambda xs: np.stack(
             [np.exp(-xs), xs**3 * np.exp(-xs), np.exp(-xs / 30)], axis=1),
-            QuadratureConfig())
+            QuadratureConfig(), vectorized=True)
         np.testing.assert_allclose(vals, [1.0, 6.0, 30.0], rtol=1e-11)
+
+    def test_one_column_returns_an_array(self):
+        # an (n, 1) integrand gives its one value as an array, as any (n, C)
+        vals = adaptive_quad_halfline(lambda xs: np.exp(-xs)[:, None],
+                                      vectorized=True)
+        assert vals.shape == (1,)
+        assert vals[0] == adaptive_quad_halfline(lambda xs: np.exp(-xs),
+                                                 vectorized=True)
 
     def test_each_column_meets_its_own_tolerance(self):
         # a column 1e-20 times smaller is held to its own relative tolerance
-        vals = adaptive_quad_columns(
+        vals = adaptive_quad_halfline(
             lambda xs: np.stack([np.exp(-xs), 1e-20 * xs * np.exp(-xs)],
                                 axis=1),
-            QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10))
+            QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10), vectorized=True)
         np.testing.assert_allclose(vals, [1.0, 1e-20], rtol=1e-10)
 
     def test_budget_exhaustion_reports_worst_column(self):
         # the kink at x = 1/3 stalls the second column only
         with pytest.raises(ConvergenceError) as info:
-            adaptive_quad_columns(
+            adaptive_quad_halfline(
                 lambda xs: np.stack([np.exp(-xs),
                                      np.sqrt(np.abs(xs - 1 / 3)) * np.exp(-xs)],
                                     axis=1),
                 QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15,
-                                 max_subdivisions=30))
+                                 max_subdivisions=30), vectorized=True)
         assert math.isfinite(info.value.achieved_error)
         assert info.value.achieved_error > 1e-15
