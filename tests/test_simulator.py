@@ -14,6 +14,7 @@ from cdfsched.channel import Cell, LinkProfile, Scenario, sinr_cdf
 from cdfsched.errors import DomainError
 from cdfsched.exact_rate import user_rate_exact
 from cdfsched.simulator import (
+    POLICIES,
     SimConfig,
     best_m_select,
     drop_rng,
@@ -258,6 +259,45 @@ class TestWideCarrier:
                     if u > best[rb]:  # ties keep the lower user index
                         best[rb], expect[rb] = u, k
             assert list(assignment) == list(expect)
+
+
+class TestOracleTally:
+    """The vectorized drop against the scalar reference scheduler on the
+    same draws.  At 8 slots per drop every statistics batch, and so every
+    chunk, is one slot, so the drop's stream can be redrawn here slot by
+    slot in the simulator's order."""
+
+    @pytest.mark.parametrize("N,M", [(16, 4), (8, 1), (8, 8)])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_tallies_match_schedule_slot(self, policy, N, M):
+        slots = 8
+        rng = drop_rng(123, 0)
+        rate_sum = np.zeros(len(HETERO))
+        outage = 0
+        for slot in range(slots):
+            sinr = []
+            for p in HETERO:
+                sig = p.rho0 * rng.exponential(size=(1, N))
+                denom = np.zeros((1, N)) \
+                    if p.kind == "interference_limited" else np.ones((1, N))
+                for rho_b in p.rho_int:
+                    denom += rho_b * rng.exponential(size=(1, N))
+                sinr.append((sig / denom)[0])
+            feedback = [best_m_select(s, M) for s in sinr]
+            assignment, rates = schedule_slot(
+                feedback, policy, HETERO, N, genie_sinr=sinr,
+                rr_offset=slot * N)
+            for k, rate in zip(assignment, rates):
+                if k < 0:
+                    outage += 1
+                else:
+                    rate_sum[k] += rate
+        rep = simulate_profiles(HETERO, N, _cfg(
+            policy=policy, M=M, slots_per_drop=slots, master_seed=123))
+        rb_total = slots * N
+        np.testing.assert_allclose(rep.per_user_rate, rate_sum / rb_total,
+                                   rtol=1e-12, atol=0.0)
+        assert rep.outage_fraction == outage / rb_total
 
 
 class TestSimulateScenario:
