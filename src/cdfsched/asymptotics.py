@@ -141,13 +141,7 @@ def sum_rate_asymptotic(profiles, N: int, M: int) -> float:
     profiles = list(profiles)
     if not profiles:
         raise DomainError("need at least one profile")
-    K0 = len(profiles)
-    outage_factor = 1.0 - (1.0 - M / N) ** K0
-    total = 0.0
-    for p in profiles:
-        nc = normalizing_constants(p, K0, N, M)
-        total += nc.a + EULER_GAMMA * nc.b
-    return outage_factor * total / K0
+    return sum(user_rate_asymptotic(p, len(profiles), N, M) for p in profiles)
 
 
 # ---------------------------------------------------------------------------

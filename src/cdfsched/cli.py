@@ -19,12 +19,13 @@ import sys
 
 from . import __version__
 from .asymptotics import normalizing_constants, user_rate_asymptotic
-from .channel import Cell, Scenario, build_link_profile
+from .channel import Cell, LinkProfile, Scenario, build_link_profile
 from .errors import DomainError, PreconditionError, ScenarioError
 from .exact_rate import g_k, g_k_quadrature, sum_rate_exact
 from .feedback import xi2_convolution, xi2_vector
 from .planner import plan_feedback
-from .simulator import POLICIES, SimConfig, drop_rng, simulate
+from .simulator import (POLICIES, SimConfig, drop_rng, simulate,
+                        simulate_profiles)
 
 SEED_ENV_VAR = "CDFSCHED_SEED"
 
@@ -243,9 +244,6 @@ def _cmd_plan_feedback(args) -> int:
 
 def _cmd_validate(args) -> int:
     """Run the built-in oracle cross-checks and emit a PASS/FAIL table."""
-    from .channel import LinkProfile
-    from .simulator import simulate_profiles
-
     checks = []
 
     def record(name, ok, detail):

@@ -320,29 +320,16 @@ def g_k(p: LinkProfile, eps: int) -> float:
     return float(_engine(p).g(eps))
 
 
-def g_k_quadrature(p: LinkProfile, eps: int,
-                   config: QuadratureConfig | None = None) -> float:
-    """Quadrature evaluation of G(eps); the independent oracle for g_k and
-    the production path where the closed form cancels."""
+def g_k_quadrature(p: LinkProfile, eps: int) -> float:
+    """Quadrature evaluation of G(eps), the oracle for the closed-form g_k.
+
+    G(eps) / eps is the collapsed rate of eps users at N = M = 1, where
+    every user feeds back and F_Y = F.
+    """
     if eps < 1 or eps != int(eps):
         raise DomainError(f"eps must be a positive integer, got {eps}")
     eps = int(eps)
-    if config is None:
-        config = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-11,
-                                  max_subdivisions=6000)
-    rho0 = p.rho0  # integrated in y = x / rho0, as in _collapsed_rates
-
-    def integrand(ys):
-        xs = rho0 * ys
-        F = sinr_cdf(p, xs)
-        f = sinr_pdf(p, xs)
-        if eps == 1:
-            w = f
-        else:
-            w = eps * F ** (eps - 1) * f
-        return rho0 * w * np.log1p(xs) / _LN2
-
-    return adaptive_quad_halfline(integrand, config, vectorized=True)
+    return eps * _collapsed_rates(p, eps, 1, (1,))[0]
 
 
 # ---------------------------------------------------------------------------

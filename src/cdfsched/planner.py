@@ -47,6 +47,23 @@ def _check_eta(eta: float):
         raise DomainError(f"eta must be in (0, 1], got {eta}")
 
 
+def _first_meeting(sums, eta: float, what: str) -> int | None:
+    """Smallest M with sums[M-1] / sums[-1] >= eta, or None if none meets it.
+
+    sums holds the sum rate at M = 1..N; a NaN, where that M has no rate,
+    never qualifies.  Every dip of the ratio from one M to the next is
+    logged, as the ratio is expected to be nondecreasing in M.
+    """
+    ratios = np.asarray(sums) / sums[-1]
+    for M in np.flatnonzero(np.diff(ratios) < -1e-9) + 2:
+        log.warning(
+            "%s not monotone in M: ratio(%d)=%.12g < ratio(%d)=%.12g",
+            what, M, ratios[M - 1], M - 1, ratios[M - 2],
+        )
+    meets = np.flatnonzero(ratios >= eta)
+    return int(meets[0]) + 1 if meets.size else None
+
+
 def min_feedback_exact(profiles, N: int, eta: float) -> int:
     """Smallest M with sum_rate(M) / sum_rate(N) >= eta.
 
@@ -59,13 +76,7 @@ def min_feedback_exact(profiles, N: int, eta: float) -> int:
         raise DomainError("need at least one profile")
     K0 = len(profiles)
     sums = np.sum([user_rates_all_m(p, K0, N) for p in profiles], axis=0)
-    ratios = sums / sums[-1]
-    for M in np.flatnonzero(np.diff(ratios) < -1e-9) + 2:
-        log.warning(
-            "sum-rate ratio not monotone in M: ratio(%d)=%.12g < "
-            "ratio(%d)=%.12g", M, ratios[M - 1], M - 1, ratios[M - 2],
-        )
-    return int(np.argmax(ratios >= eta)) + 1
+    return _first_meeting(sums, eta, "sum-rate ratio")
 
 
 def min_feedback_asymptotic(profiles, N: int, eta: float) -> int:
@@ -76,30 +87,18 @@ def min_feedback_asymptotic(profiles, N: int, eta: float) -> int:
     """
     _check_eta(eta)
     profiles = list(profiles)
-    try:
-        full = sum_rate_asymptotic(profiles, N, N)
-    except PreconditionError as exc:
-        raise PreconditionError(
-            "full-feedback asymptotic rate unavailable: " + str(exc)
-        ) from exc
-    prev_ratio = None
-    answer = None
-    any_feasible = False
+    sums = []
     for M in range(1, N + 1):
         try:
-            ratio = sum_rate_asymptotic(profiles, N, M) / full
-        except PreconditionError:
-            continue
-        any_feasible = True
-        if prev_ratio is not None and ratio < prev_ratio - 1e-9:
-            log.warning(
-                "asymptotic sum-rate ratio not monotone in M: "
-                "ratio(%d)=%.12g < previous %.12g", M, ratio, prev_ratio,
-            )
-        prev_ratio = ratio
-        if answer is None and ratio >= eta:
-            answer = M
-    if not any_feasible or answer is None:
+            sums.append(sum_rate_asymptotic(profiles, N, M))
+        except PreconditionError as exc:
+            if M == N:
+                raise PreconditionError(
+                    "full-feedback asymptotic rate unavailable: " + str(exc)
+                ) from exc
+            sums.append(np.nan)
+    answer = _first_meeting(sums, eta, "asymptotic sum-rate ratio")
+    if answer is None:
         raise PreconditionError(
             "no feedback budget M satisfies the extreme-value regime "
             "and the rate-ratio target for this user count"

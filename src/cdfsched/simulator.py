@@ -46,17 +46,6 @@ class SimConfig:
             raise DomainError("threads_hint must be >= 1")
 
 
-@dataclass
-class DropStats:
-    """One drop's tallies per batch of slots, shape (_STAT_BATCHES, ...):
-    the batches give the standard errors, their sums the estimates."""
-
-    batch_rate_sum: np.ndarray      # (B, K0) bits/s/Hz summed over slot-RBs
-    batch_counts: np.ndarray        # (B, K0) integer assignment counts
-    batch_outage: np.ndarray        # (B,) outage resource blocks
-    batch_slots: np.ndarray
-
-
 @dataclass(frozen=True)
 class RateReport:
     per_user_rate: tuple[float, ...]
@@ -160,29 +149,32 @@ def fairness_theta(assignment_counts) -> float:
     return float(-terms.sum() / math.log(K))
 
 
-def _run_drop(profiles, N: int, config: SimConfig,
-              rng: np.random.Generator) -> DropStats:
-    """Simulate one drop's slots; single stream, deterministic order."""
+def _batch_slots(slots_per_drop: int) -> list[int]:
+    """Slots in each statistics batch of a drop; the first
+    slots_per_drop % batches batches take one slot more."""
+    n_batches = min(_STAT_BATCHES, slots_per_drop)
+    base, extra = divmod(slots_per_drop, n_batches)
+    return [base + (b < extra) for b in range(n_batches)]
+
+
+def _run_drop(profiles, N: int, config: SimConfig, rng: np.random.Generator):
+    """Simulate one drop's slots; single stream, deterministic order.
+
+    Returns the per-batch rate sums (B, K0) in bits/s/Hz over slot-RBs,
+    the assignment counts (B, K0) and the outage blocks (B,).
+    """
     K0 = len(profiles)
     M = config.M
-    if M > N:
-        raise DomainError(f"M={M} exceeds N={N}")
-    slots = config.slots_per_drop
-    n_batches = min(_STAT_BATCHES, slots)
-
-    batch_rate = np.zeros((n_batches, K0))
-    batch_counts = np.zeros((n_batches, K0), dtype=np.int64)
-    batch_outage = np.zeros(n_batches, dtype=np.int64)
-    batch_slots = np.zeros(n_batches, dtype=np.int64)
+    batches = _batch_slots(config.slots_per_drop)
+    batch_rate = np.zeros((len(batches), K0))
+    batch_counts = np.zeros((len(batches), K0), dtype=np.int64)
+    batch_outage = np.zeros(len(batches), dtype=np.int64)
 
     chunk_cap = max(1, 65536 // K0)
     slot_cursor = 0
-    for b in range(n_batches):
-        b_slots = slots // n_batches + (1 if b < slots % n_batches else 0)
-        batch_slots[b] = b_slots
-        done = 0
-        while done < b_slots:
-            n = min(chunk_cap, b_slots - done)
+    for b, b_slots in enumerate(batches):
+        for start in range(0, b_slots, chunk_cap):
+            n = min(chunk_cap, b_slots - start)
             # draw SINR for every (slot, user, rb)
             cqi = np.empty((n, K0, N))
             for k, p in enumerate(profiles):
@@ -199,12 +191,7 @@ def _run_drop(profiles, N: int, config: SimConfig,
                 rb_index = (slot_cursor + np.arange(n))[:, None] * N \
                     + np.arange(N)[None, :]
                 winner = rb_index % K0
-                rates = np.log2(
-                    1.0 + np.take_along_axis(
-                        cqi, winner[:, None, :], axis=1
-                    )[:, 0, :]
-                )
-                outage = np.zeros((n, N), dtype=bool)
+                served = np.ones((n, N), dtype=bool)
             else:
                 # best-M feedback mask: keep each user's M largest blocks
                 kth = np.partition(cqi, N - M, axis=2)[:, :, N - M]
@@ -221,59 +208,35 @@ def _run_drop(profiles, N: int, config: SimConfig,
                 winner = score.argmax(axis=1)
                 top = np.take_along_axis(score, winner[:, None, :],
                                          axis=1)[:, 0, :]
-                outage = top < 0.0
-                won_cqi = np.take_along_axis(cqi, winner[:, None, :],
-                                             axis=1)[:, 0, :]
-                rates = np.where(outage, 0.0, np.log2(1.0 + won_cqi))
+                served = top >= 0.0  # a block nobody fed back is in outage
 
-            flat_winner = np.where(outage, -1, winner)
-            for k in range(K0):
-                sel = flat_winner == k
-                batch_rate[b, k] += rates[sel].sum()
-                batch_counts[b, k] += int(sel.sum())
-            batch_outage[b] += int(outage.sum())
+            won = np.take_along_axis(cqi, winner[:, None, :], axis=1)[:, 0, :]
+            served_winner = winner[served]
+            batch_rate[b] += np.bincount(
+                served_winner, np.log2(1.0 + won[served]), K0)
+            batch_counts[b] += np.bincount(served_winner, minlength=K0)
+            batch_outage[b] += served.size - np.count_nonzero(served)
             slot_cursor += n
-            done += n
 
-    return DropStats(
-        batch_rate_sum=batch_rate,
-        batch_counts=batch_counts,
-        batch_outage=batch_outage,
-        batch_slots=batch_slots,
-    )
+    return batch_rate, batch_counts, batch_outage
 
 
-def _aggregate(drops: list[DropStats], K0: int, N: int,
-               slots_total: int) -> RateReport:
-    rb_total = slots_total * N
-    rate_sum = np.sum([d.batch_rate_sum.sum(axis=0) for d in drops], axis=0)
-    counts = np.sum([d.batch_counts.sum(axis=0) for d in drops], axis=0)
-    outage = sum(int(d.batch_outage.sum()) for d in drops)
+def _aggregate(drops, N: int, config: SimConfig) -> RateReport:
+    """Estimates from the sums over every drop's batches, standard errors
+    from the spread between those batches."""
+    b_rate, b_counts, b_outage = (np.concatenate(a) for a in zip(*drops))
+    b_rb = N * np.tile(_batch_slots(config.slots_per_drop), config.num_drops)
+    rb_total = int(b_rb.sum())
+    B = b_rb.size
 
-    per_user = rate_sum / rb_total
-    if K0 >= 2 and counts.sum() > 0:
-        theta = fairness_theta(counts)
-    else:
-        theta = 1.0
-
-    # batch-level statistics across all drops for standard errors
-    b_rate = np.concatenate([d.batch_rate_sum for d in drops], axis=0)
-    b_counts = np.concatenate([d.batch_counts for d in drops], axis=0)
-    b_outage = np.concatenate([d.batch_outage for d in drops], axis=0)
-    b_slots = np.concatenate([d.batch_slots for d in drops], axis=0)
-    keep = b_slots > 0
-    b_rate, b_counts = b_rate[keep], b_counts[keep]
-    b_outage, b_slots = b_outage[keep], b_slots[keep]
-    B = int(b_slots.size)
-
-    b_rb = (b_slots * N).astype(float)
-    b_user_rate = b_rate / b_rb[:, None]
-    b_sum_rate = b_user_rate.sum(axis=1)
-    b_out_frac = b_outage / b_rb
-    b_theta = np.array([
+    per_user = b_rate.sum(axis=0) / rb_total
+    K0 = per_user.size
+    # the first entry is the whole run, the rest one per batch
+    theta, *b_theta = [
         fairness_theta(c) if (K0 >= 2 and c.sum() > 0) else 1.0
-        for c in b_counts
-    ])
+        for c in (b_counts.sum(axis=0), *b_counts)
+    ]
+    b_user_rate = b_rate / b_rb[:, None]
 
     def stderr(samples):
         samples = np.asarray(samples, dtype=float)
@@ -281,17 +244,37 @@ def _aggregate(drops: list[DropStats], K0: int, N: int,
             return np.zeros(samples.shape[1:]) if samples.ndim > 1 else 0.0
         return samples.std(axis=0, ddof=1) / math.sqrt(B)
 
-    per_user_se = np.atleast_1d(stderr(b_user_rate))
     return RateReport(
         per_user_rate=tuple(float(r) for r in per_user),
         sum_rate=float(per_user.sum()),
         fairness_theta=float(theta),
-        outage_fraction=float(outage / rb_total),
-        per_user_rate_stderr=tuple(float(s) for s in per_user_se),
-        sum_rate_stderr=float(stderr(b_sum_rate)),
+        outage_fraction=float(b_outage.sum() / rb_total),
+        per_user_rate_stderr=tuple(float(s) for s in stderr(b_user_rate)),
+        sum_rate_stderr=float(stderr(b_user_rate.sum(axis=1))),
         fairness_theta_stderr=float(stderr(b_theta)),
-        outage_fraction_stderr=float(stderr(b_out_frac)),
+        outage_fraction_stderr=float(stderr(b_outage / b_rb)),
     )
+
+
+def _run_drops(drop_profiles, N: int, config: SimConfig) -> RateReport:
+    """Run every drop, concurrently when threads_hint > 1, and reduce in
+    drop-index order.  drop_profiles(rng) gives a drop's link profiles,
+    drawing first from that drop's stream; its slots then continue the
+    same stream."""
+    if config.M > N:
+        raise DomainError(f"M={config.M} exceeds N={N}")
+
+    def one(drop: int):
+        rng = drop_rng(config.master_seed, drop)
+        return _run_drop(drop_profiles(rng), N, config, rng)
+
+    indices = range(config.num_drops)
+    if config.threads_hint > 1 and config.num_drops > 1:
+        with ThreadPoolExecutor(max_workers=config.threads_hint) as pool:
+            drops = list(pool.map(one, indices))
+    else:
+        drops = [one(i) for i in indices]
+    return _aggregate(drops, N, config)
 
 
 def simulate_profiles(profiles, N: int, config: SimConfig) -> RateReport:
@@ -299,45 +282,19 @@ def simulate_profiles(profiles, N: int, config: SimConfig) -> RateReport:
     profiles = list(profiles)
     if not profiles:
         raise DomainError("need at least one profile")
-    if config.M > N:
-        raise DomainError(f"M={config.M} exceeds N={N}")
-
-    def one(drop: int) -> DropStats:
-        return _run_drop(profiles, N, config,
-                         drop_rng(config.master_seed, drop))
-
-    drops = _map_drops(one, config)
-    return _aggregate(drops, len(profiles), N,
-                      config.num_drops * config.slots_per_drop)
+    return _run_drops(lambda rng: profiles, N, config)
 
 
 def simulate(scenario: Scenario, config: SimConfig) -> RateReport:
     """Full drop-based simulation: each drop redraws shadowing, re-associates
     users, rebuilds link profiles, then runs the slot loop."""
     K0 = len(scenario.users)
-    if config.M > scenario.num_rb:
-        raise DomainError(
-            f"M={config.M} exceeds num_rb={scenario.num_rb}"
-        )
 
-    def one(drop: int) -> DropStats:
-        rng = drop_rng(config.master_seed, drop)
+    def drop_profiles(rng):
         shadow = rng.normal(0.0, scenario.shadowing_sigma_db,
                             size=(K0, len(scenario.cells)))
-        profiles = [
+        return [
             build_link_profile(scenario, k, shadow[k]) for k in range(K0)
         ]
-        return _run_drop(profiles, scenario.num_rb, config, rng)
 
-    drops = _map_drops(one, config)
-    return _aggregate(drops, K0, scenario.num_rb,
-                      config.num_drops * config.slots_per_drop)
-
-
-def _map_drops(fn, config: SimConfig) -> list[DropStats]:
-    """Run drops possibly concurrently; reduce in drop-index order."""
-    indices = range(config.num_drops)
-    if config.threads_hint > 1 and config.num_drops > 1:
-        with ThreadPoolExecutor(max_workers=config.threads_hint) as pool:
-            return list(pool.map(fn, indices))
-    return [fn(i) for i in indices]
+    return _run_drops(drop_profiles, scenario.num_rb, config)
