@@ -9,19 +9,23 @@ each M: a single rate is its one-column case, and the planner's
 `user_rates_all_m` its all-M case, the N integrals on one shared mesh.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
-G(eps) = int log2(1+x) d(F^eps).  The closed form of G is a triple sum
-(alternating binomial over ell, multinomial over interferer exponent
-vectors, partial fractions feeding the half-line integrals I1/I2) that
-loses about 0.3 * eps decimal digits, so its engine runs on mpmath with
-working precision chosen from measured cancellation; the public entry
-points return floats.  The partial fractions live only here, in the
-engine, the independent oracle for the product-form quadrature.
+G(eps) = int log2(1+x) d(F^eps).  Each G is an alternating binomial sum
+of level integrals T(ell) = int S(x)^(ell+1) / (1+x) dx, so the series is
+one exact level-weight vector, folded from the xi2 rationals, times a
+per-profile table of T(ell).  The closed form of T (multinomial over
+interferer exponent vectors, partial fractions feeding the half-line
+integrals I1/I2) runs on mpmath; each level is held to the digits its
+term needs against the cancellation measured on the weighted sum, and
+the public entry points return floats.  The partial fractions live only
+here, in the engine, the independent oracle for the product-form
+quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
@@ -48,6 +52,10 @@ CLOSED_FORM_MAX_INTERFERERS = 4
 _LN2 = math.log(2.0)
 
 _MAX_DPS = 600
+
+#: digits each series term is held to against the sum: 14 for the float
+#: rate, 3 more for up to 64 terms and term sizes rounded to a bit
+_TERM_DIGITS = 17.0
 
 #: relative gap below which two partial-fraction poles count as merged
 _MERGED_POLE_TOL = 1e-6
@@ -126,12 +134,13 @@ def _i2_mp(alpha, beta, gamma_max):
     """I2(alpha, beta, gamma) for gamma = 1..gamma_max as (values, lost-digit
     estimates), via the stable-seeded upward recursion in mpf arithmetic."""
     seed = mp.exp(alpha * beta) * mp.e1(alpha * beta)
+    ulp = mp.mpf(10) ** (-mp.mp.dps + 1)
     vals = [seed]
-    errs = [abs(seed) * mp.mpf(10) ** (-mp.mp.dps + 1)]
+    errs = [abs(seed) * ulp]
     losses = [0.0]
     for g in range(2, gamma_max + 1):
         lead = beta ** (1 - g)
-        err = (lead * mp.mpf(10) ** (-mp.mp.dps + 1) + alpha * errs[-1]) / (g - 1)
+        err = (lead * ulp + alpha * errs[-1]) / (g - 1)
         val = (lead - alpha * vals[-1]) / (g - 1)
         vals.append(val)
         errs.append(err)
@@ -157,6 +166,7 @@ class _ClosedFormEngine:
 
     def __init__(self, profile: LinkProfile):
         self.p = profile
+        # ell -> (dps, T(ell), lost digits): it holds dps - lost digits
         self._t_cache: dict[int, tuple[int, mp.mpf, float]] = {}
 
     # -- level integrals --------------------------------------------------
@@ -197,45 +207,25 @@ class _ClosedFormEngine:
         scales = [w[b] * betas[b] for b in range(J)]
         alpha = mp.mpf(ell + 1) / rho0
         i2_one = mp.exp(alpha) * mp.e1(alpha)
-        gmax = ell + 1
-        # full I2 tables per distinct pole, computed once; vals[g-1] = I2(g)
-        i2_tabs: dict = {}
+        ulp = mp.mpf(10) ** (-mp.mp.dps + 1)
 
-        def i2_table(key, beta, size):
-            hit = i2_tabs.get(key)
-            if hit is None:
-                hit = i2_tabs[key] = _i2_mp(alpha, beta, size)
-            return hit
-
-        i1_cache: dict = {}
-
-        def i1(b: int, gamma: int):
-            hit = i1_cache.get((b, gamma))
-            if hit is None:
-                hit = i1_cache[(b, gamma)] = _i1(b, gamma)
-            return hit
-
-        def _i1(b: int, gamma: int):
-            beta = betas[b]
-            if gamma == 0:
-                return i2_one, 0.0
+        def i1_table(beta):
+            """I1(gamma), gamma = 0..ell+1, and their lost digits: the I2
+            table at a merged pole, else I1(g) = (I1(g-1) - I2(g)) /
+            (beta - 1) under a running absolute error bound."""
             if abs(beta - 1) < _MERGED_POLE_TOL:
-                vals, losses = i2_table("merged", mp.mpf(1), gmax + 1)
-                return vals[gamma], losses[gamma]
-            vals, losses = i2_table(b, beta, gmax)
-            total = i2_one / (beta - 1) ** gamma
-            biggest = abs(total)
-            lost_in = 0.0
-            inv = 1 / (1 - beta)
-            fac = mp.mpf(1)
-            for i in range(1, gamma + 1):
-                fac *= inv
-                term = fac * vals[gamma - i] if i % 2 == 1 \
-                    else -fac * vals[gamma - i]
-                lost_in = max(lost_in, losses[gamma - i])
-                total += term
-                biggest = max(biggest, abs(term))
-            return total, lost_in + _lost_digits(biggest, total)
+                return _i2_mp(alpha, mp.mpf(1), ell + 2)
+            i2, i2_lost = _i2_mp(alpha, beta, ell + 1)
+            vals, losses, err = [i2_one], [0.0], i2_one * ulp
+            for v2, lost2 in zip(i2, i2_lost):
+                val = (vals[-1] - v2) / (beta - 1)
+                err = (err + abs(v2) * ulp * 10 ** math.ceil(lost2)) \
+                    / abs(beta - 1) + abs(val) * ulp
+                vals.append(val)
+                losses.append(_lost_digits(err / ulp, val))
+            return vals, losses
+
+        i1 = [i1_table(beta) for beta in betas]
 
         total = mp.mpf(0)
         maxmag = mp.mpf(0)
@@ -252,7 +242,7 @@ class _ClosedFormEngine:
                     continue
                 psi = _psi_table(betas, comp, b)
                 for i in range(1, comp[b] + 1):
-                    v, lost = i1(b, i)
+                    v, lost = i1[b][0][i], i1[b][1][i]
                     contrib = psi[i] * v
                     inner += contrib
                     lost_inner = max(lost_inner, lost)
@@ -262,52 +252,63 @@ class _ClosedFormEngine:
             maxmag = max(maxmag, abs(term))
         return total, lost_inner + _lost_digits(maxmag, total)
 
+    def level(self, ell: int, digits: float):
+        """T(ell) and the accurate digits it holds, at least `digits` unless
+        that takes more than _MAX_DPS working digits.
+
+        A level short of digits is recomputed at the next power of two
+        above digits plus its measured loss (a new level takes its
+        neighbour's loss per level), so the table serves every request on
+        the profile and each level holds the digits its terms need."""
+        prev = self._t_cache.get(ell - 1, (0, None, 0.0))
+        dps, val, lost = self._t_cache.get(
+            ell, (0, None, prev[2] * (ell + 1) / max(ell, 1)))
+        while dps - lost < digits and dps < _MAX_DPS:
+            rung = 1 << (math.ceil(digits + lost) - 1).bit_length()
+            dps = min(_MAX_DPS, max(32, rung))
+            val, lost = self.t(ell, dps)
+        return val, dps - lost
+
     # -- the rate integral -------------------------------------------------
 
-    def g(self, eps: int, min_digits: float = 14.0):
-        """G(eps) = int log2(1+x) d(F^eps) as an mpf with at least
-        min_digits accurate decimal digits."""
-        if eps < 1 or eps != int(eps):
-            raise DomainError(f"eps must be a positive integer, got {eps}")
-        eps = int(eps)
-        p = self.p
-        if p.kind == GENERAL:
-            if eps > CLOSED_FORM_MAX_EPS:
+    def weighted_sum(self, d):
+        """(1/ln 2) * sum_ell d[ell] * T(ell) for exact rational weights d,
+        as an mpf with about 14 accurate digits.
+
+        Level ell is held to _TERM_DIGITS + log10(|d_ell T_ell| / sum), the
+        cancellation measured on the dot product itself."""
+        if self.p.kind == GENERAL:
+            if len(d) > CLOSED_FORM_MAX_EPS:
                 raise CancellationError(
                     f"closed form limited to eps <= {CLOSED_FORM_MAX_EPS} for "
-                    f"general profiles (got eps={eps}); use the quadrature path"
-                )
-            if _series_budget(p) == 0:
+                    f"general profiles (got eps={len(d)}); use the quadrature "
+                    "path")
+            if _series_budget(self.p) == 0:
                 raise CancellationError(
                     "closed form limited to profiles with at most "
                     f"{CLOSED_FORM_MAX_INTERFERERS} interferers, no two tied "
                     f"within {_MERGED_POLE_TOL:.0e}; use the quadrature path"
                 )
-        dps = int(max(30, min_digits + 12 + 0.302 * eps))
+        need = [_TERM_DIGITS] * len(d)
         while True:
-            with mp.workdps(dps):
-                total = mp.mpf(0)
-                maxmag = mp.mpf(0)
-                lost_inner = 0.0
-                for ell in range(eps):
-                    tval, tlost = self.t(ell, dps)
-                    coef = mp.mpf(math.comb(eps - 1, ell)) / (ell + 1)
-                    term = coef * tval if ell % 2 == 0 else -coef * tval
-                    total += term
-                    maxmag = max(maxmag, abs(term))
-                    lost_inner = max(lost_inner, tlost)
-                if total <= 0:
-                    lost = float(dps)
-                else:
-                    lost = lost_inner + _lost_digits(maxmag, total)
-                if dps - lost >= min_digits + 2:
-                    return total * eps / mp.log(2)
-            dps = int(lost + min_digits + 15)
-            if dps > _MAX_DPS:
+            tab = [self.level(ell, n) for ell, n in enumerate(need)]
+            if any(acc < n for (_, acc), n in zip(tab, need)):
                 raise CancellationError(
-                    f"closed form for eps={eps} needs more than {_MAX_DPS} "
-                    "digits of working precision; use the quadrature path"
-                )
+                    f"closed form needs more than {_MAX_DPS} digits of "
+                    "working precision; use the quadrature path")
+            with mp.workdps(int(max(acc for _, acc in tab)) + 20):
+                terms = [mp.mpf(c.numerator) / c.denominator * v
+                         for c, (v, _) in zip(d, tab)]
+                total = mp.fsum(terms)
+                mags = [0.30103 * mp.mag(t) for t in terms]
+                # the sum's size, or its error bound where that is larger
+                size = max([0.30103 * mp.mag(total) if total > 0 else -mp.inf]
+                           + [m - acc for m, (_, acc) in zip(mags, tab)])
+                new = [_TERM_DIGITS + m - size for m in mags]
+                if total > 0 and all(acc >= n
+                                     for (_, acc), n in zip(tab, new)):
+                    return total / mp.log(2)
+            need = [max(a, b) for a, b in zip(need, new)]
 
 
 @lru_cache(maxsize=128)
@@ -315,9 +316,23 @@ def _engine(p: LinkProfile) -> _ClosedFormEngine:
     return _ClosedFormEngine(p)
 
 
+def _binomial_levels(coeffs) -> tuple[Fraction, ...]:
+    """Level weights d_ell = (-1)^ell * sum_eps c_eps * C(eps, ell + 1) of
+    sum_eps c_eps * G(eps), as G(eps) = (1/ln 2) * sum_{ell < eps}
+    (-1)^ell * C(eps, ell + 1) * T(ell); summed over one denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    nums = [(eps, c.numerator * (den // c.denominator))
+            for eps, c in coeffs.items()]
+    return tuple(Fraction((-1) ** ell * sum(n * math.comb(eps, ell + 1)
+                                            for eps, n in nums), den)
+                 for ell in range(max(coeffs)))
+
+
 def g_k(p: LinkProfile, eps: int) -> float:
     """Closed-form G(eps) = int_0^inf log2(1+x) d(F_Z(x))^eps in bits/s/Hz."""
-    return float(_engine(p).g(eps))
+    if eps < 1 or eps != int(eps):
+        raise DomainError(f"eps must be a positive integer, got {eps}")
+    return float(_engine(p).weighted_sum(_binomial_levels({int(eps): 1})))
 
 
 def g_k_quadrature(p: LinkProfile, eps: int) -> float:
@@ -341,20 +356,17 @@ class RateBreakdown:
     sum_rate: float
 
 
-def _conditional_rate_series(p: LinkProfile, N: int, M: int, tau0: int):
-    """The xi2-expansion route to the same conditional expectation, in mpf."""
-    coeffs = xi2_vector(N, M, tau0)
-    biggest = max(abs(c) for c in coeffs)
-    min_digits = 14.0 + (math.log10(float(biggest)) if biggest > 1 else 0.0)
-    eng = _engine(p)
-    with mp.workdps(int(min_digits + 12)):
-        total = mp.mpf(0)
-        for m, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            gval = eng.g(N * tau0 - m, min_digits=min_digits)
-            total += mp.mpf(c.numerator) / c.denominator * gval
-        return total
+@lru_cache(maxsize=256)
+def _level_weights(K0: int, N: int, M: int, xis) -> tuple[Fraction, ...]:
+    """Exact level weights of the series rate, keyed on its xi2 vectors
+    xis[tau0 - 1]: the rate is (1/K0) * sum_tau0 P(tau0) * sum_m xi2_m *
+    G(N * tau0 - m), folded into one sum over the levels."""
+    coeffs: dict[int, Fraction] = {}
+    for tau0, xi in enumerate(xis, 1):
+        w = feedback_count_pmf_exact(K0, M, N, tau0) / K0
+        for m, c in enumerate(xi):
+            coeffs[N * tau0 - m] = coeffs.get(N * tau0 - m, 0) + w * c
+    return _binomial_levels(coeffs)
 
 
 def _series_budget(p: LinkProfile) -> int:
@@ -464,13 +476,8 @@ def user_rate_exact(p: LinkProfile, K0: int, N: int, M: int,
     if not 1 <= M <= N:
         raise DomainError(f"need 1 <= M <= N, got M={M}, N={N}")
     if N * K0 <= min(closed_form_max_eps, _series_budget(p)):
-        total = 0.0
-        for tau0 in range(1, K0 + 1):
-            w = feedback_count_pmf_exact(K0, M, N, tau0)
-            if w == 0:
-                continue
-            total += float(w) * float(_conditional_rate_series(p, N, M, tau0))
-        return total / K0
+        xis = tuple(xi2_vector(N, M, tau0) for tau0 in range(1, K0 + 1))
+        return float(_engine(p).weighted_sum(_level_weights(K0, N, M, xis)))
     # the 1/K0 scheduling share cancels against the K0 from the collapsed sum
     return _collapsed_rates(p, K0, N, (M,))[0]
 

@@ -7,6 +7,7 @@ direct adaptive quadrature for every rate quantity.
 """
 
 import math
+from collections import Counter
 from pathlib import Path
 
 import mpmath as mp
@@ -31,9 +32,11 @@ from cdfsched.exact_rate import (
     _i2_mp,
     _collapsed_rates,
     _psi_table,
+    _series_budget,
 )
 from cdfsched.specfun import QuadratureConfig
 from mp_reference import pdf_mp, sf_mp
+from test_acceptance import het_profiles
 
 NL = LinkProfile.noise_limited(2.0)
 IL = LinkProfile.interference_limited(4.0, 1.0)
@@ -310,6 +313,46 @@ class TestTiedInterferers:
     def test_closed_form_refuses_a_tie(self):
         with pytest.raises(CancellationError):
             g_k(LinkProfile.general(5.0, (1.0, 1.0)), 4)
+
+
+def test_each_level_integral_is_computed_at_most_twice(monkeypatch):
+    # the benchmark's small-cell grid on its unjittered profiles: every
+    # request on a profile reads one level table, and a level is computed
+    # again only when a later request needs more of its digits
+    computed = []
+    compute = _ClosedFormEngine._compute_t
+
+    def counted(self, ell):
+        computed.append((self.p, ell))
+        return compute(self, ell)
+
+    monkeypatch.setattr(_ClosedFormEngine, "_compute_t", counted)
+    exact_rate._engine.cache_clear()
+    for p, k0s in ((NL, (1, 2, 4)), (IL, (1, 2, 4)), (G1, (1, 2, 4)),
+                   (G2, (1, 2))):
+        for K0 in k0s:
+            for M in (1, 2, 4, 8, 16):
+                user_rate_exact(p, K0, 16, M)
+    exact_rate._engine.cache_clear()
+    assert len(set(computed)) == 64 * 3 + 32
+    assert max(Counter(computed).values()) <= 2
+
+
+@pytest.mark.parametrize("p,K0,N,M", [
+    # criterion 04's profiles; G(2; 1e-6) loses about 6.4 digits per level
+    (LinkProfile.general(2.0, (1e-6,)), 4, 16, 4),
+    (LinkProfile.noise_limited(2.0), 4, 16, 4),
+    (LinkProfile.general(2e6, (1e6,)), 4, 16, 4),
+    (LinkProfile.interference_limited(2e6, 1e6), 4, 16, 4),
+    # near-tied interferers, whose partial fractions cancel
+    *[(LinkProfile.general(5.0, (1.0, 1.0 - gap)), K0, 16, 4)
+      for gap in (1e-5, 1e-3) for K0 in (1, 2)],
+    *[(p, 2, 8, M) for p in het_profiles(2) for M in range(1, 9)],
+])
+def test_series_rate_matches_collapsed_quadrature(p, K0, N, M):
+    assert N * K0 <= _series_budget(p)  # the premise: a series rate
+    assert user_rate_exact(p, K0, N, M) == pytest.approx(
+        _collapsed_rates(p, K0, N, (M,))[0], rel=1e-10)
 
 
 class TestSumRate:
