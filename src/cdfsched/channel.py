@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,12 @@ class Scenario:
         )
 
 
+def _positive_finite(v) -> bool:
+    """v is a real number (not a bool), finite and positive."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v) and v > 0)
+
+
 @dataclass(frozen=True)
 class LinkProfile:
     """One user's large-scale state: serving scale, interferer scales, kind."""
@@ -105,12 +112,13 @@ class LinkProfile:
     kind: str = NOISE_LIMITED
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho0) and self.rho0 > 0):
-            raise DomainError(f"rho0 must be positive and finite, got {self.rho0}")
-        if not all(math.isfinite(r) and r > 0 for r in self.rho_int):
+        if not _positive_finite(self.rho0):
             raise DomainError(
-                f"interferer scales must be positive and finite, got {self.rho_int}"
-            )
+                f"rho0 must be a positive finite number, got {self.rho0!r}")
+        if not (isinstance(self.rho_int, tuple)
+                and all(_positive_finite(r) for r in self.rho_int)):
+            raise DomainError("interferer scales must be a tuple of positive "
+                              f"finite numbers, got {self.rho_int!r}")
         if self.kind == NOISE_LIMITED and self.rho_int:
             raise DomainError("noise_limited profile cannot have interferers")
         if self.kind == INTERFERENCE_LIMITED and len(self.rho_int) != 1:
@@ -130,8 +138,12 @@ class LinkProfile:
 
     @classmethod
     def general(cls, rho0: float, rho_int) -> "LinkProfile":
-        return cls(rho0=rho0, rho_int=tuple(sorted(rho_int, reverse=True)),
-                   kind=GENERAL)
+        try:
+            rho_int = tuple(sorted(rho_int, reverse=True))
+        except TypeError:
+            raise DomainError("interferer scales must be a sequence of "
+                              f"numbers, got {rho_int!r}") from None
+        return cls(rho0=rho0, rho_int=rho_int, kind=GENERAL)
 
     @property
     def num_interferers(self) -> int:
@@ -193,12 +205,17 @@ def build_link_profile(scenario: Scenario, user_index: int,
 
 
 def _log_sf(p: LinkProfile, x):
-    """log S(x) for x >= 0: one log of the interferer product, and the
-    noise term except in the interference-limited kind."""
-    prod = 1.0
+    """log S(x) for x >= 0: one log1p of the interferer product less one,
+    and the noise term except in the interference-limited kind.
+
+    The product less one is carried as d <- d + t * (1 + d), t = rho_b x /
+    rho0: every step adds a nonnegative term, so d keeps its relative
+    accuracy at small x, where the product itself rounds to 1 + O(eps)."""
+    d = 0.0
     for rho_b in p.rho_int:
-        prod = prod * (1.0 + (rho_b / p.rho0) * x)
-    log_s = -np.log(prod)
+        t = (rho_b / p.rho0) * x
+        d = d + t * (1.0 + d)
+    log_s = -np.log1p(d)
     if p.kind != INTERFERENCE_LIMITED:
         log_s = log_s - x / p.rho0
     return log_s
@@ -241,9 +258,12 @@ def sinr_cdf_inv(p: LinkProfile, q: float) -> float:
 
     In the general kind, Newton on log S(x) = log(1 - q) from x = 0: log S
     is convex and decreasing, so the iterates climb to the root without
-    overshooting it.  The computed log S is off by up to about
-    eps * (3J + 2 |log S|); a gap below that is rounding, so the step that
-    crosses it is the last.
+    overshooting it.  Each of the J steps of `_log_sf`'s product adds
+    about 5 roundings to the relative error of d, and the log1p, the noise
+    term and their sum 2 more, so the computed log S is off by up to about
+    u * (5J + 2) * |log S|, u = 1.1e-16, even near x = 0; below the
+    smallest normal float, by a few subnormal spacings.  A gap below that
+    is rounding, so the step that crosses it is the last.
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile argument must be in (0, 1), got {q}")
@@ -252,7 +272,8 @@ def sinr_cdf_inv(p: LinkProfile, q: float) -> float:
     if p.kind == INTERFERENCE_LIMITED:
         return p.rho0 / p.rho_int[0] * q / (1.0 - q)
     target = math.log1p(-q)
-    tol = 1e-15 * (p.num_interferers + abs(target))
+    tol = 1e-15 * (p.num_interferers + 1) * abs(target) \
+        + sys.float_info.min
     x = 0.0
     for _ in range(100):
         gap = float(_log_sf(p, x)) - target

@@ -12,13 +12,13 @@ Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  Each G is an alternating binomial sum
 of level integrals T(ell) = int S(x)^(ell+1) / (1+x) dx, so the series is
 one exact level-weight vector, folded from the xi2 rationals, times a
-per-profile table of T(ell).  The closed form of T (multinomial over
-interferer exponent vectors, partial fractions feeding the half-line
-integrals I1/I2) runs on mpmath; each level is held to the digits its
-term needs against the cancellation measured on the weighted sum, and
-the public entry points return floats.  The partial fractions live only
-here, in the engine, the independent oracle for the product-form
-quadrature.
+per-profile table of T(ell).  The closed form of T runs on mpmath: the
+product-form S^(ell+1) is one product of poles (x + beta_b)^-(ell+1),
+whose partial fractions feed the half-line integrals I1/I2.  Each level
+is held to the digits its term needs against the cancellation measured
+on the weighted sum, and the public entry points return floats.  The
+partial fractions live only here, in the engine, the independent oracle
+for the product-form quadrature.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .specfun import QuadratureConfig, adaptive_quad_halfline
 #: largest eps for which the general-kind closed form is attempted
 CLOSED_FORM_MAX_EPS = 64
 
-#: largest interferer count handled by the multinomial expansion
+#: largest interferer count the general-kind closed form takes
 CLOSED_FORM_MAX_INTERFERERS = 4
 
 _LN2 = math.log(2.0)
@@ -109,22 +109,6 @@ def _psi_table(betas, j_vector, b):
     for i in range(1, jb + 1):
         psi[i] = a[jb - i]
     return psi
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial(comp) -> int:
-    out = math.factorial(sum(comp))
-    for j in comp:
-        out //= math.factorial(j)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +176,11 @@ class _ClosedFormEngine:
         return self._compute_t_general(ell)
 
     def _compute_t_general(self, ell: int):
-        p = self.p
-        J = p.num_interferers
-        rho0 = mp.mpf(p.rho0)
-        rhos = [mp.mpf(r) for r in p.rho_int]
-        betas = [rho0 / r for r in rhos]
-        w = []
-        for b in range(J):
-            acc = mp.mpf(1)
-            for i in range(J):
-                if i != b:
-                    acc *= rhos[b] / (rhos[b] - rhos[i])
-            w.append(acc)
-        scales = [w[b] * betas[b] for b in range(J)]
+        """T(ell) from S^(ell+1) = e^(-alpha x) prod_b beta_b^(ell+1) /
+        (x + beta_b)^(ell+1): one partial-fraction expansion of the product,
+        pole by pole, whose terms (x + beta_b)^(-i) integrate to I1_b(i)."""
+        rho0 = mp.mpf(self.p.rho0)
+        betas = [rho0 / mp.mpf(r) for r in self.p.rho_int]
         alpha = mp.mpf(ell + 1) / rho0
         i2_one = mp.exp(alpha) * mp.e1(alpha)
         ulp = mp.mpf(10) ** (-mp.mp.dps + 1)
@@ -225,32 +201,19 @@ class _ClosedFormEngine:
                 losses.append(_lost_digits(err / ulp, val))
             return vals, losses
 
-        i1 = [i1_table(beta) for beta in betas]
-
-        total = mp.mpf(0)
-        maxmag = mp.mpf(0)
-        lost_inner = 0.0
-        for comp in _compositions(ell + 1, J):
-            mn = _multinomial(comp)
-            pscale = mp.mpf(1)
-            for b in range(J):
-                if comp[b]:
-                    pscale *= scales[b] ** comp[b]
-            inner = mp.mpf(0)
-            for b in range(J):
-                if comp[b] == 0:
-                    continue
-                psi = _psi_table(betas, comp, b)
-                for i in range(1, comp[b] + 1):
-                    v, lost = i1[b][0][i], i1[b][1][i]
-                    contrib = psi[i] * v
-                    inner += contrib
-                    lost_inner = max(lost_inner, lost)
-                    maxmag = max(maxmag, abs(mn * pscale * contrib))
-            term = mn * pscale * inner
-            total += term
-            maxmag = max(maxmag, abs(term))
-        return total, lost_inner + _lost_digits(maxmag, total)
+        orders = (ell + 1,) * len(betas)
+        total = maxmag = mp.mpf(0)
+        lost_i1 = 0.0
+        for b, beta in enumerate(betas):
+            psi = _psi_table(betas, orders, b)
+            i1, i1_lost = i1_table(beta)
+            for i in range(1, ell + 2):
+                term = psi[i] * i1[i]
+                total += term
+                maxmag = max(maxmag, abs(term))
+                lost_i1 = max(lost_i1, i1_lost[i])
+        scale = mp.fprod(beta ** (ell + 1) for beta in betas)
+        return scale * total, lost_i1 + _lost_digits(maxmag, total)
 
     def level(self, ell: int, digits: float):
         """T(ell) and the accurate digits it holds, at least `digits` unless
@@ -372,9 +335,9 @@ def _level_weights(K0: int, N: int, M: int, xis) -> tuple[Fraction, ...]:
 def _series_budget(p: LinkProfile) -> int:
     """Largest CDF-power exponent worth running through the closed form.
 
-    The multinomial expansion cost grows steeply with the interferer count,
-    while the quadrature path is exponent-independent, so the crossover
-    moves down as J grows.  Tied interferers get none: the partial
+    The budgets stay as they are until the series path leaves production
+    (ROADMAP, item C), because the benchmark's small-cell grid and its
+    smoke test are built on them.  Tied interferers get none: the partial
     fractions have a pole there.
     """
     if p.kind != GENERAL or p.num_interferers <= 1:

@@ -68,14 +68,36 @@ class TestProductFormLaw:
     @pytest.mark.parametrize("q,rel", [(0.5, 1e-12), (1 - 1e-12, 1e-12),
                                        (1e-6, 1e-9)])
     def test_quantile_is_the_mpmath_root(self, p, q, rel):
-        # at q = 1e-6, log S = log(1 - q) is about -q and carries the
-        # float's absolute error, hence the looser tolerance
+        # q = 1e-6 is held to 1e-13 below, on these and random profiles
         x = sinr_cdf_inv(p, q)
         with mp.workdps(50):
             target = mp.log(1 - mp.mpf(q))
             root = mp.findroot(lambda z: mp.log(sf_mp(p, z)) - target,
                                mp.mpf(x))
         assert x == pytest.approx(float(root), rel=rel, abs=0)
+
+    def test_small_quantile_has_full_relative_accuracy(self):
+        # at q = 1e-6 the interferer product is 1 + O(q); carried as its
+        # excess over 1, the quantile keeps every digit of the float
+        rng = np.random.default_rng(7)
+        profiles = [*PROFILES, J4, TIED, HIGH_SNR, *[
+            LinkProfile.general(10 ** rng.uniform(-2, 5),
+                                10 ** rng.uniform(-3, 4, 5))
+            for _ in range(20)]]
+        for p in profiles:
+            x = sinr_cdf_inv(p, 1e-6)
+            with mp.workdps(50):
+                target = mp.log(1 - mp.mpf(1e-6))
+                root = mp.findroot(lambda z: mp.log(sf_mp(p, z)) - target,
+                                   mp.mpf(x))
+            assert x == pytest.approx(float(root), rel=1e-13, abs=0)
+
+    def test_subnormal_quantile_converges(self):
+        # below the smallest normal float, log S carries absolute rounding
+        p = LinkProfile.general(1e-8, (1e-9,))
+        x = sinr_cdf_inv(p, 1e-310)
+        assert x == pytest.approx(1e-310 / (1e8 + 0.1), rel=1e-4)
+        assert 0.0 <= sinr_cdf_inv(p, 5e-324) < 1e-320
 
     def test_tied_scales_are_a_valid_law(self):
         total = adaptive_quad_halfline(lambda xs: sinr_pdf(TIED, xs),
@@ -107,6 +129,20 @@ class TestLinkProfile:
         lambda: LinkProfile.general(5.0, (float("inf"), 1.0)),
     ], ids=["nan_rho0", "inf_rho0", "inf_interferer"])
     def test_non_finite_scales_rejected(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: LinkProfile.interference_limited(30.0, (1.5,)),
+        lambda: LinkProfile.general(5.0, 3.0),
+        lambda: LinkProfile.general(5.0, [1.0, "2"]),
+        lambda: LinkProfile.noise_limited("2"),
+        lambda: LinkProfile.noise_limited(True),
+        lambda: LinkProfile.general(5.0, (1.0, True)),
+    ], ids=["tuple_interferer", "scalar_interferers", "string_interferer",
+            "string_rho0", "bool_rho0", "bool_interferer"])
+    def test_malformed_scales_rejected(self, make):
+        # a stray TypeError would escape the CLI's exit-2 mapping
         with pytest.raises(DomainError):
             make()
 

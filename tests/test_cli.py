@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from cdfsched import cli
 from cdfsched.cli import SEED_ENV_VAR, load_scenario, main, scenario_profiles
 from cdfsched.errors import ScenarioError
 
@@ -321,8 +322,20 @@ class TestPlanAndValidate:
         assert 1 <= int(row["m_exact"]) <= 16
         assert float(row["ratio_at_m"]) >= 0.9
 
-    def test_validate_golden_all_pass(self, capsys):
+    def test_validate_golden_all_pass(self, capsys, monkeypatch):
+        checked = []
+        g_k = cli.g_k
+
+        def recorded(p, eps):
+            checked.append(p.num_interferers)
+            return g_k(p, eps)
+
+        monkeypatch.setattr(cli, "g_k", recorded)
         code, out, _ = run_cli(capsys, "validate", "--scenario", GOLDEN)
         assert code == 0
         rows = rows_of(out)
         assert rows and all(r["status"] == "PASS" for r in rows)
+        # the closed-form row covers every kind, up to three interferers
+        row, = (r for r in rows if r["check"] == "g_closed_form_vs_quadrature")
+        assert float(row["detail"].split("=")[1]) <= 1e-8
+        assert sorted(set(checked)) == [0, 1, 2, 3]

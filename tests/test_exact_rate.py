@@ -43,6 +43,9 @@ IL = LinkProfile.interference_limited(4.0, 1.0)
 G1 = LinkProfile.general(5.0, (1.0,))
 G2 = LinkProfile.general(5.0, (1.0, 0.3))
 G3 = LinkProfile.general(3.0, (2.0, 0.7, 0.2))
+G4 = LinkProfile.general(3.0, (1.0, 0.7, 0.4, 0.1))
+# near-tied interferers, whose partial fractions cancel
+GT = LinkProfile.general(5.0, (1.0, 1.0 - 1e-3))
 # rho_int == rho0 puts the interferer pole on the noise pole (beta = 1)
 GM = LinkProfile.general(2.0, (2.0,))
 
@@ -75,9 +78,11 @@ class TestPsiCoefficients:
 
     @pytest.mark.parametrize("p,jv", [
         (G2, (2, 3)), (G3, (1, 2, 1)), (G3, (2, 1, 3)),
+        (G3, (4, 4, 4)), (G4, (3, 3, 3, 3)),
     ])
     def test_pointwise_partial_fraction_identity(self, p, jv):
-        # prod_b (beta_b + x)^(-j_b) == sum_b sum_i psi_i^(b) (beta_b+x)^(-i)
+        # prod_b (beta_b + x)^(-j_b) == sum_b sum_i psi_i^(b) (beta_b+x)^(-i);
+        # a level T(ell) expands equal orders (ell + 1, ..., ell + 1)
         betas = _betas(p)
         for x in (0.13, 1.7, 9.0):
             lhs = 1.0
@@ -124,8 +129,9 @@ def _level_oracle(p, ell):
 
 class TestLevelIntegral:
     """The engine's level integrals T(ell): E1 for the noise-limited kind,
-    2F1 for the interference-limited kind, and the multinomial /
-    partial-fraction / I1 assembly for the general kind."""
+    2F1 for the interference-limited kind, and for the general kind the
+    partial fractions of prod_b (x + beta_b)^-(ell+1), pole by pole,
+    against the half-line integrals I1."""
 
     @pytest.mark.parametrize("p", [NL, IL, G1, G2, G3, GM],
                              ids=["NL", "IL", "G1", "G2", "G3", "merged"])
@@ -159,8 +165,8 @@ class TestLevelIntegral:
     @pytest.mark.parametrize("p", [G2, G3], ids=["G2", "G3"])
     @pytest.mark.parametrize("ell", [7, 12])
     def test_lost_digits_bound_the_error(self, p, ell):
-        # at 15 digits the multinomial sum visibly cancels; the reported
-        # loss, which drives precision escalation in g(), must cover it
+        # at 15 digits the partial-fraction sum visibly cancels; the
+        # reported loss, which drives the level's precision, must cover it
         val, lost = _ClosedFormEngine(p).t(ell, 15)
         ref = _level_oracle(p, ell)
         with mp.workdps(30):
@@ -168,6 +174,17 @@ class TestLevelIntegral:
             assert rel_err > 0
             actual = 15 + float(mp.log10(rel_err))
         assert lost >= actual
+
+    @pytest.mark.parametrize("p", [G4, GT], ids=["G4", "near_tied"])
+    @pytest.mark.parametrize("ell", [0, 1, 3, 7, 15])
+    def test_level_holds_its_digits(self, p, ell):
+        # at 30 digits these sums cancel by up to 49 digits; the level
+        # escalates precision until it holds the 14 digits asked for
+        val, acc = _ClosedFormEngine(p).level(ell, 14)
+        assert acc >= 14
+        ref = _level_oracle(p, ell)
+        with mp.workdps(30):
+            assert abs(val - ref) <= 1e-14 * ref
 
 
 class TestGk:
