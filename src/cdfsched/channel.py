@@ -181,24 +181,22 @@ def build_link_profile(scenario: Scenario, user_index: int,
         rx_dbm[c] = cell.tx_power_dbm - path_loss_db(cell.tier, d) + shadow[c]
 
     serving = int(np.argmax(rx_dbm))  # argmax takes the first maximum
-    with np.errstate(over="ignore"):  # a huge dBm value is an inf in mW
-        rx_mw = 10.0 ** (rx_dbm / 10.0)
-    if not np.isfinite(rx_mw).all():
-        raise DomainError("rho0 must be positive and finite, but a received "
-                          "power overflows in mW")
     noise_mw = 10.0 ** (scenario.noise_power_rb_dbm / 10.0)
-
-    interferers = np.delete(rx_mw, serving)
-    if interferers.size == 0:
-        return LinkProfile.noise_limited(rx_mw[serving] / noise_mw)
-
-    strongest = float(interferers.max())
-    keep = interferers >= scenario.interferer_keep_threshold * strongest
-    residual_mw = float(interferers[~keep].sum())
-    denom = noise_mw + residual_mw
-
-    kept = np.sort(interferers[keep])[::-1] / denom
-    rho0 = rx_mw[serving] / denom
+    # a huge dBm value, or a power over a tiny noise, is an inf
+    with np.errstate(over="ignore"):
+        rx_mw = 10.0 ** (rx_dbm / 10.0)
+        if not np.isfinite(rx_mw).all():
+            raise DomainError("rho0 must be positive and finite, but a "
+                              "received power overflows in mW")
+        interferers = np.delete(rx_mw, serving)
+        keep = interferers >= (scenario.interferer_keep_threshold
+                               * interferers.max(initial=0.0))
+        denom = noise_mw + float(interferers[~keep].sum())
+        kept = np.sort(interferers[keep])[::-1] / denom
+        rho0 = rx_mw[serving] / denom
+    if not (np.isfinite(rho0) and np.isfinite(kept).all()):
+        raise DomainError("link scales must be finite, but a received power "
+                          "over the noise power overflows")
     if kept.size == 0:
         return LinkProfile.noise_limited(rho0)
     return LinkProfile.general(rho0, kept)

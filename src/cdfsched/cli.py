@@ -255,7 +255,9 @@ def _cmd_validate(args) -> int:
         LinkProfile.general(5.0, (1.0, 0.3)),
     ]
     worst = 0.0
-    for p in (*profiles, LinkProfile.general(3.0, (2.0, 0.7, 0.2))):
+    # IL(1.3, 1)'s partial fractions cancel, by 11 digits at eps = 16
+    for p in (*profiles, LinkProfile.interference_limited(1.3, 1.0),
+              LinkProfile.general(3.0, (2.0, 0.7, 0.2))):
         for eps in (1, 4, 16):
             closed = g_k(p, eps)
             quad = g_k_quadrature(p, eps)

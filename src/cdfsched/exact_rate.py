@@ -12,13 +12,15 @@ Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  Each G is an alternating binomial sum
 of level integrals T(ell) = int S(x)^(ell+1) / (1+x) dx, so the series is
 one exact level-weight vector, folded from the xi2 rationals, times a
-per-profile table of T(ell).  The closed form of T runs on mpmath: the
-product-form S^(ell+1) is one product of poles (x + beta_b)^-(ell+1),
-whose partial fractions feed the half-line integrals I1/I2.  Each level
-is held to the digits its term needs against the cancellation measured
-on the weighted sum, and the public entry points return floats.  The
-partial fractions live only here, in the engine, the independent oracle
-for the product-form quadrature.
+per-profile table of T(ell).  The closed form of T runs on mpmath and is
+one formula for every profile kind: the product-form S^(ell+1) / (1+x)
+is e^(-alpha x) times one product of poles, (x + beta_b)^-(ell+1) for
+each interferer and (x + 1)^-1, whose partial fractions integrate term
+by term to the half-line integrals I2.  Each level is held to the digits
+its term needs against the cancellation measured on the weighted sum,
+and the public entry points return floats.  The partial fractions live
+only here, in the engine, the independent oracle for the product-form
+quadrature.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 from .channel import (
     GENERAL,
     INTERFERENCE_LIMITED,
-    NOISE_LIMITED,
     LinkProfile,
     sinr_cdf,
     sinr_pdf,
@@ -65,75 +66,61 @@ def _psi_table(betas, j_vector, b):
     """Coefficients psi_i, i = 0..j_b, of the partial-fraction expansion of
     prod_c (x + beta_c)^(-j_c) at the pole -beta_b.
 
-    psi_i is the Taylor coefficient a_(j_b - i) of
-    prod_{c != b} (x + beta_c)^(-j_c) about x = -beta_b, computed through
-    the exponential of the log-series; psi_0 is identically zero.
-    Works for float or mpf inputs.
+    psi_i is the Taylor coefficient a_(j_b - i) of g(t) = prod_{c != b}
+    (d_c + t)^(-j_c) about t = 0, with d_c = beta_c - beta_b; psi_0 is
+    identically zero.  g solves P g' = Q g for the polynomials
+    P = prod_{c != b} (d_c + t) and Q = -sum_c j_c P / (d_c + t), so
+    a_0 = prod_c d_c^(-j_c) and (n + 1) p_0 a_(n+1) = sum_k q_k a_(n-k) -
+    sum_(k >= 1) p_k (n + 1 - k) a_(n+1-k), O(K) per coefficient for K
+    poles (Stanley 1980).  Works for float or mpf inputs.
     """
-    jb = j_vector[b]
-    others = [(betas[c], j_vector[c])
-              for c in range(len(betas)) if c != b and j_vector[c] > 0]
     zero = betas[b] * 0
-    if not others:
-        # the off-pole product is identically 1
-        return [zero] * jb + [1 + zero]
-    ds = [bc - betas[b] for bc, _ in others]
-    order = jb - 1
-    if len(others) == 1:
-        # single off-pole factor: binomial series, no exp-log machinery
-        (_, jc), = others
-        d = ds[0]
-        a = [d ** (-jc)]
-        for p in range(1, order + 1):
-            a.append(a[-1] * (-(jc + p - 1)) / (p * d))
-        psi = [zero] * (jb + 1)
-        for i in range(1, jb + 1):
-            psi[i] = a[jb - i]
-        return psi
-    a0 = 1 + zero
-    for (bc, jc), d in zip(others, ds):
-        a0 *= d ** (-jc)
-    L = [zero]
-    for q in range(1, order + 1):
-        acc = zero
-        for (bc, jc), d in zip(others, ds):
-            acc += -jc * (-1) ** (q + 1) / (q * d**q)
-        L.append(acc)
-    a = [a0]
-    for q in range(1, order + 1):
-        acc = zero
-        for r in range(1, q + 1):
-            acc += r * L[r] * a[q - r]
-        a.append(acc / q)
-    psi = [zero] * (jb + 1)
-    for i in range(1, jb + 1):
-        psi[i] = a[jb - i]
-    return psi
+    others = [(betas[c] - betas[b], j_vector[c])
+              for c in range(len(betas)) if c != b]
+
+    def poly(ds):  # coefficients of prod_d (d + t), lowest degree first
+        out = [1 + zero]
+        for d in ds:
+            out = [d * hi + lo for hi, lo in zip(out + [zero], [zero] + out)]
+        return out
+
+    p = poly(d for d, _ in others)
+    q = [zero] * (len(p) - 1)
+    for c, (_, jc) in enumerate(others):
+        rest = poly(d for i, (d, _) in enumerate(others) if i != c)
+        q = [qk - jc * rk for qk, rk in zip(q, rest)]
+    a = [math.prod((d ** -jc for d, jc in others), start=1 + zero)]
+    for n in range(j_vector[b] - 1):
+        acc = sum(q[k] * a[n - k] for k in range(min(n + 1, len(q))))
+        acc -= sum(p[k] * (n + 1 - k) * a[n + 1 - k]
+                   for k in range(1, min(n + 2, len(p))))
+        a.append(acc / ((n + 1) * p[0]))
+    return [zero] + a[::-1]
 
 
 # ---------------------------------------------------------------------------
 # arbitrary-precision closed-form engine
 
 def _i2_mp(alpha, beta, gamma_max):
-    """I2(alpha, beta, gamma) for gamma = 1..gamma_max as (values, lost-digit
-    estimates), via the stable-seeded upward recursion in mpf arithmetic."""
-    seed = mp.exp(alpha * beta) * mp.e1(alpha * beta)
+    """I2(alpha, beta, gamma) = int_0^inf e^(-alpha x) (x + beta)^(-gamma) dx
+    for gamma = 1..gamma_max as (values, lost-digit estimates), via the
+    stable-seeded upward recursion in mpf arithmetic.
+
+    At alpha = 0 the divergent I2(0, beta, 1) is seeded with its finite
+    part -ln(beta): a partial-fraction sum of total order >= 2 has gamma = 1
+    coefficients summing to zero, so the divergent parts cancel, and the
+    recursion gives beta^(1 - gamma) / (gamma - 1) unchanged above it."""
+    seed = -mp.log(beta) if alpha == 0 else \
+        mp.exp(alpha * beta) * mp.e1(alpha * beta)
     ulp = mp.mpf(10) ** (-mp.mp.dps + 1)
-    vals = [seed]
-    errs = [abs(seed) * ulp]
-    losses = [0.0]
+    vals, err, losses = [seed], abs(seed) * ulp, [0.0]
     for g in range(2, gamma_max + 1):
         lead = beta ** (1 - g)
-        err = (lead * ulp + alpha * errs[-1]) / (g - 1)
+        err = (lead * ulp + alpha * err) / (g - 1)
         val = (lead - alpha * vals[-1]) / (g - 1)
         vals.append(val)
-        errs.append(err)
-        if val == 0:
-            losses.append(float(mp.mp.dps))
-        else:
-            losses.append(max(
-                0.0, mp.mp.dps - 1 + 0.30103 * (mp.mag(err) - mp.mag(val))
-            ))
+        losses.append(float(mp.mp.dps) if val == 0 else max(
+            0.0, mp.mp.dps - 1 + 0.30103 * (mp.mag(err) - mp.mag(val))))
     return vals, losses
 
 
@@ -165,55 +152,28 @@ class _ClosedFormEngine:
         return val, lost
 
     def _compute_t(self, ell: int):
-        p = self.p
-        if p.kind == NOISE_LIMITED:
-            a = mp.mpf(ell + 1) / mp.mpf(p.rho0)
-            return mp.exp(a) * mp.e1(a), 0.0
-        if p.kind == INTERFERENCE_LIMITED:
-            ratio = mp.mpf(p.rho0) / mp.mpf(p.rho_int[0])
-            z = 1 - ratio
-            return ratio / (ell + 1) * mp.hyp2f1(1, 1, ell + 2, z), 0.0
-        return self._compute_t_general(ell)
-
-    def _compute_t_general(self, ell: int):
-        """T(ell) from S^(ell+1) = e^(-alpha x) prod_b beta_b^(ell+1) /
-        (x + beta_b)^(ell+1): one partial-fraction expansion of the product,
-        pole by pole, whose terms (x + beta_b)^(-i) integrate to I1_b(i)."""
+        """T(ell) and its lost digits, one formula for every kind:
+        S^(ell+1) / (1 + x) = e^(-alpha x) prod_b beta_b^(ell+1) (x +
+        beta_b)^-(ell+1) (x + 1)^-1, with beta_b = rho0 / rho_b and alpha =
+        (ell + 1) / rho0, or 0 without noise.  Its partial fractions, pole
+        by pole, integrate term by term to I2 (Gradshteyn & Ryzhik 3.353);
+        a pole on 1 (rho_b == rho0) merges with the noise pole exactly."""
         rho0 = mp.mpf(self.p.rho0)
         betas = [rho0 / mp.mpf(r) for r in self.p.rho_int]
-        alpha = mp.mpf(ell + 1) / rho0
-        i2_one = mp.exp(alpha) * mp.e1(alpha)
-        ulp = mp.mpf(10) ** (-mp.mp.dps + 1)
-
-        def i1_table(beta):
-            """I1(gamma), gamma = 0..ell+1, and their lost digits: the I2
-            table at a merged pole, else I1(g) = (I1(g-1) - I2(g)) /
-            (beta - 1) under a running absolute error bound."""
-            if abs(beta - 1) < _MERGED_POLE_TOL:
-                return _i2_mp(alpha, mp.mpf(1), ell + 2)
-            i2, i2_lost = _i2_mp(alpha, beta, ell + 1)
-            vals, losses, err = [i2_one], [0.0], i2_one * ulp
-            for v2, lost2 in zip(i2, i2_lost):
-                val = (vals[-1] - v2) / (beta - 1)
-                err = (err + abs(v2) * ulp * 10 ** math.ceil(lost2)) \
-                    / abs(beta - 1) + abs(val) * ulp
-                vals.append(val)
-                losses.append(_lost_digits(err / ulp, val))
-            return vals, losses
-
-        orders = (ell + 1,) * len(betas)
-        total = maxmag = mp.mpf(0)
-        lost_i1 = 0.0
-        for b, beta in enumerate(betas):
-            psi = _psi_table(betas, orders, b)
-            i1, i1_lost = i1_table(beta)
-            for i in range(1, ell + 2):
-                term = psi[i] * i1[i]
-                total += term
-                maxmag = max(maxmag, abs(term))
-                lost_i1 = max(lost_i1, i1_lost[i])
+        alpha = 0 if self.p.kind == INTERFERENCE_LIMITED else (ell + 1) / rho0
+        orders = {mp.mpf(1): 1}
+        for beta in betas:
+            orders[beta] = orders.get(beta, 0) + ell + 1
+        poles, js = list(orders), list(orders.values())
+        terms, lost_i2 = [], 0.0
+        for b, beta in enumerate(poles):
+            i2, i2_lost = _i2_mp(alpha, beta, js[b])
+            terms += [c * v for c, v in zip(_psi_table(poles, js, b)[1:], i2)]
+            lost_i2 = max(lost_i2, *i2_lost)
+        total = mp.fsum(terms)
         scale = mp.fprod(beta ** (ell + 1) for beta in betas)
-        return scale * total, lost_i1 + _lost_digits(maxmag, total)
+        lost = lost_i2 + _lost_digits(max(map(abs, terms)), total)
+        return scale * total, lost
 
     def level(self, ell: int, digits: float):
         """T(ell) and the accurate digits it holds, at least `digits` unless
@@ -240,18 +200,17 @@ class _ClosedFormEngine:
 
         Level ell is held to _TERM_DIGITS + log10(|d_ell T_ell| / sum), the
         cancellation measured on the dot product itself."""
-        if self.p.kind == GENERAL:
-            if len(d) > CLOSED_FORM_MAX_EPS:
-                raise CancellationError(
-                    f"closed form limited to eps <= {CLOSED_FORM_MAX_EPS} for "
-                    f"general profiles (got eps={len(d)}); use the quadrature "
-                    "path")
-            if _series_budget(self.p) == 0:
-                raise CancellationError(
-                    "closed form limited to profiles with at most "
-                    f"{CLOSED_FORM_MAX_INTERFERERS} interferers, no two tied "
-                    f"within {_MERGED_POLE_TOL:.0e}; use the quadrature path"
-                )
+        if self.p.kind == GENERAL and len(d) > CLOSED_FORM_MAX_EPS:
+            raise CancellationError(
+                f"closed form limited to eps <= {CLOSED_FORM_MAX_EPS} for "
+                f"general profiles (got eps={len(d)}); use the quadrature "
+                "path")
+        if _series_budget(self.p) == 0:
+            raise CancellationError(
+                "closed form limited to profiles with at most "
+                f"{CLOSED_FORM_MAX_INTERFERERS} interferers, no two tied and "
+                f"none tied to rho0 within {_MERGED_POLE_TOL:.0e} unless equal "
+                "to it; use the quadrature path")
         need = [_TERM_DIGITS] * len(d)
         while True:
             tab = [self.level(ell, n) for ell, n in enumerate(need)]
@@ -338,8 +297,12 @@ def _series_budget(p: LinkProfile) -> int:
     The budgets stay as they are until the series path leaves production
     (ROADMAP, item C), because the benchmark's small-cell grid and its
     smoke test are built on them.  Tied interferers get none: the partial
-    fractions have a pole there.
+    fractions have a pole there.  Nor does an interferer scale near rho0
+    but not on it, whose pole sits next to the noise pole at beta = 1.
     """
+    if any(r != p.rho0 and abs(r - p.rho0) < _MERGED_POLE_TOL * max(r, p.rho0)
+           for r in p.rho_int):
+        return 0
     if p.kind != GENERAL or p.num_interferers <= 1:
         return CLOSED_FORM_MAX_EPS
     r = p.rho_int  # sorted descending
@@ -432,7 +395,8 @@ def user_rate_exact(p: LinkProfile, K0: int, N: int, M: int,
 
     Uses the xi2 series with the closed-form G when every exponent in the
     expansion stays within the closed-form budget, and the collapsed
-    quadrature otherwise.
+    quadrature otherwise, or where the series needs more than _MAX_DPS
+    working digits.
     """
     if K0 < 1:
         raise DomainError(f"K0 must be >= 1, got {K0}")
@@ -440,7 +404,11 @@ def user_rate_exact(p: LinkProfile, K0: int, N: int, M: int,
         raise DomainError(f"need 1 <= M <= N, got M={M}, N={N}")
     if N * K0 <= min(closed_form_max_eps, _series_budget(p)):
         xis = tuple(xi2_vector(N, M, tau0) for tau0 in range(1, K0 + 1))
-        return float(_engine(p).weighted_sum(_level_weights(K0, N, M, xis)))
+        try:
+            return float(_engine(p).weighted_sum(
+                _level_weights(K0, N, M, xis)))
+        except CancellationError:
+            pass
     # the 1/K0 scheduling share cancels against the K0 from the collapsed sum
     return _collapsed_rates(p, K0, N, (M,))[0]
 

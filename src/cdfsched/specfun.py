@@ -1,7 +1,7 @@
 """Adaptive quadrature for the rate integrals, and the Euler-Mascheroni constant.
 
 Everything here is pure and stateless.  The closed form takes its special
-functions (E1, 2F1) from mpmath; this quadrature is its independent oracle.
+function (E1) from mpmath; this quadrature is its independent oracle.
 `adaptive_quad_halfline` is the one entry point: it integrates a scalar or
 a column-valued integrand over [0, inf), the columns on one shared mesh as
 vector integrands share one in DCUHRE (Berntsen, Espelid & Genz, ACM TOMS

@@ -16,7 +16,9 @@ import pytest
 
 from cdfsched import cli
 from cdfsched.cli import SEED_ENV_VAR, load_scenario, main, scenario_profiles
+from cdfsched.channel import LinkProfile
 from cdfsched.errors import ScenarioError
+from cdfsched.exact_rate import _collapsed_rates
 
 GOLDEN = str(
     Path(__file__).resolve().parents[1]
@@ -146,6 +148,43 @@ class TestRateCommands:
                                *command[1:])
         assert code == 2
         assert "rho0 must be positive and finite" in err
+
+    @pytest.mark.parametrize("command", [["rate-exact", "--M", "4"],
+                                         ["simulate", "--slots", "10"]])
+    def test_link_scale_overflowing_over_the_noise_exits_two(
+            self, capsys, tmp_path, command):
+        # every received power is finite in mW, but over -3200 dBm/Hz of
+        # noise the serving scale overflows a float
+        path = write_json(tmp_path, {
+            "cells": [{"tier": "macro", "position_m": [0, 0]},
+                      {"tier": "pico", "position_m": [300, 0]}],
+            "users": [[100, 10], [250, 5]], "noise_psd_dbm_hz": -3200})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, command[0], "--scenario", path,
+                                     *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
+    def test_far_interferer_takes_the_quadrature(self, capsys, tmp_path):
+        # rho1 = 8.4e-11 against rho0 = 15.9: the series would need more
+        # than 600 digits, so every rate is the collapsed quadrature's
+        path = write_json(tmp_path, {
+            "cells": [{"tier": "macro", "position_m": [0, 0]},
+                      {"tier": "macro", "position_m": [3e6, 0]}],
+            "users": [[3000, 0], [3000, 10], [3000, 20], [3000, 30]],
+            "shadowing_sigma_db": 0})
+        code, out, err = run_cli(capsys, "rate-exact", "--scenario", path,
+                                 "--M", "4")
+        assert code == 0, err
+        scenario, _ = load_scenario(path)
+        profiles = scenario_profiles(scenario, 0)  # unshadowed: any seed
+        for row, p in zip(rows_of(out), profiles, strict=True):
+            assert float(row["user_rate_bps_hz"]) == pytest.approx(
+                _collapsed_rates(p, 4, 16, (4,))[0], rel=1e-11)
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "report.csv"
@@ -327,7 +366,7 @@ class TestPlanAndValidate:
         g_k = cli.g_k
 
         def recorded(p, eps):
-            checked.append(p.num_interferers)
+            checked.append(p)
             return g_k(p, eps)
 
         monkeypatch.setattr(cli, "g_k", recorded)
@@ -335,7 +374,9 @@ class TestPlanAndValidate:
         assert code == 0
         rows = rows_of(out)
         assert rows and all(r["status"] == "PASS" for r in rows)
-        # the closed-form row covers every kind, up to three interferers
+        # the closed-form row covers every kind, up to three interferers,
+        # and IL(1.3, 1), whose partial fractions cancel
         row, = (r for r in rows if r["check"] == "g_closed_form_vs_quadrature")
         assert float(row["detail"].split("=")[1]) <= 1e-8
-        assert sorted(set(checked)) == [0, 1, 2, 3]
+        assert sorted({p.num_interferers for p in checked}) == [0, 1, 2, 3]
+        assert LinkProfile.interference_limited(1.3, 1.0) in checked

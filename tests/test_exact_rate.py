@@ -76,14 +76,16 @@ class TestPsiCoefficients:
                     got = _psi_table(betas, jv, b)[i]
                     assert got == pytest.approx(expect, rel=1e-12)
 
-    @pytest.mark.parametrize("p,jv", [
-        (G2, (2, 3)), (G3, (1, 2, 1)), (G3, (2, 1, 3)),
-        (G3, (4, 4, 4)), (G4, (3, 3, 3, 3)),
+    @pytest.mark.parametrize("betas,jv", [
+        (_betas(G2), (2, 3)), (_betas(G3), (1, 2, 1)), (_betas(G3), (2, 1, 3)),
+        (_betas(G3), (4, 4, 4)), (_betas(G4), (3, 3, 3, 3)),
+        # a level's own shape: the noise pole 1 of order 1 joins the rest
+        (_betas(G2) + [1.0], (1, 1, 1)), (_betas(G2) + [1.0], (4, 4, 1)),
+        (_betas(G2) + [1.0], (8, 8, 1)),
     ])
-    def test_pointwise_partial_fraction_identity(self, p, jv):
+    def test_pointwise_partial_fraction_identity(self, betas, jv):
         # prod_b (beta_b + x)^(-j_b) == sum_b sum_i psi_i^(b) (beta_b+x)^(-i);
-        # a level T(ell) expands equal orders (ell + 1, ..., ell + 1)
-        betas = _betas(p)
+        # a level T(ell) expands orders (ell + 1, ..., ell + 1, 1)
         for x in (0.13, 1.7, 9.0):
             lhs = 1.0
             for beta, j in zip(betas, jv):
@@ -127,11 +129,23 @@ def _level_oracle(p, ell):
             [0, 1, 10, mp.inf])
 
 
+#: G(2; 2/(1 + g)) and IL(2, 2/(1 + g)): an interferer pole next to the
+#: noise pole at beta = 1, but not on it
+NEAR_UNIT = [kind(2.0, 2.0 / (1.0 + g))
+             for g in (1e-7, 5e-7, 9e-7)
+             for kind in (lambda r0, r1: LinkProfile.general(r0, (r1,)),
+                          LinkProfile.interference_limited)]
+
+
+def _near_unit_id(p):
+    return f"{p.kind}-{p.rho0 / p.rho_int[0] - 1:.0e}"
+
+
 class TestLevelIntegral:
-    """The engine's level integrals T(ell): E1 for the noise-limited kind,
-    2F1 for the interference-limited kind, and for the general kind the
-    partial fractions of prod_b (x + beta_b)^-(ell+1), pole by pole,
-    against the half-line integrals I1."""
+    """The engine's level integrals T(ell), one formula for every kind: the
+    partial fractions of prod_b (x + beta_b)^-(ell+1) * (x + 1)^-1, pole by
+    pole, against the half-line integrals I2, with e^(-x/rho0) in I2 for
+    the noise-limited and general kinds."""
 
     @pytest.mark.parametrize("p", [NL, IL, G1, G2, G3, GM],
                              ids=["NL", "IL", "G1", "G2", "G3", "merged"])
@@ -144,23 +158,28 @@ class TestLevelIntegral:
     @pytest.mark.parametrize("rho0", [1e3, 10.0, 1.0, 0.1, 0.0125, 2e-4])
     def test_noise_limited_exponential_integral(self, rho0):
         # T(0) = e^a E1(a) with a = 1/rho0 from 1e-3 to 5000, where e^a
-        # alone overflows a float
+        # alone overflows a float; a single term loses at most a digit
         p = LinkProfile.noise_limited(rho0)
         val, lost = _ClosedFormEngine(p).t(0, 30)
-        assert lost == 0.0
+        assert lost < 1
         assert float(val) == pytest.approx(float(_level_oracle(p, 0)),
                                            rel=1e-12)
 
     @pytest.mark.parametrize("ratio", [11.0, 3.0, 1.6, 1.3, 1.0, 0.7, 0.3,
                                        0.05])
     @pytest.mark.parametrize("ell", [0, 1, 8, 38])
-    def test_interference_limited_hypergeometric(self, ratio, ell):
-        # 2F1(1, 1; ell + 2; 1 - rho0/rho1) for z = 1 - ratio from -10 to
-        # 0.95 and c = ell + 2 from 2 to 40
+    def test_interference_limited_levels(self, ratio, ell):
+        # rho0/rho1 from 0.05 to 11 and ell up to 38, where the partial
+        # fractions of IL(1.3, 1) cancel by 26 digits: the level holds its
+        # 14 digits, and at a fixed 30 digits the reported loss covers the
+        # error
         p = LinkProfile.interference_limited(ratio, 1.0)
-        val, _ = _ClosedFormEngine(p).t(ell, 30)
-        assert float(val) == pytest.approx(float(_level_oracle(p, ell)),
-                                           rel=1e-12)
+        ref = _level_oracle(p, ell)
+        val, _ = _ClosedFormEngine(p).level(ell, 14)
+        assert float(val) == pytest.approx(float(ref), rel=1e-12)
+        val, lost = _ClosedFormEngine(p).t(ell, 30)
+        with mp.workdps(30):
+            assert abs(val - ref) <= 10 ** (lost - 29) * abs(ref)
 
     @pytest.mark.parametrize("p", [G2, G3], ids=["G2", "G3"])
     @pytest.mark.parametrize("ell", [7, 12])
@@ -185,6 +204,17 @@ class TestLevelIntegral:
         ref = _level_oracle(p, ell)
         with mp.workdps(30):
             assert abs(val - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("p", NEAR_UNIT, ids=_near_unit_id)
+    @pytest.mark.parametrize("ell", [0, 3, 15])
+    def test_near_unit_pole(self, p, ell):
+        # the interferer and noise poles, 1e-7 to 9e-7 apart, cancel by
+        # about 7 digits per order of the interferer pole; the level
+        # escalates until it holds 14
+        val, acc = _ClosedFormEngine(p).level(ell, 14)
+        assert acc >= 14
+        assert float(val) == pytest.approx(float(_level_oracle(p, ell)),
+                                           rel=1e-12)
 
 
 class TestGk:
@@ -330,6 +360,40 @@ class TestTiedInterferers:
     def test_closed_form_refuses_a_tie(self):
         with pytest.raises(CancellationError):
             g_k(LinkProfile.general(5.0, (1.0, 1.0)), 4)
+
+
+class TestNearUnitPole:
+    """An interferer scale within 1e-6 of rho0, but not equal to it, puts
+    its pole next to the noise pole: the series refuses it, as it refuses
+    near-tied interferers, and the rate is the quadrature's."""
+
+    @pytest.mark.parametrize("p", NEAR_UNIT, ids=_near_unit_id)
+    def test_series_refused(self, p):
+        assert _series_budget(p) == 0
+        with pytest.raises(CancellationError):
+            g_k(p, 4)
+
+    @pytest.mark.parametrize("p", NEAR_UNIT, ids=_near_unit_id)
+    def test_rate_matches_reference(self, p):
+        assert user_rate_exact(p, 4, 16, 4) == pytest.approx(
+            _product_form_rate_reference(p, 4, 16, 4), rel=1e-10)
+
+    def test_pole_on_one_is_merged(self):
+        # rho_int == rho0 merges the poles exactly: the series still runs
+        assert _series_budget(GM) == exact_rate.CLOSED_FORM_MAX_EPS
+        assert _series_budget(LinkProfile.interference_limited(1.0, 1.0)) \
+            == exact_rate.CLOSED_FORM_MAX_EPS
+
+
+def test_series_beyond_working_precision_takes_the_quadrature():
+    # a far interferer, beta = 2e9: the series needs more than 600 digits
+    # and raises, but the rate is the collapsed quadrature's
+    p = LinkProfile.general(2.0, (1e-9,))
+    assert 16 * 4 <= _series_budget(p)
+    with pytest.raises(CancellationError):
+        g_k(p, 64)
+    assert user_rate_exact(p, 4, 16, 4) == pytest.approx(
+        _collapsed_rates(p, 4, 16, (4,))[0], rel=1e-12)
 
 
 def test_each_level_integral_is_computed_at_most_twice(monkeypatch):
