@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channel import (
     INTERFERENCE_LIMITED,
@@ -24,7 +23,7 @@ from .channel import (
     sinr_pdf,
     sinr_sf,
 )
-from .errors import DomainError, PreconditionError
+from .errors import ConvergenceError, DomainError, PreconditionError
 from .feedback import BestMPoly
 from .specfun import EULER_GAMMA
 
@@ -48,17 +47,70 @@ def bestm_cdf_inv(p: LinkProfile, N: int, M: int, q: float) -> float:
     return sinr_cdf_inv(p, _bestm_poly_quantile(N, M, q))
 
 
+#: Newton steps the best-M quantile may take before it gives up
+_QUANTILE_MAX_STEPS = 200
+
+
 @lru_cache(maxsize=1024)
 def _bestm_poly_quantile(N: int, M: int, q: float) -> float:
     """The u in [0, 1] where the best-M polynomial F_Y(u) reaches q; shared
-    by every user of a cell, whatever its SINR distribution."""
+    by every user of a cell, whatever its SINR distribution.
+
+    F_Y is a positive binomial sum with a positive derivative on (0, 1)
+    (see `feedback`), so the root is unique; M = 1 and M = N have closed
+    forms.  Otherwise Newton runs on ln F_Y against ln u, nearly linear at
+    both ends (c u^(N-M+1) near 0, 1 - (N/M)(1 - u) near 1), from
+    min(q^(1/N), 1 - (1 - q) M/N), an upper bound on the root.  Each step
+    evaluates F_Y / q and the log-slope u F_Y' / F_Y exactly in the integer
+    numerators of u and 1 - u: `BestMPoly`'s float Horner sums drift by up
+    to 1e-14 near F_Y = 1 at M = 99, a hundred ulps of the root.  Each
+    evaluation moves one end of the bracket (lo, hi), first (0, 1), to u; a
+    step that leaves it bisects it instead.  The iteration stops when a
+    step or the bracket is within about one ulp of u, and raises
+    ConvergenceError after _QUANTILE_MAX_STEPS steps.
+    """
     if M == 1:
         return q ** (1.0 / N)
     if M == N:
         return q
-    poly = BestMPoly.build(N, M)
-    return brentq(lambda v: float(poly.eval_in_f(v)) - q, 0.0, 1.0,
-                  xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    cdf_w = [(M - i) * math.comb(N, i) for i in range(M)]
+    pdf_w = [N * math.comb(N - 1, i) for i in range(M)]
+    q_num, q_den = q.as_integer_ratio()
+    lo, hi = 0.0, 1.0
+    u = min(q ** (1.0 / N), 1.0 - (1.0 - q) * M / N)
+    for _ in range(_QUANTILE_MAX_STEPS):
+        # M d^N F_Y(u) = a^(N-M+1) cdf_sum, M d^N u F_Y'(u) = a^(N-M+1) pdf_sum
+        a, d = u.as_integer_ratio()
+        b = d - a
+        cdf_sum, pdf_sum, b_pow = cdf_w[0], pdf_w[0], 1
+        for wc, wp in zip(cdf_w[1:], pdf_w[1:]):
+            b_pow *= b
+            cdf_sum = cdf_sum * a + wc * b_pow
+            pdf_sum = pdf_sum * a + wp * b_pow
+        num = a ** (N - M + 1) * cdf_sum * q_den   # F_Y(u) / q = num / den
+        den = M * d**N * q_num
+        if num == den:
+            return u
+        if num < den:
+            lo = u
+        else:
+            hi = u
+        # ln(F_Y / q): to full precision near the root, finite far from it
+        diff = num - den
+        log_ratio = (math.log1p(diff / den) if 2 * abs(diff) < den
+                     else math.log(num) - math.log(den))
+        # Newton step in ln u, over the log-slope; capped where exp overflows
+        nxt = u * math.exp(min(700.0, -log_ratio / (pdf_sum / cdf_sum)))
+        if abs(nxt - u) <= math.ulp(u):
+            return nxt
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if hi - lo <= 2.0 * math.ulp(nxt):
+            return nxt
+        u = nxt
+    raise ConvergenceError(
+        f"best-M quantile did not converge in {_QUANTILE_MAX_STEPS} steps "
+        f"(N={N}, M={M}, q={q!r}); bracket [{lo!r}, {hi!r}]")
 
 
 def normalizing_constants(p: LinkProfile, K: float, N: int,

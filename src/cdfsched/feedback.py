@@ -7,8 +7,9 @@ binomial-tail CDF (David & Nagaraja, *Order Statistics*, 3rd ed., 2003)
     F_Y(u) = sum_{i<M} (M-i)/M * C(N, i) * u^(N-i) * (1-u)^i,
 
 a sum of positive terms, which `BestMPoly` evaluates in floating point by
-Horner sums for the scalar and bulk callers (quantiles, tail diagnostics,
-the reference scheduler).  Its weights are also the columns of the rate
+Horner sums for the scalar and bulk callers (tail diagnostics, the
+reference scheduler); the best-M quantile in `asymptotics` evaluates it
+exactly, in integers.  Its weights are also the columns of the rate
 integrand's best-M kernel in `exact_rate`, which takes one M or all of
 them from one table of terms.
 The paper's coefficients xi1 (F_Y in powers of u) and xi2 (its tau0-th

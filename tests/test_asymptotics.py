@@ -9,6 +9,7 @@ import math
 import mpmath as mp
 import pytest
 
+from cdfsched import asymptotics
 from cdfsched.asymptotics import (
     FRECHET,
     GUMBEL,
@@ -21,7 +22,7 @@ from cdfsched.asymptotics import (
     user_rate_asymptotic,
 )
 from cdfsched.channel import LinkProfile, sinr_cdf_inv
-from cdfsched.errors import DomainError, PreconditionError
+from cdfsched.errors import ConvergenceError, DomainError, PreconditionError
 from cdfsched.feedback import bestm_cdf, xi1_vector
 
 NL = LinkProfile.noise_limited(2.0)
@@ -48,6 +49,38 @@ class TestBestMQuantile:
     def test_domain(self):
         with pytest.raises(DomainError):
             bestm_cdf_inv(NL, 16, 4, 1.0)
+
+    def test_roots_within_four_ulp_of_mpmath(self):
+        # each float root against the 50-digit root of the binomial tail
+        # F_Y(u) = sum_{i<M} (M-i)/M C(N,i) u^(N-i) (1-u)^i, refined from
+        # it by mpmath and confirmed by its residual; at (100, 99,
+        # 1 - 1e-10) the float Horner sums alone land 96 ulp off
+        quantile = asymptotics._bestm_poly_quantile.__wrapped__
+        worst = 0.0
+        with mp.workdps(50):
+            for N, Ms in ((4, (2, 3)), (16, (2, 4, 8, 15)),
+                          (100, (2, 10, 50, 99))):
+                for M in Ms:
+                    def cdf(u, N=N, M=M):
+                        return mp.fsum(mp.mpf(M - i) / M * math.comb(N, i)
+                                       * u ** (N - i) * (1 - u) ** i
+                                       for i in range(M))
+
+                    qs = [1e-12, 0.1, 0.5, 0.9, 1 - 1e-10]
+                    qs += [1 - N / (K * M * e) for K in (5, 50, 1000)
+                           for e in (1.0, math.e) if K * M > N]
+                    for q in qs:
+                        u = quantile(N, M, q)
+                        root = mp.findroot(lambda v: cdf(v) - q, mp.mpf(u))
+                        assert abs(cdf(root) - q) < mp.mpf(10) ** -45
+                        worst = max(worst, float(abs(root - u))
+                                    / math.ulp(float(root)))
+        assert worst <= 4.0
+
+    def test_step_cap_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_QUANTILE_MAX_STEPS", 1)
+        with pytest.raises(ConvergenceError):
+            asymptotics._bestm_poly_quantile.__wrapped__(100, 50, 0.3)
 
 
 class TestNormalizingConstants:

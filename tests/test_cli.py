@@ -8,7 +8,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -380,3 +383,30 @@ class TestPlanAndValidate:
         assert float(row["detail"].split("=")[1]) <= 1e-8
         assert sorted({p.num_interferers for p in checked}) == [0, 1, 2, 3]
         assert LinkProfile.interference_limited(1.3, 1.0) in checked
+
+
+#: run in a fresh interpreter: import the package, then block SciPy so that
+#: any later import of it raises ImportError, and run every command
+_WITHOUT_SCIPY = """
+import contextlib, io, sys
+import cdfsched, cdfsched.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded[:3]
+sys.modules["scipy"] = None
+golden = sys.argv[1]
+for argv in (["rate-exact", "--M", "4"], ["rate-asymptotic", "--M", "4"],
+             ["plan-feedback", "--eta", "0.9"], ["simulate", "--slots", "200"],
+             ["validate"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cdfsched.cli.main([argv[0], "--scenario", golden, *argv[1:]])
+    assert code == 0, (argv, code)
+"""
+
+
+def test_every_command_runs_without_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, GOLDEN],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
