@@ -61,9 +61,9 @@ def _bestm_poly_quantile(N: int, M: int, q: float) -> float:
     forms.  Otherwise Newton runs on ln F_Y against ln u, nearly linear at
     both ends (c u^(N-M+1) near 0, 1 - (N/M)(1 - u) near 1), from
     min(q^(1/N), 1 - (1 - q) M/N), an upper bound on the root.  Each step
-    evaluates F_Y / q and the log-slope u F_Y' / F_Y exactly in the integer
-    numerators of u and 1 - u: `BestMPoly`'s float Horner sums drift by up
-    to 1e-14 near F_Y = 1 at M = 99, a hundred ulps of the root.  Each
+    compares F_Y with q exactly and takes the log-slope u F_Y' / F_Y from
+    `BestMPoly.exact_in_f`: the float Horner sums drift by up to 1e-14
+    near F_Y = 1 at M = 99, a hundred ulps of the root.  Each
     evaluation moves one end of the bracket (lo, hi), first (0, 1), to u; a
     step that leaves it bisects it instead.  The iteration stops when a
     step or the bracket is within about one ulp of u, and raises
@@ -73,22 +73,13 @@ def _bestm_poly_quantile(N: int, M: int, q: float) -> float:
         return q ** (1.0 / N)
     if M == N:
         return q
-    cdf_w = [(M - i) * math.comb(N, i) for i in range(M)]
-    pdf_w = [N * math.comb(N - 1, i) for i in range(M)]
+    poly = BestMPoly.build(N, M)
     q_num, q_den = q.as_integer_ratio()
     lo, hi = 0.0, 1.0
     u = min(q ** (1.0 / N), 1.0 - (1.0 - q) * M / N)
     for _ in range(_QUANTILE_MAX_STEPS):
-        # M d^N F_Y(u) = a^(N-M+1) cdf_sum, M d^N u F_Y'(u) = a^(N-M+1) pdf_sum
-        a, d = u.as_integer_ratio()
-        b = d - a
-        cdf_sum, pdf_sum, b_pow = cdf_w[0], pdf_w[0], 1
-        for wc, wp in zip(cdf_w[1:], pdf_w[1:]):
-            b_pow *= b
-            cdf_sum = cdf_sum * a + wc * b_pow
-            pdf_sum = pdf_sum * a + wp * b_pow
-        num = a ** (N - M + 1) * cdf_sum * q_den   # F_Y(u) / q = num / den
-        den = M * d**N * q_num
+        f_num, f_den, slope = poly.exact_in_f(u)
+        num, den = f_num * q_den, f_den * q_num   # F_Y(u) / q = num / den
         if num == den:
             return u
         if num < den:
@@ -100,7 +91,7 @@ def _bestm_poly_quantile(N: int, M: int, q: float) -> float:
         log_ratio = (math.log1p(diff / den) if 2 * abs(diff) < den
                      else math.log(num) - math.log(den))
         # Newton step in ln u, over the log-slope; capped where exp overflows
-        nxt = u * math.exp(min(700.0, -log_ratio / (pdf_sum / cdf_sum)))
+        nxt = u * math.exp(min(700.0, -log_ratio / slope))
         if abs(nxt - u) <= math.ulp(u):
             return nxt
         if not lo < nxt < hi:

@@ -124,19 +124,6 @@ def _i2_mp(alpha, beta, gamma_max):
     return vals, losses
 
 
-def _i2_loss_floor(p: LinkProfile, ell: int) -> float:
-    """A float lower bound on the digits `_i2_mp` loses at level ell.
-
-    Its upward step to gamma = k + 1 scales the error carried from gamma =
-    k by alpha * beta / k, with alpha * beta_b = (ell + 1) / rho_b, so the
-    weakest interferer's pole loses sum_(k <= ell) max(0, log10(alpha *
-    beta_b / k)) digits.  Without noise alpha = 0 and nothing is lost."""
-    if p.kind != GENERAL:
-        return 0.0
-    x = (ell + 1) / p.rho_int[-1]  # rho_int is sorted descending
-    return math.fsum(max(0.0, math.log10(x / k)) for k in range(1, ell + 1))
-
-
 def _lost_digits(biggest, total) -> float:
     """Decimal digits cancelled between the largest term and the sum."""
     if total == 0:
@@ -224,10 +211,6 @@ class _ClosedFormEngine:
                 f"{CLOSED_FORM_MAX_INTERFERERS} interferers, no two tied and "
                 f"none tied to rho0 within {_MERGED_POLE_TOL:.0e} unless equal "
                 "to it; use the quadrature path")
-        if _i2_loss_floor(self.p, len(d) - 1) > _MAX_DPS - _TERM_DIGITS:
-            raise CancellationError(
-                f"closed form would lose more than {_MAX_DPS} digits to the "
-                "I2 recursion; use the quadrature path")
         need = [_TERM_DIGITS] * len(d)
         while True:
             tab = [self.level(ell, n) for ell, n in enumerate(need)]

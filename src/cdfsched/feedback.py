@@ -8,8 +8,8 @@ binomial-tail CDF (David & Nagaraja, *Order Statistics*, 3rd ed., 2003)
 
 a sum of positive terms, which `BestMPoly` evaluates in floating point by
 Horner sums for the scalar and bulk callers (tail diagnostics, the
-reference scheduler); the best-M quantile in `asymptotics` evaluates it
-exactly, in integers.  Its weights are also the columns of the rate
+reference scheduler), and exactly, over its integer weight numerators, for
+the best-M quantile in `asymptotics`.  Its weights are also the columns of the rate
 integrand's best-M kernel in `exact_rate`, which takes one M or all of
 them from one table of terms.
 The paper's coefficients xi1 (F_Y in powers of u) and xi2 (its tau0-th
@@ -133,20 +133,40 @@ def _over_m(N: int, M: int, numerators) -> tuple[float, ...]:
 class BestMPoly:
     """The best-M CDF F_Y as a function of the user CDF u = F(x), its
     derivative in u, and its survival function in s = 1 - u, each a
-    positive binomial sum (see the module docstring)."""
+    positive binomial sum (see the module docstring).  The weights of F_Y
+    and of its derivative are the integer numerators cdf_n, pdf_n over M,
+    and the floats cdf_w, pdf_w."""
 
     N: int
     M: int
     cdf_w: tuple[float, ...]
     pdf_w: tuple[float, ...]
+    cdf_n: tuple[int, ...]
+    pdf_n: tuple[int, ...]
 
     @classmethod
     def build(cls, N: int, M: int) -> "BestMPoly":
         _check_nm(N, M)
-        return cls(N=N, M=M,
-                   cdf_w=_over_m(N, M, ((M - i) * comb(N, i)
-                                        for i in range(M))),
-                   pdf_w=_over_m(N, M, (N * comb(N - 1, j) for j in range(M))))
+        cdf_n = tuple((M - i) * comb(N, i) for i in range(M))
+        pdf_n = tuple(N * comb(N - 1, j) for j in range(M))
+        return cls(N=N, M=M, cdf_w=_over_m(N, M, cdf_n),
+                   pdf_w=_over_m(N, M, pdf_n), cdf_n=cdf_n, pdf_n=pdf_n)
+
+    def exact_in_f(self, F: float) -> tuple[int, int, float]:
+        """F_Y(F) = num / den exactly for a float F in (0, 1), returned as
+        (num, den, slope) with the log-slope F F_Y'(F) / F_Y(F) rounded
+        once.  With F = a / d both sums are taken over the integers a and
+        d - a, so nothing rounds before the one division."""
+        a, d = F.as_integer_ratio()
+        b = d - a
+        cdf_sum, pdf_sum, b_pow = self.cdf_n[0], self.pdf_n[0], 1
+        for wc, wp in zip(self.cdf_n[1:], self.pdf_n[1:]):
+            b_pow *= b
+            cdf_sum = cdf_sum * a + wc * b_pow
+            pdf_sum = pdf_sum * a + wp * b_pow
+        # M d^N F_Y = a^(N-M+1) cdf_sum and M d^N F F_Y' = a^(N-M+1) pdf_sum
+        return (a ** (self.N - self.M + 1) * cdf_sum, self.M * d**self.N,
+                pdf_sum / cdf_sum)
 
     def eval_in_f(self, F):
         """F_Y = sum_{i<M} (M-i)/M C(N,i) F^(N-i) (1-F)^i for F in [0, 1]."""

@@ -138,6 +138,12 @@ class TestPolyEvaluation:
             F, dF, _ = _exact_layer(N, M, u)
             assert _rel(poly.eval_in_f(u), F) < 1e-13
             assert _rel(poly.derivative_in_f(u), dF) < 1e-13
+            # the exact form: F_Y to the reference's digits, the log-slope
+            # rounded once
+            num, den, slope = poly.exact_in_f(float(u))
+            with mp.workdps(120):
+                assert abs(mp.mpf(num) / den - F) <= F * mp.mpf(10) ** -60
+                assert slope == float(u * dF / F)
             # the survival at the float s, whose 1 - s is exact at 120 digits
             s = 1.0 - u
             with mp.workdps(120):
