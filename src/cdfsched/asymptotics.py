@@ -62,8 +62,8 @@ def _bestm_poly_quantile(N: int, M: int, q: float) -> float:
     both ends (c u^(N-M+1) near 0, 1 - (N/M)(1 - u) near 1), from
     min(q^(1/N), 1 - (1 - q) M/N), an upper bound on the root.  Each step
     compares F_Y with q exactly and takes the log-slope u F_Y' / F_Y from
-    `BestMPoly.exact_in_f`: the float Horner sums drift by up to 1e-14
-    near F_Y = 1 at M = 99, a hundred ulps of the root.  Each
+    `BestMPoly.exact_in_f`: a float F_Y loses the sign of F_Y - q within an
+    ulp of q, which near q = 1 - 2^-53 spans the u next to the root.  Each
     evaluation moves one end of the bracket (lo, hi), first (0, 1), to u; a
     step that leaves it bisects it instead.  The iteration stops when a
     step or the bracket is within about one ulp of u, and raises
@@ -218,46 +218,40 @@ def tail_convergence_diagnostic(p: LinkProfile, N: int,
     Interference-limited profiles have a polynomial tail (frechet family);
     noise-limited and general profiles an exponential one (gumbel family).
     """
-    if not 1 <= M <= N:
-        raise DomainError(f"need 1 <= M <= N, got M={M}, N={N}")
     poly = BestMPoly.build(N, M)
 
-    def hazard_inverse(x: float) -> float:
+    def hazard_inverse(x):
         # (1 - F_Y) / f_Y, with 1 - F_Y taken in s = 1 - F to keep the tail
         s = sinr_sf(p, x)
-        f = float(sinr_pdf(p, x))
-        return float(poly.sf_in_s(s) / (poly.derivative_in_f(1.0 - s) * f))
+        return poly.sf_in_s(s) / (poly.derivative_in_f(1.0 - s)
+                                  * sinr_pdf(p, x))
 
     if p.kind == INTERFERENCE_LIMITED:
         family = FRECHET
         scale = p.rho0 / p.rho_int[0]
         grid = np.geomspace(scale, 1e4 * scale, 33)
-        values = tuple(float(x / hazard_inverse(x)) for x in grid)
+        values = grid / hazard_inverse(grid)
     else:
         family = GUMBEL
         grid = np.geomspace(p.rho0, 300.0 * p.rho0, 33)
-        values = []
-        for x in grid:
-            # Richardson-extrapolated central difference, relative step 1e-4
-            h = 1e-4 * x
-            d_h = (hazard_inverse(x + h) - hazard_inverse(x - h)) / (2 * h)
-            d_h2 = (hazard_inverse(x + h / 2)
-                    - hazard_inverse(x - h / 2)) / h
-            values.append(float((4.0 * d_h2 - d_h) / 3.0))
-        values = tuple(values)
+        # Richardson-extrapolated central difference, relative step 1e-4
+        h = 1e-4 * grid
+        d_h = (hazard_inverse(grid + h) - hazard_inverse(grid - h)) / (2 * h)
+        d_h2 = (hazard_inverse(grid + h / 2)
+                - hazard_inverse(grid - h / 2)) / h
+        values = (4.0 * d_h2 - d_h) / 3.0
 
     # compare the mean distance from the limit (0 for gumbel, the last value
     # for frechet) over the last decade against the one before it
-    arr = np.asarray(values)
-    gap = np.abs(arr - arr[-1]) if family == FRECHET else np.abs(arr)
+    gap = np.abs(values - values[-1]) if family == FRECHET else np.abs(values)
     logs = np.log10(grid)
     last = gap[logs > logs[-1] - 1.0]
     prev = gap[(logs > logs[-1] - 2.0) & (logs <= logs[-1] - 1.0)]
     trend = bool(last.mean() < prev.mean())
     return TailDiagnosticReport(
         family=family,
-        x_grid=tuple(float(x) for x in grid),
-        values=values,
+        x_grid=tuple(grid.tolist()),
+        values=tuple(values.tolist()),
         trend_decreasing=trend,
         limit_estimate=float(values[-1]),
     )

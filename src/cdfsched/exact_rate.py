@@ -4,9 +4,9 @@ Above a small N * K0 a rate is one positive integral: the Binomial(K0, M/N)
 feedback count collapses in closed form, leaving the binomial-tail F_Y of
 `feedback`, which `_collapsed_rates` integrates in floating point over the
 product-form SINR law of `channel`.  Its integrand takes any set of M at
-once, from one table of binomial terms times the `BestMPoly` weights of
-each M: a single rate is its one-column case, and the planner's
-`user_rates_all_m` its all-M case, the N integrals on one shared mesh.
+once from `BestMPoly.columns`, the one float evaluator of F_Y: a single
+rate is its one-column case, and the planner's `user_rates_all_m` its all-M
+case, the N integrals on one shared mesh.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  Each G is an alternating binomial sum
@@ -315,37 +315,6 @@ def _series_budget(p: LinkProfile) -> int:
     return 0
 
 
-@lru_cache(maxsize=256)
-def _bestm_weights(N: int, Ms: tuple[int, ...]) -> np.ndarray:
-    """The (max Ms, 2C) weight matrix of the best-M kernel for the C budgets
-    Ms: column c holds `BestMPoly.build(N, Ms[c]).cdf_w`, column C + c its
-    `pdf_w`, each zero past its own M.  Read-only, as it is shared."""
-    C = len(Ms)
-    weights = np.zeros((max(Ms), 2 * C))
-    for c, M in enumerate(Ms):
-        poly = BestMPoly.build(N, M)
-        weights[:M, c] = poly.cdf_w
-        weights[:M, C + c] = poly.pdf_w
-    weights.setflags(write=False)
-    return weights
-
-
-def _bestm_kernel(N: int, Ms: tuple[int, ...], u):
-    """F_Y and dF_Y/du of best-M at every M in Ms, each (len(u), len(Ms)).
-
-    With s = 1 - u, both are sums of the same nonnegative terms
-    s^i * u^(N-1-i), i < M: F_Y = u * sum_i cdf_w[i] * term_i and
-    dF_Y/du = sum_i pdf_w[i] * term_i (the binomial-tail form of
-    `feedback`), so one table of terms times the stacked weights gives
-    every column, and nothing cancels.
-    """
-    i = np.arange(max(Ms))
-    u = np.asarray(u, dtype=float)[:, None]
-    terms = (1.0 - u) ** i * u ** (N - 1 - i)
-    sums = terms @ _bestm_weights(N, Ms)
-    return u * sums[:, :len(Ms)], sums[:, len(Ms):]
-
-
 @lru_cache(maxsize=8192)
 def _collapsed_rates(p: LinkProfile, K0: int, N: int,
                      Ms: tuple[int, ...]) -> tuple[float, ...]:
@@ -363,7 +332,7 @@ def _collapsed_rates(p: LinkProfile, K0: int, N: int,
 
     def integrand(ys):
         xs = rho0 * ys
-        FY, dFY = _bestm_kernel(N, Ms, sinr_cdf(p, xs))
+        FY, dFY = BestMPoly.columns(N, Ms, sinr_cdf(p, xs))
         mix = (1.0 - prob + prob * FY) ** (K0 - 1)
         weight = rho0 * sinr_pdf(p, xs) * np.log1p(xs) / _LN2
         return dFY * mix * weight[:, None]

@@ -6,12 +6,11 @@ binomial-tail CDF (David & Nagaraja, *Order Statistics*, 3rd ed., 2003)
 
     F_Y(u) = sum_{i<M} (M-i)/M * C(N, i) * u^(N-i) * (1-u)^i,
 
-a sum of positive terms, which `BestMPoly` evaluates in floating point by
-Horner sums for the scalar and bulk callers (tail diagnostics, the
-reference scheduler), and exactly, over its integer weight numerators, for
-the best-M quantile in `asymptotics`.  Its weights are also the columns of the rate
-integrand's best-M kernel in `exact_rate`, which takes one M or all of
-them from one table of terms.
+a sum of positive terms.  `BestMPoly.columns` is its one float evaluator,
+one table of terms times the cached weights of any set of M: the rate
+integrand in `exact_rate` takes all its columns, and the tail diagnostics
+and reference scheduler one.  `BestMPoly` also evaluates F_Y exactly, over
+its integer weight numerators, for the best-M quantile in `asymptotics`.
 The paper's coefficients xi1 (F_Y in powers of u) and xi2 (its tau0-th
 power) alternate in sign and cancel in floating point, so they are kept as
 exact rationals: the input of the xi2-series rate path and the tests'
@@ -60,17 +59,18 @@ def xi1_vector(N: int, M: int) -> tuple[Fraction, ...]:
 @lru_cache(maxsize=512)
 def xi2_vector(N: int, M: int, tau0: int) -> tuple[Fraction, ...]:
     """All xi2(N, M, tau0, m) for m = 0 .. tau0*(M-1), via the power-of-
-    polynomial recursion; falls back to direct convolution if the leading
-    xi1 coefficient vanishes."""
+    polynomial recursion.  M = 1 and M = N have closed forms, F_Y = F^N and
+    F_Y = F; below M = N the leading coefficient xi1_0 = (-1)^(M-1)
+    C(N-2, M-1) / M that the recursion divides by is nonzero."""
     _check_nm(N, M)
     if tau0 < 1:
         raise DomainError(f"tau0 must be >= 1, got {tau0}")
+    top = tau0 * (M - 1)
     if M == 1:
         return (Fraction(1),)
+    if M == N:
+        return (Fraction(0),) * top + (Fraction(1),)
     c = xi1_vector(N, M)
-    top = tau0 * (M - 1)
-    if c[0] == 0:
-        return xi2_convolution(N, M, tau0)
     out = [Fraction(0)] * (top + 1)
     out[0] = c[0] ** tau0
     for m in range(1, top):
@@ -107,17 +107,18 @@ def xi2(N: int, M: int, tau0: int, m: int) -> float:
     return float(vec[m])
 
 
-def _homogeneous_horner(w, u, s):
-    """sum_i w[i] * u^(n-1-i) * s^i for n = len(w): Horner in u, carrying the
-    powers of s along.  With u, s >= 0 and w > 0 every step adds a
-    nonnegative term, so nothing cancels."""
-    acc = np.full_like(u, w[0])
-    s_pow = np.ones_like(u)
-    for c in w[1:]:
-        s_pow *= s
-        acc *= u
-        acc += c * s_pow
-    return acc
+#: table entries per block of rows, which bounds a bulk call's memory
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _term_sums(N: int, u, s, weights):
+    """The table s^i u^(N-1-i), i < len(weights), of the 1-D u and s times
+    the weights, a block of rows at a time."""
+    i = np.arange(len(weights))
+    rows = max(1, _BLOCK_ENTRIES // len(i))
+    sums = [(s[a:a + rows, None] ** i * u[a:a + rows, None] ** (N - 1 - i))
+            @ weights for a in range(0, max(len(u), 1), rows)]
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
 def _over_m(N: int, M: int, numerators) -> tuple[float, ...]:
@@ -127,6 +128,27 @@ def _over_m(N: int, M: int, numerators) -> tuple[float, ...]:
     except OverflowError:
         raise DomainError(
             f"best-M weights overflow a float at N={N}, M={M}") from None
+
+
+@lru_cache(maxsize=256)
+def _column_weights(N: int, Ms: tuple[int, ...]) -> np.ndarray:
+    """Read-only (max Ms, 2C): column c holds the cdf_w of Ms[c], column
+    C + c its pdf_w, each zero past its own M."""
+    weights = np.zeros((max(Ms), 2 * len(Ms)))
+    for c, M in enumerate(Ms):
+        poly = BestMPoly.build(N, M)
+        weights[:M, c], weights[:M, len(Ms) + c] = poly.cdf_w, poly.pdf_w
+    weights.setflags(write=False)
+    return weights
+
+
+@lru_cache(maxsize=256)
+def _survival_weights(N: int, M: int) -> np.ndarray:
+    """Read-only (N, 1) weights min(i,M)/M C(N,i), i = 1..N, of 1 - F_Y."""
+    w = np.array(_over_m(N, M, (min(i, M) * comb(N, i)
+                                for i in range(1, N + 1))))[:, None]
+    w.setflags(write=False)
+    return w
 
 
 @dataclass(frozen=True)
@@ -168,26 +190,31 @@ class BestMPoly:
         return (a ** (self.N - self.M + 1) * cdf_sum, self.M * d**self.N,
                 pdf_sum / cdf_sum)
 
+    @staticmethod
+    def columns(N: int, Ms: tuple[int, ...], F):
+        """F_Y and dF_Y/du at every M in Ms, each (len(F), len(Ms)): u times
+        the table of the nonnegative terms s^i u^(N-1-i), s = 1 - u, by the
+        cdf_w columns, and the same table by the pdf_w columns."""
+        u = np.asarray(F, dtype=float).reshape(-1)
+        sums = _term_sums(N, u, 1.0 - u, _column_weights(N, Ms))
+        return u[:, None] * sums[:, :len(Ms)], sums[:, len(Ms):]
+
     def eval_in_f(self, F):
         """F_Y = sum_{i<M} (M-i)/M C(N,i) F^(N-i) (1-F)^i for F in [0, 1]."""
-        u = np.asarray(F, dtype=float)
-        return (_homogeneous_horner(self.cdf_w, u, 1.0 - u)
-                * u ** (self.N - self.M + 1))
+        return self.columns(self.N, (self.M,), F)[0].reshape(np.shape(F))[()]
 
     def derivative_in_f(self, F):
         """dF_Y/dF = N/M sum_{j<M} C(N-1,j) F^(N-1-j) (1-F)^j, the
         chain-rule factor for the density."""
-        u = np.asarray(F, dtype=float)
-        return (_homogeneous_horner(self.pdf_w, u, 1.0 - u)
-                * u ** (self.N - self.M))
+        return self.columns(self.N, (self.M,), F)[1].reshape(np.shape(F))[()]
 
     def sf_in_s(self, s):
         """1 - F_Y = sum_{i=1..N} min(i,M)/M C(N,i) (1-s)^(N-i) s^i, in the
         base survival s = 1 - F, which keeps its digits deep in the tail."""
-        s = np.asarray(s, dtype=float)
-        N, M = self.N, self.M
-        w = _over_m(N, M, (min(i, M) * comb(N, i) for i in range(1, N + 1)))
-        return _homogeneous_horner(w, 1.0 - s, s) * s
+        flat = np.asarray(s, dtype=float).reshape(-1)
+        sums = _term_sums(self.N, 1.0 - flat, flat,
+                          _survival_weights(self.N, self.M))
+        return (flat * sums[:, 0]).reshape(np.shape(s))[()]
 
 
 def bestm_cdf(p: LinkProfile, N: int, M: int, x) -> float:

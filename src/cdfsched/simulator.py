@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Scenario, build_link_profile, sinr_cdf
+from .channel import (
+    INTERFERENCE_LIMITED,
+    Scenario,
+    build_link_profile,
+    sinr_cdf,
+)
 from .errors import DomainError
 from .feedback import BestMPoly
 
@@ -179,7 +184,7 @@ def _run_drop(profiles, N: int, config: SimConfig, rng: np.random.Generator):
             cqi = np.empty((n, K0, N))
             for k, p in enumerate(profiles):
                 sig = p.rho0 * rng.exponential(size=(n, N))
-                if p.kind == "interference_limited":
+                if p.kind == INTERFERENCE_LIMITED:
                     denom = np.zeros((n, N))  # noise neglected by definition
                 else:
                     denom = np.ones((n, N))

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdfsched import feedback
+from cdfsched.asymptotics import _bestm_poly_quantile
 from cdfsched.channel import LinkProfile, sinr_cdf
 from cdfsched.errors import DomainError
-from cdfsched.exact_rate import _bestm_kernel
 from cdfsched.feedback import (
     BestMPoly,
     bestm_cdf,
@@ -80,6 +81,14 @@ class TestXi2:
 
     def test_coefficients_sum_to_one(self):
         assert sum(xi2_vector(16, 4, 3)) == 1
+
+    @pytest.mark.parametrize("N,tau0", [(2, 1), (16, 3), (40, 2)])
+    def test_full_feedback_is_one_power(self, N, tau0):
+        # F_Y = F at M = N, so F_Y^tau0 = F^(N tau0 - m) at m = tau0 (N-1)
+        vec = xi2_vector(N, N, tau0)
+        assert vec == xi2_convolution(N, N, tau0)
+        assert len(vec) == tau0 * (N - 1) + 1
+        assert vec[-1] == 1 and not any(vec[:-1])
 
     def test_scalar_accessor(self):
         assert xi2(16, 2, 2, 0) == 49.0
@@ -157,6 +166,30 @@ class TestPolyEvaluation:
         assert poly.sf_in_s(0.0) == 0.0
         assert poly.sf_in_s(1.0) == pytest.approx(1.0, rel=1e-15)
 
+    def test_keeps_its_digits_next_to_one(self):
+        # F_Y keeps a few ulp next to 1 at large M: within 3 ulp of the
+        # root of F_Y = 1 - 1e-10 at (N, M) = (100, 99)
+        N, M = 100, 99
+        poly = BestMPoly.build(N, M)
+        root = _bestm_poly_quantile(N, M, 1.0 - 1e-10)
+        for k in range(-3, 4):
+            u = root
+            for _ in range(abs(k)):
+                u = np.nextafter(u, 1.0 if k > 0 else 0.0)
+            with mp.workdps(60):
+                v = mp.mpf(float(u))
+                ref = mp.fsum(mp.mpf(M - i) / M * mp.binomial(N, i)
+                              * v ** (N - i) * (1 - v) ** i for i in range(M))
+            assert _rel(poly.eval_in_f(u), ref) < 1e-15
+
+    def test_scalar_in_scalar_out(self):
+        poly = BestMPoly.build(16, 4)
+        for got in (poly.eval_in_f(0.5), poly.derivative_in_f(0.5),
+                    poly.sf_in_s(0.5)):
+            assert isinstance(got, np.float64)
+        grid = np.full((2, 3), 0.5)
+        assert poly.eval_in_f(grid).shape == poly.sf_in_s(grid).shape == (2, 3)
+
     def test_bestm_poly_monotone(self):
         poly = BestMPoly.build(16, 5)
         u = np.linspace(0, 1, 200)
@@ -191,12 +224,13 @@ ALL_M = {N: tuple(range(1, N + 1)) for N in (16, 25, 50, 100)}
 
 
 class TestBestMColumns:
-    """Every best-M layer at once, from the rate integrand's kernel: one
-    table of binomial terms times the stacked BestMPoly weights."""
+    """Every best-M layer at once, from the one float evaluator the rate
+    integrand and the scalar callers share: one table of binomial terms
+    times the stacked BestMPoly weights."""
 
     @pytest.mark.parametrize("N", [16, 25, 50, 100])
     def test_matches_exact_rationals(self, N):
-        cdf, pdf = _bestm_kernel(N, ALL_M[N], U_GRID)
+        cdf, pdf = BestMPoly.columns(N, ALL_M[N], U_GRID)
         assert cdf.shape == pdf.shape == (len(U_GRID), N)
         for k in range(0, len(U_GRID), 2):  # keeps both ends of the grid
             for M, (F, dF) in enumerate(_exact_columns(N, U_GRID[k]), start=1):
@@ -205,7 +239,7 @@ class TestBestMColumns:
 
     @pytest.mark.parametrize("N", [16, 25, 50, 100])
     def test_columns_match_bestm_poly(self, N):
-        cdf, pdf = _bestm_kernel(N, ALL_M[N], U_GRID)
+        cdf, pdf = BestMPoly.columns(N, ALL_M[N], U_GRID)
         for M in range(1, N + 1):
             poly = BestMPoly.build(N, M)
             np.testing.assert_allclose(cdf[:, M - 1], poly.eval_in_f(U_GRID),
@@ -216,24 +250,34 @@ class TestBestMColumns:
 
     def test_any_budgets_match_their_all_m_columns(self):
         # a rate at one M takes a one-column kernel, zero-padded to its own M
-        cdf, pdf = _bestm_kernel(50, ALL_M[50], U_GRID)
+        cdf, pdf = BestMPoly.columns(50, ALL_M[50], U_GRID)
         for Ms in [(1,), (4,), (50,), (7, 3, 50)]:
-            got_cdf, got_pdf = _bestm_kernel(50, Ms, U_GRID)
+            got_cdf, got_pdf = BestMPoly.columns(50, Ms, U_GRID)
             cols = [M - 1 for M in Ms]
             np.testing.assert_allclose(got_cdf, cdf[:, cols], rtol=1e-14,
                                        atol=0)
             np.testing.assert_allclose(got_pdf, pdf[:, cols], rtol=1e-14,
                                        atol=0)
 
+    def test_rows_past_one_block_match_single_rows(self, monkeypatch):
+        # eight rows a block at N = 16: the grid's 49 rows take seven
+        # blocks, the last of one row
+        monkeypatch.setattr(feedback, "_BLOCK_ENTRIES", 8 * 16 + 3)
+        cdf, pdf = BestMPoly.columns(16, ALL_M[16], U_GRID)
+        for k, u in enumerate(U_GRID):
+            row_cdf, row_pdf = BestMPoly.columns(16, ALL_M[16], u)
+            np.testing.assert_allclose(cdf[k], row_cdf[0], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(pdf[k], row_pdf[0], rtol=1e-14, atol=0)
+
     def test_endpoints(self):
-        cdf, pdf = _bestm_kernel(16, ALL_M[16], np.array([0.0, 1.0]))
+        cdf, pdf = BestMPoly.columns(16, ALL_M[16], np.array([0.0, 1.0]))
         assert np.all(cdf[0] == 0.0) and np.all(cdf[1] == 1.0)
         # at u = 1 only the j = 0 term survives: dF_Y/du = N/M
         np.testing.assert_allclose(pdf[1], 16 / np.arange(1, 17), rtol=1e-15)
 
     def test_overflowing_weights_raise_domain_error(self):
         with pytest.raises(DomainError, match="N=1100"):
-            _bestm_kernel(1100, (1, 550), np.array([0.5]))
+            BestMPoly.columns(1100, (1, 550), np.array([0.5]))
 
 
 class TestBestMCdf:
