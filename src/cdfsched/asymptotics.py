@@ -4,7 +4,8 @@ With K users each feeding back best-M of N blocks, roughly K*M/N CQI values
 compete per block, so the scheduled rate behaves like the maximum of K*M/N
 draws from the per-user rate distribution.  The location/scale constants of
 that limit give a two-moment rate approximation that is far cheaper than the
-exact expansion and tightens quickly in K.
+exact expansion and tightens quickly in K.  One `normalizing_constants` call
+gives them for every user and budget of a cell.
 """
 
 from __future__ import annotations
@@ -104,24 +105,41 @@ def _bestm_poly_quantile(N: int, M: int, q: float) -> float:
         f"(N={N}, M={M}, q={q!r}); bracket [{lo!r}, {hi!r}]")
 
 
-def normalizing_constants(p: LinkProfile, K: float, N: int,
-                          M: int) -> NormalizingConstants:
+def normalizing_constants(p, K: float, N: int, M) -> NormalizingConstants:
     """Location/scale constants for the maximum of the K*M/N effective
-    competitors per resource block.  K may be non-integer."""
-    if not 1 <= M <= N:
-        raise DomainError(f"need 1 <= M <= N, got M={M}, N={N}")
-    q1 = 1.0 - N / (K * M)
-    if q1 <= 0.0:
-        raise PreconditionError(
-            f"quantile argument 1 - N/(K*M) = {q1:.4g} is not in (0, 1); "
-            "need K*M/N > 1 for the extreme-value regime"
-        )
-    q2 = 1.0 - N / (K * M * math.e)
-    x1 = bestm_cdf_inv(p, N, M, q1)
-    x2 = bestm_cdf_inv(p, N, M, q2)
-    a = math.log2(1.0 + x1)
-    b = math.log2((1.0 + x2) / (1.0 + x1))
-    return NormalizingConstants(a=a, b=b)
+    competitors per resource block.  K may be non-integer.
+
+    p may be a sequence of profiles and M of budgets, for arrays with an
+    axis for each, NaN where K*M/N <= 1 (one M raises there).  Users share
+    each M's two best-M levels, so all take one `sinr_cdf_inv` call.
+    """
+    Ms = tuple(M) if np.ndim(M) else (M,)
+    levels, fed = [], []
+    for j, m in enumerate(Ms):
+        if not 1 <= m <= N:
+            raise DomainError(f"need 1 <= M <= N, got M={m}, N={N}")
+        q1 = 1.0 - N / (K * m)
+        if q1 > 0.0:
+            q2 = 1.0 - N / (K * m * math.e)
+            levels += [_bestm_poly_quantile(N, m, q) for q in (q1, q2)]
+            fed.append(j)
+        elif not np.ndim(M):
+            raise PreconditionError(
+                f"quantile argument 1 - N/(K*M) = {q1:.4g} is not in (0, 1); "
+                "need K*M/N > 1 for the extreme-value regime"
+            )
+    x = sinr_cdf_inv(p, np.array(levels))
+    a, b = np.full((2,) + x.shape[:-1] + (len(Ms),), np.nan)
+    a[..., fed] = _log2(1.0 + x[..., 0::2])
+    b[..., fed] = _log2((1.0 + x[..., 1::2]) / (1.0 + x[..., 0::2]))
+    if not np.ndim(M):
+        a, b = a[..., 0], b[..., 0]
+    return NormalizingConstants(*(v if v.ndim else float(v) for v in (a, b)))
+
+
+#: math.log2 elementwise, as the constants always took it; numpy's log2
+#: differs from it in the last bit on some arguments
+_log2 = np.frompyfunc(math.log2, 1, 1)
 
 
 def normalizing_constants_closed(kind: str, rho_params, K: float, N: int,
@@ -179,12 +197,20 @@ def user_rate_asymptotic(p: LinkProfile, K0: int, N: int, M: int) -> float:
     return outage_factor * (nc.a + EULER_GAMMA * nc.b) / K0
 
 
-def sum_rate_asymptotic(profiles, N: int, M: int) -> float:
-    """Extreme-value approximation of the cell sum rate."""
+def sum_rate_asymptotic(profiles, N: int, M):
+    """Extreme-value approximation of the cell sum rate; a sequence of Ms
+    gives an array, NaN where K0*M/N <= 1 (one M raises there).  Users are
+    added in profile order, one float at a time."""
     profiles = list(profiles)
     if not profiles:
         raise DomainError("need at least one profile")
-    return sum(user_rate_asymptotic(p, len(profiles), N, M) for p in profiles)
+    K0 = len(profiles)
+    nc = normalizing_constants(profiles, K0, N, M)
+    outage = [1.0 - (1.0 - m / N) ** K0 for m in np.atleast_1d(M).tolist()]
+    rates = np.array(outage) * (nc.a.reshape(K0, -1)
+                                + EULER_GAMMA * nc.b.reshape(K0, -1)) / K0
+    sums = [sum(column) for column in rates.T.tolist()]
+    return np.array(sums) if np.ndim(M) else sums[0]
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +227,8 @@ class TailDiagnosticReport:
 
     For the gumbel family the functional is d/dx[(1-F_Y)/f_Y], which should
     tend to 0; for the frechet family it is x*f_Y/(1-F_Y), which should tend
-    to a positive constant.
+    to a positive constant.  at_limit: every value is there to rounding, as
+    for noise-limited full feedback; no trend is then claimed.
     """
 
     family: str
@@ -209,6 +236,7 @@ class TailDiagnosticReport:
     values: tuple[float, ...]
     trend_decreasing: bool
     limit_estimate: float
+    at_limit: bool
 
 
 def tail_convergence_diagnostic(p: LinkProfile, N: int,
@@ -217,41 +245,42 @@ def tail_convergence_diagnostic(p: LinkProfile, N: int,
 
     Interference-limited profiles have a polynomial tail (frechet family);
     noise-limited and general profiles an exponential one (gumbel family).
+    With F_Y = P(F), the gumbel functional is -1 - (1-F_Y) f_Y' / f_Y^2,
+    f_Y' = P''(F) f^2 + P'(F) f', where P'' is one binomial term and the
+    product-form density has f' = S (hazard' - hazard^2).
     """
     poly = BestMPoly.build(N, M)
-
-    def hazard_inverse(x):
-        # (1 - F_Y) / f_Y, with 1 - F_Y taken in s = 1 - F to keep the tail
-        s = sinr_sf(p, x)
-        return poly.sf_in_s(s) / (poly.derivative_in_f(1.0 - s)
-                                  * sinr_pdf(p, x))
-
     if p.kind == INTERFERENCE_LIMITED:
         family = FRECHET
         scale = p.rho0 / p.rho_int[0]
         grid = np.geomspace(scale, 1e4 * scale, 33)
-        values = grid / hazard_inverse(grid)
     else:
         family = GUMBEL
         grid = np.geomspace(p.rho0, 300.0 * p.rho0, 33)
-        # Richardson-extrapolated central difference, relative step 1e-4
-        h = 1e-4 * grid
-        d_h = (hazard_inverse(grid + h) - hazard_inverse(grid - h)) / (2 * h)
-        d_h2 = (hazard_inverse(grid + h / 2)
-                - hazard_inverse(grid - h / 2)) / h
-        values = (4.0 * d_h2 - d_h) / 3.0
+    s = sinr_sf(p, grid)
+    sf_y, d1 = poly.sf_in_s(s), poly.derivative_in_f(1.0 - s)
+    if family == FRECHET:
+        values = grid * d1 * sinr_pdf(p, grid) / sf_y
+    else:
+        terms = [rho_b / (p.rho0 + rho_b * grid) for rho_b in p.rho_int]
+        hazard = 1.0 / p.rho0 + sum(terms)
+        f, df = s * hazard, s * (-sum(t * t for t in terms) - hazard**2)
+        d2 = (N / M) * (N - 1) * (math.comb(N - 2, M - 1) if N > 1 else 0) \
+            * s ** (M - 1) * (1.0 - s) ** (N - 1 - M)
+        values = -1.0 - sf_y * (d2 * f * f + d1 * df) / (d1 * f) ** 2
 
     # compare the mean distance from the limit (0 for gumbel, the last value
     # for frechet) over the last decade against the one before it
     gap = np.abs(values - values[-1]) if family == FRECHET else np.abs(values)
+    at_limit = bool(np.all(gap <= 64 * np.finfo(float).eps))  # dimensionless
     logs = np.log10(grid)
     last = gap[logs > logs[-1] - 1.0]
     prev = gap[(logs > logs[-1] - 2.0) & (logs <= logs[-1] - 1.0)]
-    trend = bool(last.mean() < prev.mean())
     return TailDiagnosticReport(
         family=family,
         x_grid=tuple(grid.tolist()),
         values=tuple(values.tolist()),
-        trend_decreasing=trend,
+        trend_decreasing=not at_limit and bool(last.mean() < prev.mean()),
         limit_estimate=float(values[-1]),
+        at_limit=at_limit,
     )

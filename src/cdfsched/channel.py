@@ -12,7 +12,8 @@ factor per interferer (Andrews, Baccelli & Ganti, IEEE Trans. Commun.
 without the noise term in the interference-limited kind.  The product has
 no poles where interferer scales tie, so every profile is evaluated from
 it; its partial-fraction expansion lives only in the closed-form engine of
-`exact_rate`, the tests' independent oracle.
+`exact_rate`, the tests' independent oracle.  `sinr_cdf_inv` solves a
+whole cell's quantiles, every profile at every level, in one call.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -229,7 +232,7 @@ def _hazard(p: LinkProfile, x):
 
 
 def _as_output(out):
-    return out if np.ndim(out) else float(out)
+    return out if getattr(out, "ndim", 0) else float(out)
 
 
 def sinr_cdf(p: LinkProfile, x):
@@ -251,8 +254,38 @@ def sinr_sf(p: LinkProfile, x):
     return _as_output(np.exp(_log_sf(p, np.maximum(x, 0.0))))
 
 
-def sinr_cdf_inv(p: LinkProfile, q: float) -> float:
-    """Quantile of the SINR distribution; closed form in the simplified kinds.
+def _quantile(rows, J, q, target):
+    """Quantiles of one kind at the levels q, target = log(1 - q), of one
+    LinkProfile or of profiles stacked as columns, with J interferers; the
+    Newton runs on every point at once and freezes each after its step."""
+    if rows.kind == NOISE_LIMITED:
+        return -rows.rho0 * target
+    if rows.kind == INTERFERENCE_LIMITED:
+        return rows.rho0 / rows.rho_int[0] * q / (1.0 - q)
+    tol = 1e-15 * (J + 1) * abs(target) + sys.float_info.min
+    array = isinstance(target, np.ndarray)  # else floats, for speed
+    x, active = (np.zeros_like(target) if array else 0.0), True
+    for _ in range(100):
+        gap = _log_sf(rows, x) - target
+        gap = gap if array else float(gap)
+        step = gap / _hazard(rows, x)
+        x = np.where(active, x + step, x) if array else x + step
+        active = active & (gap > tol)
+        if not (active.any() if array else active):
+            return x
+    raise ConvergenceError(
+        "SINR quantile not reached in 100 Newton steps at "
+        f"{np.count_nonzero(active)} point(s)",
+        achieved_error=float(np.max(np.abs(np.where(active, gap, 0.0)))))
+
+
+def sinr_cdf_inv(p, q):
+    """Quantile of the SINR distribution at the level q, a float or an
+    array; closed form in the simplified kinds.
+
+    p is one LinkProfile, or a sequence of K of them, against whose (K, 1)
+    column q broadcasts.  The general profiles share one Newton over their
+    scales as (K, 1) columns, padded with zeros, which add exactly 0.
 
     In the general kind, Newton on log S(x) = log(1 - q) from x = 0: log S
     is convex and decreasing, so the iterates climb to the root without
@@ -261,22 +294,33 @@ def sinr_cdf_inv(p: LinkProfile, q: float) -> float:
     term and their sum 2 more, so the computed log S is off by up to about
     u * (5J + 2) * |log S|, u = 1.1e-16, even near x = 0; below the
     smallest normal float, by a few subnormal spacings.  A gap below that
-    is rounding, so the step that crosses it is the last.
+    is rounding, so the step that crosses it is each point's last.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"quantile argument must be in (0, 1), got {q}")
-    if p.kind == NOISE_LIMITED:
-        return -p.rho0 * math.log1p(-q)
-    if p.kind == INTERFERENCE_LIMITED:
-        return p.rho0 / p.rho_int[0] * q / (1.0 - q)
-    target = math.log1p(-q)
-    tol = 1e-15 * (p.num_interferers + 1) * abs(target) \
-        + sys.float_info.min
-    x = 0.0
-    for _ in range(100):
-        gap = float(_log_sf(p, x)) - target
-        x += gap / float(_hazard(p, x))
-        if gap <= tol:
-            return x
-    raise ConvergenceError(f"SINR quantile at q={q} not reached in 100 "
-                           "Newton steps")
+    if isinstance(q, float) and 0.0 < q < 1.0:
+        target = math.log1p(-q)
+    else:
+        q = np.asarray(q, dtype=float)
+        bad = q[~((q > 0.0) & (q < 1.0))]
+        if bad.size:
+            raise DomainError("quantile argument must be in (0, 1), got "
+                              f"{float(bad[0])}")
+        # math.log1p, as for a float q: numpy's differs in the last bit
+        target = np.array([math.log1p(-v) for v in q.ravel().tolist()]
+                          ).reshape(q.shape)
+    if isinstance(p, LinkProfile):
+        return _as_output(_quantile(p, p.num_interferers, q, target))
+    profiles = list(p)
+    shape = np.broadcast_shapes((len(profiles), 1), np.shape(q))
+    q, target = np.broadcast_to(q, shape), np.broadcast_to(target, shape)
+    out = np.empty(shape)
+    for kind in (NOISE_LIMITED, INTERFERENCE_LIMITED, GENERAL):
+        idx = [k for k, pk in enumerate(profiles) if pk.kind == kind]
+        if idx:
+            group = [profiles[k] for k in idx]
+            scales = zip_longest(*(pk.rho_int for pk in group), fillvalue=0.0)
+            rows = SimpleNamespace(  # the fields _log_sf and _hazard read
+                rho0=np.array([[pk.rho0] for pk in group]), kind=kind,
+                rho_int=tuple(np.array(col)[:, None] for col in scales))
+            J = np.array([[pk.num_interferers] for pk in group])
+            out[idx] = _quantile(rows, J, q[idx], target[idx])
+    return out

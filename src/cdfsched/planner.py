@@ -6,9 +6,10 @@ rate.  The exact and the extreme-value-approximate rate evaluators give two
 solvers; each scans M linearly and verifies (rather than assumes) that the
 rate ratio is nondecreasing in M, logging any violation.  The exact scan
 reads every M from one all-M rate surface per user
-(`exact_rate.user_rates_all_m`); the reported ratio at the chosen M comes
-from `sum_rate_exact`, the evaluator behind `rate-exact`, which also checks
-the surface's pick.
+(`exact_rate.user_rates_all_m`), the asymptotic scan from one
+`sum_rate_asymptotic` call over M = 1..N; the reported ratio at the chosen
+M comes from `sum_rate_exact`, the evaluator behind `rate-exact`, which
+also checks the surface's pick.
 """
 
 from __future__ import annotations
@@ -87,16 +88,14 @@ def min_feedback_asymptotic(profiles, N: int, eta: float) -> int:
     """
     _check_eta(eta)
     profiles = list(profiles)
-    sums = []
-    for M in range(1, N + 1):
-        try:
-            sums.append(sum_rate_asymptotic(profiles, N, M))
+    sums = sum_rate_asymptotic(profiles, N, range(1, N + 1))
+    if np.isnan(sums[-1]):
+        try:  # the scalar call raises the regime's own error at M = N
+            sum_rate_asymptotic(profiles, N, N)
         except PreconditionError as exc:
-            if M == N:
-                raise PreconditionError(
-                    "full-feedback asymptotic rate unavailable: " + str(exc)
-                ) from exc
-            sums.append(np.nan)
+            raise PreconditionError(
+                "full-feedback asymptotic rate unavailable: " + str(exc)
+            ) from exc
     answer = _first_meeting(sums, eta, "asymptotic sum-rate ratio")
     if answer is None:
         raise PreconditionError(
