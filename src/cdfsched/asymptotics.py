@@ -105,15 +105,22 @@ def _bestm_poly_quantile(N: int, M: int, q: float) -> float:
         f"(N={N}, M={M}, q={q!r}); bracket [{lo!r}, {hi!r}]")
 
 
+#: math.log2 elementwise, as the constants always took it; numpy's log2
+#: differs from it in the last bit on some arguments
+_log2 = np.frompyfunc(math.log2, 1, 1)
+
+
 def normalizing_constants(p, K: float, N: int, M) -> NormalizingConstants:
     """Location/scale constants for the maximum of the K*M/N effective
     competitors per resource block.  K may be non-integer.
 
     p may be a sequence of profiles and M of budgets, for arrays with an
     axis for each, NaN where K*M/N <= 1 (one M raises there).  Users share
-    each M's two best-M levels, so all take one `sinr_cdf_inv` call.
+    each M's two best-M levels, so a sequence of profiles takes one
+    `sinr_cdf_inv` call.
     """
-    Ms = tuple(M) if np.ndim(M) else (M,)
+    one_m = np.ndim(M) == 0
+    Ms = (M,) if one_m else tuple(M)
     levels, fed = [], []
     for j, m in enumerate(Ms):
         if not 1 <= m <= N:
@@ -123,23 +130,21 @@ def normalizing_constants(p, K: float, N: int, M) -> NormalizingConstants:
             q2 = 1.0 - N / (K * m * math.e)
             levels += [_bestm_poly_quantile(N, m, q) for q in (q1, q2)]
             fed.append(j)
-        elif not np.ndim(M):
+        elif one_m:
             raise PreconditionError(
                 f"quantile argument 1 - N/(K*M) = {q1:.4g} is not in (0, 1); "
                 "need K*M/N > 1 for the extreme-value regime"
             )
-    x = sinr_cdf_inv(p, np.array(levels))
+    if isinstance(p, LinkProfile):  # a few float calls beat numpy's overhead
+        x = np.array([sinr_cdf_inv(p, u) for u in levels])
+    else:
+        x = sinr_cdf_inv(p, np.array(levels))
     a, b = np.full((2,) + x.shape[:-1] + (len(Ms),), np.nan)
     a[..., fed] = _log2(1.0 + x[..., 0::2])
     b[..., fed] = _log2((1.0 + x[..., 1::2]) / (1.0 + x[..., 0::2]))
-    if not np.ndim(M):
+    if one_m:
         a, b = a[..., 0], b[..., 0]
     return NormalizingConstants(*(v if v.ndim else float(v) for v in (a, b)))
-
-
-#: math.log2 elementwise, as the constants always took it; numpy's log2
-#: differs from it in the last bit on some arguments
-_log2 = np.frompyfunc(math.log2, 1, 1)
 
 
 def normalizing_constants_closed(kind: str, rho_params, K: float, N: int,

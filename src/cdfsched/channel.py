@@ -270,7 +270,7 @@ def _quantile(rows, J, q, target):
         gap = gap if array else float(gap)
         step = gap / _hazard(rows, x)
         x = np.where(active, x + step, x) if array else x + step
-        active = active & (gap > tol)
+        active = active & ~(gap <= tol) if array else not gap <= tol
         if not (active.any() if array else active):
             return x
     raise ConvergenceError(
