@@ -7,6 +7,7 @@ closed forms, and hand-derivable special points of the quantile map.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from cdfsched import asymptotics
@@ -24,6 +25,8 @@ from cdfsched.asymptotics import (
 from cdfsched.channel import LinkProfile, sinr_cdf_inv
 from cdfsched.errors import ConvergenceError, DomainError, PreconditionError
 from cdfsched.feedback import bestm_cdf, xi1_vector
+from mp_reference import pdf_mp, sf_mp
+from test_acceptance import N_RB, het_profiles
 
 NL = LinkProfile.noise_limited(2.0)
 IL = LinkProfile.interference_limited(4.0, 1.0)
@@ -158,6 +161,78 @@ class TestAsymptoticRates:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             sum_rate_asymptotic([], 16, 4)
+        with pytest.raises(DomainError):
+            sum_rate_asymptotic([], 16, range(1, 17))
+
+
+# criterion 05's cells (K copies of one simplified profile) and criterion
+# 09's heterogeneous cells
+C05_C09_CELLS = [
+    *[[p] * K for p in (LinkProfile.noise_limited(10.0),
+                        LinkProfile.interference_limited(10.0, 1.0))
+      for K in (20, 30, 40, 50)],
+    *[het_profiles(K0) for K0 in (1, 5, 10, 20, 30, 40, 50)],
+]
+
+
+class TestAllBudgets:
+    """Every user and budget of a cell from one call."""
+
+    @pytest.mark.parametrize("cell", C05_C09_CELLS,
+                             ids=lambda c: f"K{len(c)}-{c[0].kind}")
+    def test_sums_match_one_budget_at_a_time(self, cell):
+        # NaN exactly where the one-budget call raises, and otherwise the
+        # same float: the users' rates added in profile order
+        sums = sum_rate_asymptotic(cell, N_RB, range(1, N_RB + 1))
+        assert sums.shape == (N_RB,)
+        for M, got in enumerate(sums.tolist(), start=1):
+            try:
+                one = sum_rate_asymptotic(cell, N_RB, M)
+            except PreconditionError:
+                assert math.isnan(got)
+                continue
+            assert got == one == sum(user_rate_asymptotic(p, len(cell), N_RB,
+                                                          M) for p in cell)
+
+    def test_constants_table_is_the_scalar_definition(self):
+        # a = log2(1 + x1), b = log2((1 + x2)/(1 + x1)) with math.log2 and
+        # the best-M quantiles x1, x2 at 1 - N/(KM) and 1 - N/(KMe), NaN
+        # where K*M/N <= 1, float for float; at K = 20 numpy's log2 misses math.log2's last bit for one of a, b
+        # of each of these profiles (at M = 4, 4, 6)
+        edges = [LinkProfile.general(25.5, (1.9,)),
+                 LinkProfile.general(0.9, (0.66,)),
+                 LinkProfile.general(0.2, (0.16,))]
+        Ms = range(1, N_RB + 1)
+        for cell, K in ((het_profiles(5), 5), (het_profiles(50), 50),
+                        (edges, 20)):
+            table = normalizing_constants(cell, K, N_RB, Ms)
+            assert table.a.shape == table.b.shape == (len(cell), len(Ms))
+            for k, p in enumerate(cell):
+                for j, M in enumerate(Ms):
+                    got = [table.a[k, j].hex(), table.b[k, j].hex()]
+                    if K * M <= N_RB:
+                        assert got == [math.nan.hex()] * 2
+                        continue
+                    x1 = bestm_cdf_inv(p, N_RB, M, 1.0 - N_RB / (K * M))
+                    x2 = bestm_cdf_inv(p, N_RB, M,
+                                       1.0 - N_RB / (K * M * math.e))
+                    assert got == [math.log2(1.0 + x1).hex(),
+                                   math.log2((1.0 + x2) / (1.0 + x1)).hex()]
+                    one = normalizing_constants(p, K, N_RB, M)
+                    assert got == [one.a.hex(), one.b.hex()]
+            row = normalizing_constants(cell[-1], K, N_RB, Ms)
+            np.testing.assert_array_equal(row.a, table.a[-1])
+            column = normalizing_constants(cell, K, N_RB, 7)
+            np.testing.assert_array_equal(column.b, table.b[:, 6])
+
+    def test_preconditions_and_domain(self):
+        with pytest.raises(PreconditionError):
+            normalizing_constants([NL, G2], 2.0, 16, 4)
+        with pytest.raises(DomainError):
+            normalizing_constants([NL, G2], 20.0, 16, (1, 17))
+        with pytest.raises(PreconditionError):
+            sum_rate_asymptotic([NL], 16, 16)
+        assert np.isnan(sum_rate_asymptotic([NL], 16, (16,))).all()
 
 
 class TestTailDiagnostics:
@@ -216,6 +291,42 @@ class TestTailDiagnostics:
                               for m, cm in enumerate(c))
                 ref = x * dFY * f / (1 - FY)
                 assert abs(got - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("p", [NL, G2], ids=["NL", "G2"])
+    @pytest.mark.parametrize("N,M", [(16, 4), (100, 50)])
+    def test_gumbel_functional_matches_mpmath(self, p, N, M):
+        # d/dx[(1 - F_Y)/f_Y] by 50-digit differentiation of the exact
+        # binomial sums; the report takes it in closed form
+        rep = tail_convergence_diagnostic(p, N, M)
+
+        def inverse_hazard(x):
+            s = sf_mp(p, x)
+            u = 1 - s
+            sf_y = mp.fsum(mp.mpf(min(i, M)) / M * math.comb(N, i)
+                           * u ** (N - i) * s ** i for i in range(1, N + 1))
+            d_fy = mp.mpf(N) / M * mp.fsum(
+                math.comb(N - 1, j) * u ** (N - 1 - j) * s ** j
+                for j in range(M))
+            return sf_y / (d_fy * pdf_mp(p, x))
+
+        with mp.workdps(50):
+            ref = [mp.diff(inverse_hazard, mp.mpf(x)) for x in rep.x_grid]
+        scale = float(max(abs(r) for r in ref))
+        for got, want in zip(rep.values, ref):
+            assert abs(got - float(want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("N", [16, 100])
+    def test_full_feedback_noise_limited_is_at_its_limit(self, N):
+        # (1 - F_Y)/f_Y is the constant rho0, so every value is 0 but for
+        # rounding, and no trend is read from it
+        rep = tail_convergence_diagnostic(NL, N, N)
+        assert rep.at_limit
+        assert not rep.trend_decreasing
+        assert max(map(abs, rep.values)) <= 64 * np.finfo(float).eps
+
+    def test_converging_tails_are_not_at_their_limit(self):
+        for p, N, M in ((NL, 16, 4), (G2, 16, 16), (IL, 16, 4)):
+            assert not tail_convergence_diagnostic(p, N, M).at_limit
 
     def test_domain(self):
         with pytest.raises(DomainError):

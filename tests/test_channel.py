@@ -11,7 +11,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cdfsched import channel
 from cdfsched.channel import (
     Cell,
     LinkProfile,
@@ -23,7 +26,7 @@ from cdfsched.channel import (
     sinr_pdf,
     sinr_sf,
 )
-from cdfsched.errors import DomainError, ScenarioError
+from cdfsched.errors import ConvergenceError, DomainError, ScenarioError
 from cdfsched.specfun import QuadratureConfig, adaptive_quad_halfline
 from mp_reference import pdf_mp, sf_mp
 
@@ -104,6 +107,80 @@ class TestProductFormLaw:
                                        QuadratureConfig(rel_tol=1e-11),
                                        vectorized=True)
         assert total == pytest.approx(1.0, rel=1e-9)
+
+
+# every kind, one to four interferers, a three-way tie and rho0 over 16
+# decades, besides the profiles above
+SCALES = (1e-8, 1.0, 1e8)
+POOL = [
+    *[LinkProfile.noise_limited(r0) for r0 in SCALES],
+    *[LinkProfile.interference_limited(r0, 0.3 * r0) for r0 in SCALES],
+    *[LinkProfile.general(r0, tuple(r0 * 0.7 ** b for b in range(1, J + 1)))
+      for r0 in SCALES for J in (1, 2, 3, 4)],
+    *[LinkProfile.general(r0, (0.5 * r0,) * 3) for r0 in SCALES],
+    *PROFILES, J4, TIED, HIGH_SNR,
+]
+LEVELS = np.concatenate([np.geomspace(1e-12, 0.5, 9),
+                         1.0 - np.geomspace(1e-12, 0.5, 9)])
+
+
+class TestArrayQuantile:
+    """A cell's quantiles in one call: every profile at every level."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.integers(0, len(POOL) - 1), min_size=1,
+                         max_size=8),
+           levels=st.lists(st.floats(1e-12, 1.0 - 1e-12), min_size=1,
+                           max_size=6))
+    def test_batch_invariance(self, rows, levels):
+        # any subset, order or repeat of the grid: each point's quantile
+        # is the float a one-point call gives
+        cell = [POOL[k] for k in rows]
+        table = sinr_cdf_inv(cell, np.array(levels))
+        assert table.shape == (len(rows), len(levels))
+        for p, got in zip(cell, table.tolist()):
+            alone = [sinr_cdf_inv(p, q).hex() for q in levels]
+            assert [v.hex() for v in got] == alone
+            row = sinr_cdf_inv(p, np.array(levels)).tolist()
+            assert [v.hex() for v in row] == alone
+
+    def test_round_trip_within_the_rounding_bound(self):
+        # the docstring's bound on the computed log S, u (5J + 2) |log S|,
+        # also bounds the exact log S at the returned quantile
+        table = sinr_cdf_inv(POOL, LEVELS)
+        for p, row in zip(POOL, table.tolist()):
+            for x, q in zip(row, LEVELS.tolist()):
+                with mp.workdps(50):
+                    target = mp.log1p(-mp.mpf(q))
+                    err = abs(mp.log(sf_mp(p, x)) - target)
+                bound = 1.1e-16 * (5 * p.num_interferers + 2) * abs(target)
+                assert err <= bound, (p, q)
+
+    def test_shapes(self):
+        assert type(sinr_cdf_inv(TIED, 0.3)) is float
+        assert type(sinr_cdf_inv(TIED, np.float64(0.3))) is float
+        assert type(sinr_cdf_inv(TIED, np.array(0.3))) is float
+        assert sinr_cdf_inv(TIED, np.full((2, 3), 0.3)).shape == (2, 3)
+        assert sinr_cdf_inv(PROFILES, 0.3).shape == (5, 1)
+        assert sinr_cdf_inv(PROFILES, np.full((5, 2), 0.3)).shape == (5, 2)
+        assert sinr_cdf_inv([], np.array([0.3, 0.4])).shape == (0, 2)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_array_domain_names_the_first_bad_level(self, bad):
+        with pytest.raises(DomainError, match=f"got {bad!r}$"):
+            sinr_cdf_inv(PROFILES, np.array([0.5, bad, 2.0]))
+        with pytest.raises(DomainError, match=f"got {bad!r}$"):
+            sinr_cdf_inv(TIED, bad)
+
+    def test_unconverged_points_report_the_gap_left(self, monkeypatch):
+        # a hazard of 1e300 makes every Newton step negligible
+        monkeypatch.setattr(channel, "_hazard", lambda p, x: 1e300)
+        with pytest.raises(ConvergenceError, match="at 6 point") as err:
+            sinr_cdf_inv([TIED, PROFILES[0], J4], np.array([0.1, 0.5, 0.9]))
+        assert err.value.achieved_error == pytest.approx(-math.log1p(-0.9))
+        with pytest.raises(ConvergenceError, match="at 1 point") as err:
+            sinr_cdf_inv(TIED, 0.5)
+        assert err.value.achieved_error == pytest.approx(math.log(2.0))
 
 
 class TestLinkProfile:

@@ -109,8 +109,26 @@ class TestAsymptoticPlanner:
     def test_single_user_infeasible(self):
         # K0 = 1 never reaches the extreme-value regime K0*M/N > 1... except
         # M = N exactly at the boundary, which is also excluded
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match=(
+                r"^full-feedback asymptotic rate unavailable: quantile "
+                r"argument 1 - N/\(K\*M\) = 0 is not in \(0, 1\)")):
             min_feedback_asymptotic([NL], 8, 0.9)
+
+    def test_scan_is_one_call_over_every_budget(self, monkeypatch):
+        calls = []
+
+        def counted(profiles, N, M):
+            calls.append(list(M))
+            return sum_rate_asymptotic(profiles, N, M)
+
+        monkeypatch.setattr(planner, "sum_rate_asymptotic", counted)
+        for eta in (0.5, 0.9, 0.99):
+            calls.clear()
+            assert min_feedback_asymptotic(PROFILES, 8, eta) == next(
+                M for M in range(1, 9)
+                if sum_rate_asymptotic(PROFILES, 8, M)
+                / sum_rate_asymptotic(PROFILES, 8, 8) >= eta)
+            assert calls == [list(range(1, 9))]
 
 
 class TestPlanFeedback:
