@@ -5,8 +5,8 @@ feedback count collapses in closed form, leaving the binomial-tail F_Y of
 `feedback`, which `_collapsed_rates` integrates in floating point over the
 product-form SINR law of `channel`.  Its integrand takes any set of M at
 once from `BestMPoly.columns`, the one float evaluator of F_Y: a single
-rate is its one-column case, and the planner's `user_rates_all_m` its all-M
-case, the N integrals on one shared mesh.
+rate is its one-column case, and `sum_rate_exact` over a sequence of Ms
+takes each user's rates at every M from one quadrature on a shared mesh.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  Each G is an alternating binomial sum
@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 import mpmath as mp
 import numpy as np
@@ -274,8 +275,11 @@ def g_k_quadrature(p: LinkProfile, eps: int) -> float:
 
 @dataclass(frozen=True)
 class RateBreakdown:
-    per_user: tuple[float, ...]
-    sum_rate: float
+    """Per-user rates and their sum: floats at one M; at a sequence of Ms,
+    per_user is a (K0, len(Ms)) array and sum_rate its column sums."""
+
+    per_user: tuple[float, ...] | np.ndarray
+    sum_rate: float | np.ndarray
 
 
 @lru_cache(maxsize=256)
@@ -345,19 +349,6 @@ def _collapsed_rates(p: LinkProfile, K0: int, N: int,
     return tuple((prob * vals).tolist())
 
 
-def user_rates_all_m(p: LinkProfile, K0: int, N: int) -> tuple[float, ...]:
-    """The collapsed-quadrature rate at every M = 1..N; entry M-1 is best-M.
-
-    One quadrature takes all N columns, at about the cost of one rate.  It
-    is the quadrature whatever N * K0.
-    """
-    if K0 < 1:
-        raise DomainError(f"K0 must be >= 1, got {K0}")
-    if N < 1:
-        raise DomainError(f"need N >= 1, got N={N}")
-    return _collapsed_rates(p, K0, N, tuple(range(1, N + 1)))
-
-
 def user_rate_exact(p: LinkProfile, K0: int, N: int, M: int,
                     closed_form_max_eps: int = CLOSED_FORM_MAX_EPS) -> float:
     """Individual user rate under CDF scheduling with best-M feedback.
@@ -382,12 +373,25 @@ def user_rate_exact(p: LinkProfile, K0: int, N: int, M: int,
     return _collapsed_rates(p, K0, N, (M,))[0]
 
 
-def sum_rate_exact(profiles, N: int, M: int) -> RateBreakdown:
+def sum_rate_exact(profiles, N: int, M) -> RateBreakdown:
     """Cell sum rate: the sum of the individual user rates (the scheduler is
-    equiprobable across users, so the per-user rates add)."""
+    equiprobable across users, so the per-user rates add).
+
+    One M takes each user through `user_rate_exact`.  A sequence of Ms
+    takes each user's collapsed quadrature, every M on one mesh, whatever
+    N * K0, and gives arrays (see `RateBreakdown`).
+    """
     profiles = list(profiles)
     if not profiles:
         raise DomainError("need at least one profile")
     K0 = len(profiles)
-    per_user = tuple(user_rate_exact(p, K0, N, M) for p in profiles)
-    return RateBreakdown(per_user=per_user, sum_rate=float(sum(per_user)))
+    if np.ndim(M) == 0:
+        per_user = tuple(user_rate_exact(p, K0, N, M) for p in profiles)
+        return RateBreakdown(per_user=per_user, sum_rate=float(sum(per_user)))
+    Ms = tuple(M)
+    if not Ms or not all(isinstance(m, Integral) and 1 <= m <= N for m in Ms):
+        raise DomainError(
+            f"need integers 1 <= M <= N, at least one, got Ms={Ms}, N={N}")
+    Ms = tuple(map(int, Ms))  # the weights' C(N, i) overflow a numpy int
+    per_user = np.array([_collapsed_rates(p, K0, N, Ms) for p in profiles])
+    return RateBreakdown(per_user=per_user, sum_rate=per_user.sum(axis=0))

@@ -132,12 +132,13 @@ def _over_m(N: int, M: int, numerators) -> tuple[float, ...]:
 
 @lru_cache(maxsize=256)
 def _column_weights(N: int, Ms: tuple[int, ...]) -> np.ndarray:
-    """Read-only (max Ms, 2C): column c holds the cdf_w of Ms[c], column
-    C + c its pdf_w, each zero past its own M."""
+    """Read-only (max Ms, 2C): column c holds the float cdf_n / M of
+    Ms[c], column C + c its pdf_n / M, each zero past its own M."""
     weights = np.zeros((max(Ms), 2 * len(Ms)))
     for c, M in enumerate(Ms):
         poly = BestMPoly.build(N, M)
-        weights[:M, c], weights[:M, len(Ms) + c] = poly.cdf_w, poly.pdf_w
+        weights[:M, c] = _over_m(N, M, poly.cdf_n)
+        weights[:M, len(Ms) + c] = _over_m(N, M, poly.pdf_n)
     weights.setflags(write=False)
     return weights
 
@@ -156,13 +157,12 @@ class BestMPoly:
     """The best-M CDF F_Y as a function of the user CDF u = F(x), its
     derivative in u, and its survival function in s = 1 - u, each a
     positive binomial sum (see the module docstring).  The weights of F_Y
-    and of its derivative are the integer numerators cdf_n, pdf_n over M,
-    and the floats cdf_w, pdf_w."""
+    and of its derivative are the integer numerators cdf_n, pdf_n over M;
+    the float evaluators divide them when they first need them, and
+    refuse an N whose weights outgrow a float."""
 
     N: int
     M: int
-    cdf_w: tuple[float, ...]
-    pdf_w: tuple[float, ...]
     cdf_n: tuple[int, ...]
     pdf_n: tuple[int, ...]
 
@@ -171,8 +171,7 @@ class BestMPoly:
         _check_nm(N, M)
         cdf_n = tuple((M - i) * comb(N, i) for i in range(M))
         pdf_n = tuple(N * comb(N - 1, j) for j in range(M))
-        return cls(N=N, M=M, cdf_w=_over_m(N, M, cdf_n),
-                   pdf_w=_over_m(N, M, pdf_n), cdf_n=cdf_n, pdf_n=pdf_n)
+        return cls(N=N, M=M, cdf_n=cdf_n, pdf_n=pdf_n)
 
     def exact_in_f(self, F: float) -> tuple[int, int, float]:
         """F_Y(F) = num / den exactly for a float F in (0, 1), returned as
@@ -194,7 +193,7 @@ class BestMPoly:
     def columns(N: int, Ms: tuple[int, ...], F):
         """F_Y and dF_Y/du at every M in Ms, each (len(F), len(Ms)): u times
         the table of the nonnegative terms s^i u^(N-1-i), s = 1 - u, by the
-        cdf_w columns, and the same table by the pdf_w columns."""
+        cdf_n / M columns, and the same table by the pdf_n / M columns."""
         u = np.asarray(F, dtype=float).reshape(-1)
         sums = _term_sums(N, u, 1.0 - u, _column_weights(N, Ms))
         return u[:, None] * sums[:, :len(Ms)], sums[:, len(Ms):]

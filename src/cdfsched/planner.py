@@ -3,13 +3,10 @@
 Given a cell's link profiles, find the least M such that the sum rate at
 best-M feedback retains at least a fraction eta of the full-feedback sum
 rate.  The exact and the extreme-value-approximate rate evaluators give two
-solvers; each scans M linearly and verifies (rather than assumes) that the
-rate ratio is nondecreasing in M, logging any violation.  The exact scan
-reads every M from one all-M rate surface per user
-(`exact_rate.user_rates_all_m`), the asymptotic scan from one
-`sum_rate_asymptotic` call over M = 1..N; the reported ratio at the chosen
-M comes from `sum_rate_exact`, the evaluator behind `rate-exact`, which
-also checks the surface's pick.
+solvers of one shape: one evaluator call over M = 1..N, `sum_rate_exact`
+or `sum_rate_asymptotic`, then a linear scan that verifies (rather than
+assumes) that the rate ratio is nondecreasing in M, logging any violation.
+The reported ratio at the chosen M is read from the exact solver's sums.
 """
 
 from __future__ import annotations
@@ -21,19 +18,20 @@ import numpy as np
 
 from .asymptotics import sum_rate_asymptotic
 from .errors import DomainError, PreconditionError
-from .exact_rate import sum_rate_exact, user_rates_all_m
+from .exact_rate import sum_rate_exact
 
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class PlanResult:
-    """Both solvers' budgets and the exact-rate ratio at m_exact.
+    """Both solvers' budgets (ints, m_asymptotic None outside the
+    extreme-value regime) and the exact-rate ratio at m_exact, a float.
 
     `evaluations` counts the sum-rate values the solvers compared, N + 1
     for each solver that ran (M = 1..N and the full-feedback reference).
-    It counts M values, not evaluator calls: the exact solver reads all of
-    its values from one rate surface per user.
+    It counts M values, not evaluator calls: each solver reads all of its
+    values from one call.
     """
 
     m_exact: int | None
@@ -68,15 +66,11 @@ def _first_meeting(sums, eta: float, what: str) -> int | None:
 def min_feedback_exact(profiles, N: int, eta: float) -> int:
     """Smallest M with sum_rate(M) / sum_rate(N) >= eta.
 
-    The users' rate surfaces give the sum rate at every M at once; always
+    One `sum_rate_exact` call gives the sum rate at every M; always
     feasible since the ratio is 1 at M = N.
     """
     _check_eta(eta)
-    profiles = list(profiles)
-    if not profiles:
-        raise DomainError("need at least one profile")
-    K0 = len(profiles)
-    sums = np.sum([user_rates_all_m(p, K0, N) for p in profiles], axis=0)
+    sums = sum_rate_exact(profiles, N, range(1, N + 1)).sum_rate
     return _first_meeting(sums, eta, "sum-rate ratio")
 
 
@@ -120,7 +114,8 @@ def plan_feedback(profiles, N: int, eta: float) -> PlanResult:
         evaluations += N + 1
     except PreconditionError:
         m_asym = None
-    full = sum_rate_exact(profiles, N, N).sum_rate
-    ratio = sum_rate_exact(profiles, N, m_exact).sum_rate / full
+    # the solver's own sums again, from the cached per-user quadratures
+    sums = sum_rate_exact(profiles, N, range(1, N + 1)).sum_rate
     return PlanResult(m_exact=m_exact, m_asymptotic=m_asym, eta=eta,
-                      ratio_at_m=ratio, evaluations=evaluations)
+                      ratio_at_m=float(sums[m_exact - 1] / sums[-1]),
+                      evaluations=evaluations)

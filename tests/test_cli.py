@@ -140,6 +140,18 @@ class TestRateCommands:
         assert "Traceback" not in err
         assert out == ""
 
+    def test_wide_carrier_asymptotic_rate_exits_zero(self, capsys, tmp_path):
+        # the best-M quantiles take the integer weights, which any N builds
+        path = tmp_path / "wide.json"
+        path.write_text(_golden_text(num_rb=1100))
+        code, out, _ = run_cli(capsys, "rate-asymptotic", "--scenario",
+                               str(path), "--M", "550")
+        assert code == 0
+        rows = rows_of(out)
+        assert len(rows) == 5
+        assert all(r["N"] == "1100" and float(r["b_bps_hz"]) > 0
+                   for r in rows)
+
     @pytest.mark.parametrize("command", [["rate-exact", "--M", "4"],
                                          ["plan-feedback", "--eta", "0.9"]])
     def test_non_finite_link_scale_exits_two(self, capsys, tmp_path, command):

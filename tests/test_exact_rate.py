@@ -25,7 +25,6 @@ from cdfsched.exact_rate import (
     g_k_quadrature,
     sum_rate_exact,
     user_rate_exact,
-    user_rates_all_m,
 )
 from cdfsched.exact_rate import (
     _ClosedFormEngine,
@@ -452,6 +451,17 @@ class TestSumRate:
         with pytest.raises(DomainError):
             sum_rate_exact([], 16, 4)
 
+    @pytest.mark.parametrize("profiles,N,M", [([NL, IL, G2], 16, 4),
+                                              ([NL, G1], 8, 3)])
+    def test_one_m_is_the_single_rates(self, profiles, N, M):
+        # one M: a tuple of user_rate_exact floats, series or quadrature,
+        # and their float sum
+        out = sum_rate_exact(profiles, N, M)
+        assert out.per_user == tuple(user_rate_exact(p, len(profiles), N, M)
+                                     for p in profiles)
+        assert type(out.sum_rate) is float
+        assert out.sum_rate == sum(out.per_user)
+
 
 def _golden_profiles():
     golden = Path(__file__).resolve().parents[1] / "examples_scenarios" \
@@ -508,8 +518,15 @@ SURFACE_PROFILES = [
 ]
 
 
+def _surface(p, K0, N):
+    """p's rate at every M = 1..N, from a cell of K0 copies of p: one
+    quadrature through the cache."""
+    return sum_rate_exact([p] * K0, N, range(1, N + 1)).per_user[0]
+
+
 class TestRateSurface:
-    """user_rates_all_m: every M of the collapsed quadrature on one mesh."""
+    """sum_rate_exact over a sequence of Ms: every M of the collapsed
+    quadrature on one mesh."""
 
     @pytest.mark.parametrize("p", SURFACE_PROFILES,
                              ids=lambda p: f"{p.kind}-{p.rho0:g}-{p.rho_int}")
@@ -517,7 +534,7 @@ class TestRateSurface:
     def test_every_m_matches_the_single_rate(self, p, K0):
         # one integrand on two meshes: the shared mesh holds every column
         # to the tolerance its own mesh would
-        rates = user_rates_all_m(p, K0, 16)
+        rates = _surface(p, K0, 16)
         assert len(rates) == 16
         for M in range(1, 17):
             assert rates[M - 1] == pytest.approx(
@@ -528,7 +545,7 @@ class TestRateSurface:
                              ids=lambda p: f"{p.kind}-{p.rho0:g}-{p.rho_int}")
     @pytest.mark.parametrize("K0", [1, 50])
     def test_matches_the_mpmath_reference(self, p, K0):
-        rates = user_rates_all_m(p, K0, 16)
+        rates = _surface(p, K0, 16)
         for M in (1, 8, 16):
             assert rates[M - 1] == pytest.approx(
                 _product_form_rate_reference(p, K0, 16, M), rel=1e-10)
@@ -537,7 +554,7 @@ class TestRateSurface:
                              ids=lambda p: f"{p.kind}-{p.rho0:g}-{p.rho_int}")
     @pytest.mark.parametrize("N", [50, 100])
     def test_wide_carriers(self, p, N):
-        rates = user_rates_all_m(p, 10, N)
+        rates = _surface(p, 10, N)
         for M in (1, 8, N // 2, N):
             assert rates[M - 1] == pytest.approx(
                 _collapsed_rates(p, 10, N, (M,))[0], rel=1e-10)
@@ -550,7 +567,7 @@ class TestRateSurface:
         quads, calls = _counting(monkeypatch)
         for p in profiles:
             _collapsed_rates.cache_clear()  # so that every surface is computed
-            user_rates_all_m(p, 50, 16)
+            _surface(p, 50, 16)
         assert len(quads) == len(profiles)
         assert len(calls) / len(profiles) <= 8
 
@@ -563,12 +580,37 @@ class TestRateSurface:
                 max_subdivisions=4), vectorized))
         _collapsed_rates.cache_clear()
         with pytest.raises(ConvergenceError) as info:
-            user_rates_all_m(G3, 50, 16)
+            _surface(G3, 50, 16)
         assert math.isfinite(info.value.achieved_error)
         assert info.value.achieved_error > 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            user_rates_all_m(NL, 0, 16)
+            sum_rate_exact([], 16, range(1, 17))
         with pytest.raises(DomainError):
-            user_rates_all_m(NL, 2, 0)
+            _surface(NL, 2, 0)
+        for Ms in ((), (0,), (17,), (3, 17), (2.5,)):
+            with pytest.raises(DomainError):
+                sum_rate_exact([NL, NL], 16, Ms)
+
+    @pytest.mark.parametrize("Ms", [(7, 3, 16), (16, 1), (5,)])
+    def test_columns_in_any_order_are_the_cached_rates(self, Ms):
+        # per_user row k is p_k's collapsed rates at Ms, bit for bit, and
+        # sum_rate its column sums
+        profiles = [NL, G1, G3]
+        out = sum_rate_exact(profiles, 16, np.array(Ms))
+        assert out.per_user.shape == (3, len(Ms))
+        for row, p in zip(out.per_user, profiles):
+            assert tuple(row) == _collapsed_rates(p, 3, 16, Ms)
+        assert np.array_equal(out.sum_rate, out.per_user.sum(axis=0))
+
+    def test_sequence_bypasses_the_single_rate(self, monkeypatch):
+        # a sequence of Ms never enters user_rate_exact, whose spans mean
+        # single rates, nor the series, even where N * K0 is small
+        def refuse(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(exact_rate, "user_rate_exact", refuse)
+        monkeypatch.setattr(exact_rate, "_engine", refuse)
+        rates = sum_rate_exact([NL, G1], 4, range(1, 5)).per_user
+        assert rates.shape == (2, 4)

@@ -128,9 +128,22 @@ class TestPolyEvaluation:
 
     @pytest.mark.parametrize("N,M", [(1030, 515), (1100, 550)])
     def test_overflowing_weights_raise_domain_error(self, N, M):
-        # C(N, i) outgrows a float above about N = 1030
+        # C(N, i) outgrows a float above about N = 1030: the integer
+        # weights build, the float evaluator refuses them
+        poly = BestMPoly.build(N, M)
         with pytest.raises(DomainError, match=f"N={N}, M={M}"):
-            BestMPoly.build(N, M)
+            poly.eval_in_f(0.5)
+
+    @pytest.mark.parametrize("q", [1e-6, 0.5, 1 - 1100 / (5000 * 550),
+                                   1 - 1100 / (5000 * 550 * np.e)])
+    def test_exact_quantile_past_the_float_weights(self, q):
+        # the integer weights serve the best-M quantile where float ones
+        # overflow: F_Y at the floats either side of it brackets q exactly
+        u = _bestm_poly_quantile(1100, 550, q)
+        poly = BestMPoly.build(1100, 550)
+        below = Fraction(*poly.exact_in_f(np.nextafter(u, 0.0))[:2])
+        above = Fraction(*poly.exact_in_f(np.nextafter(u, 1.0))[:2])
+        assert below < Fraction(q) < above
 
     def test_wide_carrier_below_overflow(self):
         poly = BestMPoly.build(1100, 100)

@@ -4,20 +4,22 @@ Oracles: brute-force evaluation of the sum-rate ratio over every M, and
 the limiting targets eta -> 0+ and eta = 1.
 """
 
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
-from cdfsched import planner
+from cdfsched import exact_rate, planner
 from cdfsched.asymptotics import sum_rate_asymptotic
 from cdfsched.channel import LinkProfile
 from cdfsched.errors import DomainError, PreconditionError
 from cdfsched.exact_rate import (
     CLOSED_FORM_MAX_EPS,
+    RateBreakdown,
+    _collapsed_rates,
     _series_budget,
     sum_rate_exact,
-    user_rates_all_m,
 )
 from cdfsched.planner import (
     PlanResult,
@@ -26,11 +28,12 @@ from cdfsched.planner import (
     plan_feedback,
 )
 from test_acceptance import N_RB, het_profiles
+from test_exact_rate import _counting, _golden_profiles
 
 NL = LinkProfile.noise_limited(2.0)
 PROFILES = [LinkProfile.noise_limited(r) for r in (1.0, 2.0, 4.0, 8.0)] * 3
-# small cells whose every rate sum_rate_exact takes from the xi2 series,
-# while the planner's surface is always a quadrature
+# small cells whose every rate sum_rate_exact takes from the xi2 series at
+# one M, while over M = 1..N, the planner's scan, it is a quadrature
 SERIES_CELLS = [([NL], 8), (PROFILES, 4), (het_profiles(1), N_RB),
                 (het_profiles(2), 8)]
 
@@ -80,9 +83,10 @@ class TestExactPlanner:
     def test_non_monotone_ratio_is_logged(self, monkeypatch, caplog):
         # a surface whose rate dips at M = 3 still gives the first M that
         # meets the target, and the dip is logged
-        surface = (0.5, 0.8, 0.7, 0.9, 1.0)
-        monkeypatch.setattr(planner, "user_rates_all_m",
-                            lambda p, K0, N: surface)
+        surface = np.array([0.5, 0.8, 0.7, 0.9, 1.0])
+        monkeypatch.setattr(planner, "sum_rate_exact",
+                            lambda profiles, N, M: RateBreakdown(
+                                per_user=surface[None, :], sum_rate=surface))
         with caplog.at_level(logging.WARNING, logger="cdfsched.planner"):
             assert min_feedback_exact([NL, NL], 5, 0.75) == 2
         assert [r.getMessage() for r in caplog.records] == [
@@ -91,6 +95,10 @@ class TestExactPlanner:
     def test_empty_cell_rejected(self):
         with pytest.raises(DomainError):
             min_feedback_exact([], 8, 0.9)
+
+    def test_no_blocks_rejected(self):
+        with pytest.raises(DomainError):
+            min_feedback_exact(PROFILES, 0, 0.9)
 
     def test_eta_domain(self):
         with pytest.raises(DomainError):
@@ -144,13 +152,52 @@ class TestPlanFeedback:
         (het_profiles(20), N_RB), (het_profiles(2), 8)],
         ids=["quadrature", "series"])
     def test_ratio_at_m_matches_the_surface(self, profiles, N):
-        # ratio_at_m comes from sum_rate_exact, which on the series cell
-        # is a different evaluator from the surface
+        # ratio_at_m is read from the exact solver's own sums, on the
+        # series cell too
         out = plan_feedback(profiles, N, 0.9)
-        sums = np.sum([user_rates_all_m(p, len(profiles), N)
-                       for p in profiles], axis=0)
-        assert out.ratio_at_m == pytest.approx(
-            sums[out.m_exact - 1] / sums[-1], abs=1e-9)
+        sums = sum_rate_exact(profiles, N, range(1, N + 1)).sum_rate
+        assert out.ratio_at_m == sums[out.m_exact - 1] / sums[-1]
+
+    def test_one_quadrature_per_user(self, monkeypatch):
+        # a K0 = 50 golden cell, every user distinct: the exact scan takes
+        # one quadrature per user and the reported ratio reuses them
+        golden, cell = _golden_profiles(), []
+        for k in range(50):
+            p, s = golden[k % len(golden)], 1.0 + 0.002 * k
+            cell.append(dataclasses.replace(
+                p, rho0=p.rho0 * s, rho_int=tuple(r * s for r in p.rho_int)))
+        quads, _ = _counting(monkeypatch)
+        _collapsed_rates.cache_clear()
+        plan_feedback(cell, N_RB, 0.9)
+        assert len(quads) == 50
+
+    def test_series_cell_takes_no_series(self, monkeypatch):
+        # on a cell whose single rates take the xi2 series, the plan is
+        # still all quadrature
+        def refuse(p):
+            raise AssertionError("series engine called")
+
+        monkeypatch.setattr(exact_rate, "_engine", refuse)
+        profiles, N = SERIES_CELLS[3]
+        out = plan_feedback(profiles, N, 0.9)
+        assert out.m_exact == min_feedback_exact(profiles, N, 0.9)
+
+    def test_no_blocks_rejected(self):
+        with pytest.raises(DomainError):
+            plan_feedback(PROFILES, 0, 0.9)
+
+    def test_counts_three_sum_rate_calls(self, monkeypatch):
+        # the exact scan, the asymptotic scan and the reported ratio: each
+        # one evaluator call over M = 1..N
+        calls = []
+        for name in ("sum_rate_exact", "sum_rate_asymptotic"):
+            def counted(profiles, N, M, f=getattr(planner, name), name=name):
+                calls.append((name, list(M)))
+                return f(profiles, N, M)
+            monkeypatch.setattr(planner, name, counted)
+        plan_feedback(PROFILES, 8, 0.9)
+        assert sorted(calls) == [("sum_rate_asymptotic", list(range(1, 9)))] \
+            + [("sum_rate_exact", list(range(1, 9)))] * 2
 
     def test_asymptotic_budget_meets_target(self):
         out = plan_feedback(PROFILES, 8, 0.9)
