@@ -236,12 +236,15 @@ def _as_output(out):
 
 
 def sinr_cdf(p: LinkProfile, x):
-    """CDF of the per-resource-block SINR; 0 for x <= 0."""
+    """CDF of the per-resource-block SINR; 0 for x <= 0.  p may also be the
+    stacked rows of `stacked_by_kind`, against whose (K, 1) columns x
+    broadcasts."""
     return _as_output(-np.expm1(_log_sf(p, np.maximum(x, 0.0))))
 
 
 def sinr_pdf(p: LinkProfile, x):
-    """Density of the per-resource-block SINR; 0 for x < 0."""
+    """Density of the per-resource-block SINR; 0 for x < 0.  p may also be
+    stacked rows, as in `sinr_cdf`."""
     x = np.asarray(x, dtype=float)
     xc = np.maximum(x, 0.0)
     out = np.exp(_log_sf(p, xc)) * _hazard(p, xc)
@@ -254,15 +257,36 @@ def sinr_sf(p: LinkProfile, x):
     return _as_output(np.exp(_log_sf(p, np.maximum(x, 0.0))))
 
 
-def _quantile(rows, J, q, target):
+def stacked_by_kind(profiles):
+    """The profiles grouped by kind, as (indices, rows) for each kind
+    present: rows holds the fields `_log_sf` and `_hazard` read, with
+    the group's rho0 and interferer scales as (K, 1) columns.  A profile
+    with fewer interferers than its group is padded with zero scales,
+    which add exactly 0 to both."""
+    groups = []
+    for kind in (NOISE_LIMITED, INTERFERENCE_LIMITED, GENERAL):
+        idx = [k for k, pk in enumerate(profiles) if pk.kind == kind]
+        if idx:
+            group = [profiles[k] for k in idx]
+            scales = zip_longest(*(pk.rho_int for pk in group), fillvalue=0.0)
+            groups.append((idx, SimpleNamespace(
+                rho0=np.array([[pk.rho0] for pk in group]), kind=kind,
+                rho_int=tuple(np.array(col)[:, None] for col in scales),
+                num_interferers=np.array([[pk.num_interferers]
+                                          for pk in group]))))
+    return groups
+
+
+def _quantile(rows, q, target):
     """Quantiles of one kind at the levels q, target = log(1 - q), of one
-    LinkProfile or of profiles stacked as columns, with J interferers; the
-    Newton runs on every point at once and freezes each after its step."""
+    LinkProfile or of the stacked rows of `stacked_by_kind`; the Newton
+    runs on every point at once and freezes each after its step."""
     if rows.kind == NOISE_LIMITED:
         return -rows.rho0 * target
     if rows.kind == INTERFERENCE_LIMITED:
         return rows.rho0 / rows.rho_int[0] * q / (1.0 - q)
-    tol = 1e-15 * (J + 1) * abs(target) + sys.float_info.min
+    tol = 1e-15 * (rows.num_interferers + 1) * abs(target) \
+        + sys.float_info.min
     array = isinstance(target, np.ndarray)  # else floats, for speed
     x, active = (np.zeros_like(target) if array else 0.0), True
     for _ in range(100):
@@ -285,7 +309,7 @@ def sinr_cdf_inv(p, q):
 
     p is one LinkProfile, or a sequence of K of them, against whose (K, 1)
     column q broadcasts.  The general profiles share one Newton over their
-    scales as (K, 1) columns, padded with zeros, which add exactly 0.
+    stacked scales (`stacked_by_kind`).
 
     In the general kind, Newton on log S(x) = log(1 - q) from x = 0: log S
     is convex and decreasing, so the iterates climb to the root without
@@ -308,19 +332,11 @@ def sinr_cdf_inv(p, q):
         target = np.array([math.log1p(-v) for v in q.ravel().tolist()]
                           ).reshape(q.shape)
     if isinstance(p, LinkProfile):
-        return _as_output(_quantile(p, p.num_interferers, q, target))
+        return _as_output(_quantile(p, q, target))
     profiles = list(p)
     shape = np.broadcast_shapes((len(profiles), 1), np.shape(q))
     q, target = np.broadcast_to(q, shape), np.broadcast_to(target, shape)
     out = np.empty(shape)
-    for kind in (NOISE_LIMITED, INTERFERENCE_LIMITED, GENERAL):
-        idx = [k for k, pk in enumerate(profiles) if pk.kind == kind]
-        if idx:
-            group = [profiles[k] for k in idx]
-            scales = zip_longest(*(pk.rho_int for pk in group), fillvalue=0.0)
-            rows = SimpleNamespace(  # the fields _log_sf and _hazard read
-                rho0=np.array([[pk.rho0] for pk in group]), kind=kind,
-                rho_int=tuple(np.array(col)[:, None] for col in scales))
-            J = np.array([[pk.num_interferers] for pk in group])
-            out[idx] = _quantile(rows, J, q[idx], target[idx])
+    for idx, rows in stacked_by_kind(profiles):
+        out[idx] = _quantile(rows, q[idx], target[idx])
     return out

@@ -192,10 +192,9 @@ def _cmd_rate_asymptotic(args) -> int:
     K0 = len(profiles)
     per_user = [user_rate_asymptotic(p, K0, N, M) for p in profiles]
     total = sum(per_user)
-    rows = []
-    for k, (p, r) in enumerate(zip(profiles, per_user)):
-        nc = normalizing_constants(p, K0, N, M)
-        rows.append((k, K0, N, M, nc.a, nc.b, r, total))
+    nc = normalizing_constants(profiles, K0, N, M)
+    rows = [(k, K0, N, M, a, b, r, total) for k, (a, b, r) in
+            enumerate(zip(nc.a.tolist(), nc.b.tolist(), per_user))]
     _write_rows(args, ["user_index", "K0", "N", "M", "a_bps_hz", "b_bps_hz",
                        "user_rate_bps_hz", "sum_rate_bps_hz"], rows)
     return 0

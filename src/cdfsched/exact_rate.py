@@ -3,10 +3,13 @@
 Above a small N * K0 a rate is one positive integral: the Binomial(K0, M/N)
 feedback count collapses in closed form, leaving the binomial-tail F_Y of
 `feedback`, which `_collapsed_rates` integrates in floating point over the
-product-form SINR law of `channel`.  Its integrand takes any set of M at
-once from `BestMPoly.columns`, the one float evaluator of F_Y: a single
-rate is its one-column case, and `sum_rate_exact` over a sequence of Ms
-takes each user's rates at every M from one quadrature on a shared mesh.
+product-form SINR law of `channel`.  It integrates a whole cell at once:
+every (user, M) column is one column of a vector integrand on one shared
+mesh, each user in its own y = x / rho0, the users stacked by kind as
+`channel.stacked_by_kind` lays them out and taken a bounded number of
+columns at a time.  F_Y comes from `BestMPoly.columns`, the one float
+evaluator of F_Y.  A cell's rates at one M are one `user_rate_exact` call,
+and at a sequence of Ms, the planner's scan, one `_collapsed_rates` call.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  Each G is an alternating binomial sum
@@ -40,6 +43,7 @@ from .channel import (
     LinkProfile,
     sinr_cdf,
     sinr_pdf,
+    stacked_by_kind,
 )
 from .errors import CancellationError, DomainError
 from .feedback import BestMPoly, feedback_count_pmf_exact, xi2_vector
@@ -267,7 +271,7 @@ def g_k_quadrature(p: LinkProfile, eps: int) -> float:
     if eps < 1 or eps != int(eps):
         raise DomainError(f"eps must be a positive integer, got {eps}")
     eps = int(eps)
-    return eps * _collapsed_rates(p, eps, 1, (1,))[0]
+    return eps * float(_collapsed_rates((p,), eps, 1, (1,))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +323,48 @@ def _series_budget(p: LinkProfile) -> int:
     return 0
 
 
-@lru_cache(maxsize=8192)
-def _collapsed_rates(p: LinkProfile, K0: int, N: int,
-                     Ms: tuple[int, ...]) -> tuple[float, ...]:
-    """Scheduled-rate integral with the feedback-count binomial collapsed,
-    at every M in Ms from one quadrature on a shared mesh.
+#: users times the largest M that one quadrature takes at most, the width
+#: of the best-M term table at each node: it bounds the integrand's arrays
+_MAX_COLUMNS = 256
+
+_QUADRATURE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10,
+                               max_subdivisions=6000)
+
+
+def _quadrature(profiles, K0: int, N: int, Ms: tuple[int, ...]) -> np.ndarray:
+    """(len(profiles), len(Ms)) collapsed-rate integrals on one shared mesh,
+    each column in its own y = x / rho0."""
+    prob = np.array(Ms) / N
+    # one profile keeps its float scales, on which numpy is faster
+    groups = (stacked_by_kind(profiles) if len(profiles) > 1
+              else [([0], profiles[0])])
+
+    def integrand(ys):  # node-major rows, each kind's users side by side
+        blocks = []
+        for _, rows in groups:
+            xs = rows.rho0 * ys
+            FY, dFY = BestMPoly.columns(N, Ms, sinr_cdf(rows, xs).T)
+            mix = (1.0 - prob + prob * FY) ** (K0 - 1)
+            weight = rows.rho0 * sinr_pdf(rows, xs) * np.log1p(xs) / _LN2
+            blocks.append((dFY * mix * weight.T.reshape(-1, 1)).reshape(
+                len(ys), -1))
+        return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+
+    vals = adaptive_quad_halfline(integrand, _QUADRATURE, vectorized=True)
+    rates = np.empty((len(profiles), len(Ms)))
+    rates[[k for idx, _ in groups for k in idx]] = prob * vals.reshape(
+        len(profiles), len(Ms))
+    return rates
+
+
+@lru_cache(maxsize=128)
+def _collapsed_rates(profiles: tuple[LinkProfile, ...], K0: int, N: int,
+                     Ms: tuple[int, ...]) -> np.ndarray:
+    """Scheduled-rate integrals of a cell's profiles with the feedback-count
+    binomial collapsed, as a read-only (len(profiles), len(Ms)) array.
+    Every (user, M) column of one quadrature shares its mesh; a cell
+    wider than _MAX_COLUMNS takes a few, and equal profiles are integrated
+    once.
 
     Averaging tau0 * F_Y^(tau0-1) over the Binomial(K0, M/N) feedback count
     telescopes to K0 * (M/N) * (1 - M/N + (M/N) F_Y)^(K0-1), leaving one
@@ -331,67 +372,83 @@ def _collapsed_rates(p: LinkProfile, K0: int, N: int,
     y = x / rho0, so that the half-line map samples the SINR on its own
     scale; unscaled, every first node misses the density at rho0 = 1e-8.
     """
-    prob = np.array(Ms) / N
-    rho0 = p.rho0
-
-    def integrand(ys):
-        xs = rho0 * ys
-        FY, dFY = BestMPoly.columns(N, Ms, sinr_cdf(p, xs))
-        mix = (1.0 - prob + prob * FY) ** (K0 - 1)
-        weight = rho0 * sinr_pdf(p, xs) * np.log1p(xs) / _LN2
-        return dFY * mix * weight[:, None]
-
-    vals = adaptive_quad_halfline(
-        integrand,
-        QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10, max_subdivisions=6000),
-        vectorized=True,
-    )
-    return tuple((prob * vals).tolist())
+    # neighbours in kind and interference level share a mesh with few
+    # panels to spare
+    unique = sorted(dict.fromkeys(profiles),
+                    key=lambda p: (p.kind, sum(p.rho_int), p.rho0))
+    step = max(1, _MAX_COLUMNS // max(Ms))
+    rates = np.concatenate([_quadrature(unique[a:a + step], K0, N, Ms)
+                            for a in range(0, len(unique), step)])
+    row = {p: k for k, p in enumerate(unique)}
+    rates = rates[[row[p] for p in profiles]]
+    rates.setflags(write=False)
+    return rates
 
 
-def user_rate_exact(p: LinkProfile, K0: int, N: int, M: int,
-                    closed_form_max_eps: int = CLOSED_FORM_MAX_EPS) -> float:
-    """Individual user rate under CDF scheduling with best-M feedback.
-
-    Uses the xi2 series with the closed-form G when every exponent in the
-    expansion stays within the closed-form budget, and the collapsed
-    quadrature otherwise, or where the series needs more than _MAX_DPS
-    working digits.
-    """
+def _check_budget(K0, N, Ms) -> tuple[int, int, tuple[int, ...]]:
+    """K0, N and at least one M as ints, with K0 >= 1 and 1 <= M <= N; a
+    bool or a non-integer raises DomainError.  Ints, as the weights'
+    C(N, i) overflow a numpy int."""
+    Ms = tuple(Ms)
+    for name, v in (("K0", K0), ("N", N), *(("M", m) for m in Ms)):
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            raise DomainError(f"{name} must be an integer, got {v!r}")
+    K0, N, Ms = int(K0), int(N), tuple(map(int, Ms))
     if K0 < 1:
         raise DomainError(f"K0 must be >= 1, got {K0}")
-    if not 1 <= M <= N:
-        raise DomainError(f"need 1 <= M <= N, got M={M}, N={N}")
-    if N * K0 <= min(closed_form_max_eps, _series_budget(p)):
-        xis = tuple(xi2_vector(N, M, tau0) for tau0 in range(1, K0 + 1))
-        try:
-            return float(_engine(p).weighted_sum(
-                _level_weights(K0, N, M, xis)))
-        except CancellationError:
-            pass
-    # the 1/K0 scheduling share cancels against the K0 from the collapsed sum
-    return _collapsed_rates(p, K0, N, (M,))[0]
+    if not Ms or not all(1 <= m <= N for m in Ms):
+        raise DomainError("need 1 <= M <= N, got M="
+                          f"{', '.join(map(str, Ms)) or 'none'}, N={N}")
+    return K0, N, Ms
+
+
+def user_rate_exact(p, K0: int, N: int, M: int,
+                    closed_form_max_eps: int = CLOSED_FORM_MAX_EPS):
+    """Individual user rate under CDF scheduling with best-M feedback.
+
+    p is one LinkProfile, for a float, or a sequence of the cell's
+    profiles, for a float array of their rates.  A profile takes the xi2
+    series with the closed-form G when every exponent in the expansion
+    stays within its closed-form budget; the others, and any whose series
+    needs more than _MAX_DPS working digits, take one collapsed quadrature
+    together.
+    """
+    K0, N, (M,) = _check_budget(K0, N, (M,))
+    profiles = (p,) if isinstance(p, LinkProfile) else tuple(p)
+    rates, quad = np.empty(len(profiles)), []
+    for k, pk in enumerate(profiles):
+        if N * K0 <= min(closed_form_max_eps, _series_budget(pk)):
+            xis = tuple(xi2_vector(N, M, tau0) for tau0 in range(1, K0 + 1))
+            try:
+                rates[k] = float(_engine(pk).weighted_sum(
+                    _level_weights(K0, N, M, xis)))
+                continue
+            except CancellationError:
+                pass
+        quad.append(k)
+    if quad:
+        # the 1/K0 scheduling share cancels against the K0 from the
+        # collapsed sum
+        rates[quad] = _collapsed_rates(tuple(profiles[k] for k in quad),
+                                       K0, N, (M,))[:, 0]
+    return float(rates[0]) if isinstance(p, LinkProfile) else rates
 
 
 def sum_rate_exact(profiles, N: int, M) -> RateBreakdown:
     """Cell sum rate: the sum of the individual user rates (the scheduler is
     equiprobable across users, so the per-user rates add).
 
-    One M takes each user through `user_rate_exact`.  A sequence of Ms
-    takes each user's collapsed quadrature, every M on one mesh, whatever
-    N * K0, and gives arrays (see `RateBreakdown`).
+    One M is one `user_rate_exact` call on the cell.  A sequence of Ms
+    is one `_collapsed_rates` call, the cell's collapsed quadrature at
+    every M, whatever N * K0, and gives arrays (see `RateBreakdown`).
     """
-    profiles = list(profiles)
+    profiles = tuple(profiles)
     if not profiles:
         raise DomainError("need at least one profile")
     K0 = len(profiles)
     if np.ndim(M) == 0:
-        per_user = tuple(user_rate_exact(p, K0, N, M) for p in profiles)
+        per_user = tuple(user_rate_exact(profiles, K0, N, M).tolist())
         return RateBreakdown(per_user=per_user, sum_rate=float(sum(per_user)))
-    Ms = tuple(M)
-    if not Ms or not all(isinstance(m, Integral) and 1 <= m <= N for m in Ms):
-        raise DomainError(
-            f"need integers 1 <= M <= N, at least one, got Ms={Ms}, N={N}")
-    Ms = tuple(map(int, Ms))  # the weights' C(N, i) overflow a numpy int
-    per_user = np.array([_collapsed_rates(p, K0, N, Ms) for p in profiles])
+    _, N, Ms = _check_budget(K0, N, M)
+    per_user = _collapsed_rates(profiles, K0, N, Ms)
     return RateBreakdown(per_user=per_user, sum_rate=per_user.sum(axis=0))

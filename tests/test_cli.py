@@ -4,6 +4,7 @@ Runs main() in-process and captures stdout; the golden six-cell scenario
 file in examples_scenarios/ anchors the parsing checks.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -122,6 +123,26 @@ class TestRateCommands:
         assert len(rows) == 5
         assert all(float(r["b_bps_hz"]) > 0 for r in rows)
 
+    @pytest.mark.parametrize("M", ["4", "8", "16"])
+    def test_rate_asymptotic_csv_is_the_per_user_constants(self, capsys, M):
+        # one all-user constants call gives the a and b columns: the CSV is
+        # byte for byte the one that per-user calls give
+        code, out, _ = run_cli(capsys, "rate-asymptotic", "--scenario",
+                               GOLDEN, "--M", M)
+        assert code == 0
+        scenario, raw = load_scenario(GOLDEN)
+        profiles = scenario_profiles(scenario, raw["seed"])
+        K0, N, m = len(profiles), scenario.num_rb, int(M)
+        per_user = [cli.user_rate_asymptotic(p, K0, N, m) for p in profiles]
+        rows = []
+        for k, (p, r) in enumerate(zip(profiles, per_user)):
+            nc = cli.normalizing_constants(p, K0, N, m)
+            rows.append((k, K0, N, m, nc.a, nc.b, r, sum(per_user)))
+        cli._write_rows(argparse.Namespace(out=None), [
+            "user_index", "K0", "N", "M", "a_bps_hz", "b_bps_hz",
+            "user_rate_bps_hz", "sum_rate_bps_hz"], rows)
+        assert capsys.readouterr().out == out
+
     def test_bad_m_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "rate-exact", "--scenario", GOLDEN,
                                "--M", "99")
@@ -199,7 +220,7 @@ class TestRateCommands:
         profiles = scenario_profiles(scenario, 0)  # unshadowed: any seed
         for row, p in zip(rows_of(out), profiles, strict=True):
             assert float(row["user_rate_bps_hz"]) == pytest.approx(
-                _collapsed_rates(p, 4, 16, (4,))[0], rel=1e-11)
+                _collapsed_rates((p,), 4, 16, (4,))[0, 0], rel=1e-11)
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "report.csv"

@@ -6,7 +6,9 @@ forms and mpmath quadrature for its half-line and level integrals, and
 direct adaptive quadrature for every rate quantity.
 """
 
+import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -252,7 +254,7 @@ class TestUserRate:
     def test_series_matches_collapsed_quadrature(self, p, K0, M):
         N = 16
         series = user_rate_exact(p, K0, N, M)
-        quad = _collapsed_rates(p, K0, N, (M,))[0]
+        quad = _collapsed_rates((p,), K0, N, (M,))[0, 0]
         assert series == pytest.approx(quad, rel=1e-8)
 
     @pytest.mark.parametrize("rho0,expect,rel", [
@@ -270,6 +272,26 @@ class TestUserRate:
             user_rate_exact(NL, 0, 16, 4)
         with pytest.raises(DomainError):
             user_rate_exact(NL, 2, 16, 17)
+
+    @pytest.mark.parametrize("K0", [20.5, 2.5, True])
+    def test_non_integer_k0_refused(self, K0):
+        # 20.5 takes the quadrature, 2.5 the series
+        with pytest.raises(DomainError, match="K0 must be an integer"):
+            user_rate_exact(NL, K0, 16, 4)
+
+    @pytest.mark.parametrize("M", [2.5, True])
+    @pytest.mark.parametrize("rate", [
+        lambda M: user_rate_exact(NL, 2, 16, M),
+        lambda M: sum_rate_exact([NL, NL], 16, M),
+    ], ids=["user_rate_exact", "sum_rate_exact"])
+    def test_non_integer_m_refused(self, rate, M):
+        with pytest.raises(DomainError, match="M must be an integer"):
+            rate(M)
+
+    def test_numpy_integer_m_is_its_int(self):
+        # numpy's int64 weights C(100, i) would overflow; the int's do not
+        out = sum_rate_exact([NL] * 3, 100, np.int64(50))
+        assert out == sum_rate_exact([NL] * 3, 100, 50)
 
 
 def _collapsed_reference(rho0, K0, N, M):
@@ -392,7 +414,7 @@ def test_series_beyond_working_precision_takes_the_quadrature():
     with pytest.raises(CancellationError):
         g_k(p, 64)
     assert user_rate_exact(p, 4, 16, 4) == pytest.approx(
-        _collapsed_rates(p, 4, 16, (4,))[0], rel=1e-12)
+        _collapsed_rates((p,), 4, 16, (4,))[0, 0], rel=1e-12)
 
 
 def test_each_level_integral_is_computed_at_most_twice(monkeypatch):
@@ -432,7 +454,109 @@ def test_each_level_integral_is_computed_at_most_twice(monkeypatch):
 def test_series_rate_matches_collapsed_quadrature(p, K0, N, M):
     assert N * K0 <= _series_budget(p)  # the premise: a series rate
     assert user_rate_exact(p, K0, N, M) == pytest.approx(
-        _collapsed_rates(p, K0, N, (M,))[0], rel=1e-10)
+        _collapsed_rates((p,), K0, N, (M,))[0, 0], rel=1e-10)
+
+
+#: kinds and scales far apart in one cell: rho0 = 1e-8 and 1e8, a golden
+#: J = 4 user, a pole on the noise pole and tied interferers
+MIXED = [LinkProfile.noise_limited(1e-8), LinkProfile.noise_limited(1e8),
+         LinkProfile.general(9e4, (3e4, 2e3, 500.0, 90.0)),
+         LinkProfile.interference_limited(1.0, 1.0),
+         LinkProfile.general(5.0, (1.0, 1.0))]
+
+
+def _jittered_golden(K0, seed=7):
+    """K0 distinct users cycling through the golden scenario's profiles,
+    every scale jittered by +-5 %."""
+    rng = np.random.default_rng(seed)
+    golden, cell = _golden_profiles(), []
+    for k in range(K0):
+        p = golden[k % len(golden)]
+        s = rng.uniform(0.95, 1.05, 1 + p.num_interferers)
+        cell.append(dataclasses.replace(
+            p, rho0=p.rho0 * s[0],
+            rho_int=tuple(sorted(r * f for r, f in zip(p.rho_int, s[1:]))
+                          [::-1])))
+    return cell
+
+
+class TestCellQuadrature:
+    """A cell's collapsed rates come from quadratures on meshes shared by
+    its users; each user's rate is the one its own quadrature gives."""
+
+    def test_mixed_kinds_and_extreme_scales(self):
+        Ms = (4, 16)
+        rates = sum_rate_exact(MIXED, 16, Ms).per_user
+        for row, p in zip(rates, MIXED):
+            np.testing.assert_allclose(
+                row, _collapsed_rates((p,), 5, 16, Ms)[0], rtol=1e-12, atol=0)
+            assert row[0] == pytest.approx(
+                _product_form_rate_reference(p, 5, 16, Ms[0]), rel=1e-10)
+
+    def test_one_m_on_the_mixed_cell(self):
+        rates = sum_rate_exact(MIXED, 16, 4).per_user
+        for rate, p in zip(rates, MIXED):
+            assert rate == pytest.approx(
+                _collapsed_rates((p,), 5, 16, (4,))[0, 0], rel=1e-12)
+
+    def test_series_cell_is_the_single_rates(self):
+        # N * K0 = 32: every profile but the tied one takes the series;
+        # a sequence gives each profile's own rate, bit for bit
+        cell = [NL, IL, G1, G2, LinkProfile.general(5.0, (1.0, 1.0))]
+        assert [32 <= _series_budget(p) for p in cell] == [True] * 4 + [False]
+        rates = user_rate_exact(cell, 2, 16, 4)
+        assert rates.tolist() == [user_rate_exact(p, 2, 16, 4) for p in cell]
+
+    def test_one_m_is_one_user_rate_exact_call(self, monkeypatch):
+        # the cell's rates at one M come from one user_rate_exact call,
+        # the span the benchmark times as a rate
+        calls = []
+        single = exact_rate.user_rate_exact
+
+        def counted(p, *args):
+            calls.append(p)
+            return single(p, *args)
+
+        monkeypatch.setattr(exact_rate, "user_rate_exact", counted)
+        cell = _jittered_golden(12)
+        out = sum_rate_exact(cell, 16, 4)
+        assert calls == [tuple(cell)]
+        assert out.per_user == tuple(single(cell, 12, 16, 4).tolist())
+
+    def test_cache_entries_are_read_only(self):
+        rates = sum_rate_exact([NL, G1], 16, (2, 4)).per_user
+        assert rates is _collapsed_rates((NL, G1), 2, 16, (2, 4))
+        with pytest.raises(ValueError):
+            rates[0, 0] = 0.0
+
+    def test_wide_cell_takes_capped_quadratures(self, monkeypatch):
+        # 40 users at all 16 M: as many quadratures as the cap on users
+        # times the largest M asks for, each user's rate as its own
+        cell = _jittered_golden(40)
+        quads, _ = _counting(monkeypatch)
+        _collapsed_rates.cache_clear()
+        rates = sum_rate_exact(cell, 16, range(1, 17)).per_user
+        assert len(quads) == math.ceil(40 / (exact_rate._MAX_COLUMNS // 16))
+        for row, p in zip(rates[::7], cell[::7]):
+            np.testing.assert_allclose(
+                row, _collapsed_rates((p,), 40, 16, tuple(range(1, 17)))[0],
+                rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("K0,N,M", [(1000, 16, 4), (500, 16, None),
+                                        (100, 100, None)])
+    def test_memory_is_bounded(self, K0, N, M):
+        # one uncached sum rate of a large cell allocates at most 10 MB
+        cell = _jittered_golden(K0)
+        _collapsed_rates.cache_clear()
+        tracemalloc.start()
+        try:
+            out = sum_rate_exact(cell, N, range(1, N + 1) if M is None else M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _collapsed_rates.cache_clear()
+        assert np.all(np.isfinite(out.sum_rate))
+        assert peak <= 10e6
 
 
 class TestSumRate:
@@ -538,7 +662,7 @@ class TestRateSurface:
         assert len(rates) == 16
         for M in range(1, 17):
             assert rates[M - 1] == pytest.approx(
-                _collapsed_rates(p, K0, 16, (M,))[0], rel=1e-10)
+                _collapsed_rates((p,), K0, 16, (M,))[0, 0], rel=1e-10)
 
     @pytest.mark.parametrize("p", [SURFACE_PROFILES[1], SURFACE_PROFILES[5],
                                    SURFACE_PROFILES[9], SURFACE_PROFILES[12]],
@@ -557,7 +681,7 @@ class TestRateSurface:
         rates = _surface(p, 10, N)
         for M in (1, 8, N // 2, N):
             assert rates[M - 1] == pytest.approx(
-                _collapsed_rates(p, 10, N, (M,))[0], rel=1e-10)
+                _collapsed_rates((p,), 10, N, (M,))[0, 0], rel=1e-10)
 
     def test_integrand_calls_on_a_large_cell(self, monkeypatch):
         """All 16 M of a K0 = 50 golden-cell user take one quadrature and
@@ -595,13 +719,17 @@ class TestRateSurface:
 
     @pytest.mark.parametrize("Ms", [(7, 3, 16), (16, 1), (5,)])
     def test_columns_in_any_order_are_the_cached_rates(self, Ms):
-        # per_user row k is p_k's collapsed rates at Ms, bit for bit, and
+        # per_user is the cell's own cache entry, bit for bit, each row
+        # within 1e-12 of its profile's one-profile quadrature, and
         # sum_rate its column sums
         profiles = [NL, G1, G3]
         out = sum_rate_exact(profiles, 16, np.array(Ms))
         assert out.per_user.shape == (3, len(Ms))
+        assert np.array_equal(out.per_user,
+                              _collapsed_rates(tuple(profiles), 3, 16, Ms))
         for row, p in zip(out.per_user, profiles):
-            assert tuple(row) == _collapsed_rates(p, 3, 16, Ms)
+            np.testing.assert_allclose(
+                row, _collapsed_rates((p,), 3, 16, Ms)[0], rtol=1e-12, atol=0)
         assert np.array_equal(out.sum_rate, out.per_user.sum(axis=0))
 
     def test_sequence_bypasses_the_single_rate(self, monkeypatch):

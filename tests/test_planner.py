@@ -4,8 +4,8 @@ Oracles: brute-force evaluation of the sum-rate ratio over every M, and
 the limiting targets eta -> 0+ and eta = 1.
 """
 
-import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from cdfsched.planner import (
     plan_feedback,
 )
 from test_acceptance import N_RB, het_profiles
-from test_exact_rate import _counting, _golden_profiles
+from test_exact_rate import _counting, _jittered_golden
 
 NL = LinkProfile.noise_limited(2.0)
 PROFILES = [LinkProfile.noise_limited(r) for r in (1.0, 2.0, 4.0, 8.0)] * 3
@@ -158,18 +158,15 @@ class TestPlanFeedback:
         sums = sum_rate_exact(profiles, N, range(1, N + 1)).sum_rate
         assert out.ratio_at_m == sums[out.m_exact - 1] / sums[-1]
 
-    def test_one_quadrature_per_user(self, monkeypatch):
-        # a K0 = 50 golden cell, every user distinct: the exact scan takes
-        # one quadrature per user and the reported ratio reuses them
-        golden, cell = _golden_profiles(), []
-        for k in range(50):
-            p, s = golden[k % len(golden)], 1.0 + 0.002 * k
-            cell.append(dataclasses.replace(
-                p, rho0=p.rho0 * s, rho_int=tuple(r * s for r in p.rho_int)))
+    def test_quadratures_per_plan(self, monkeypatch):
+        # a K0 = 50 golden cell, every user distinct: the exact scan
+        # integrates the cell in as few quadratures as the column cap
+        # allows, and the reported ratio reuses them
         quads, _ = _counting(monkeypatch)
         _collapsed_rates.cache_clear()
-        plan_feedback(cell, N_RB, 0.9)
-        assert len(quads) == 50
+        plan_feedback(_jittered_golden(50), N_RB, 0.9)
+        users_per_quad = exact_rate._MAX_COLUMNS // N_RB
+        assert len(quads) == math.ceil(50 / users_per_quad) < 50
 
     def test_series_cell_takes_no_series(self, monkeypatch):
         # on a cell whose single rates take the xi2 series, the plan is
