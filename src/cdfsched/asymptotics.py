@@ -4,8 +4,9 @@ With K users each feeding back best-M of N blocks, roughly K*M/N CQI values
 compete per block, so the scheduled rate behaves like the maximum of K*M/N
 draws from the per-user rate distribution.  The location/scale constants of
 that limit give a two-moment rate approximation that is far cheaper than the
-exact expansion and tightens quickly in K.  One `normalizing_constants` call
-gives them for every user and budget of a cell.
+exact expansion and tightens quickly in K.  The constants and the rate take
+one profile or a cell and one budget or a sequence, checked by
+`feedback.check_budget` as on the exact side.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .channel import (
     sinr_sf,
 )
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .feedback import BestMPoly
+from .feedback import BestMPoly, check_budget
 from .specfun import EULER_GAMMA
 
 
@@ -43,6 +44,7 @@ def bestm_cdf_inv(p: LinkProfile, N: int, M: int, q: float) -> float:
     Inverts the monotone polynomial in F on [0, 1], then maps through the
     SINR quantile function.
     """
+    N, (M,), _ = check_budget(N, M)
     if not 0.0 < q < 1.0:
         raise DomainError(f"quantile argument must be in (0, 1), got {q}")
     return sinr_cdf_inv(p, _bestm_poly_quantile(N, M, q))
@@ -114,17 +116,17 @@ def normalizing_constants(p, K: float, N: int, M) -> NormalizingConstants:
     """Location/scale constants for the maximum of the K*M/N effective
     competitors per resource block.  K may be non-integer.
 
-    p may be a sequence of profiles and M of budgets, for arrays with an
-    axis for each, NaN where K*M/N <= 1 (one M raises there).  Users share
-    each M's two best-M levels, so a sequence of profiles takes one
-    `sinr_cdf_inv` call.
+    p is one profile or a sequence of them, and M one budget or a
+    sequence, for arrays with an axis for each sequence, NaN where
+    K*M/N <= 1 (one M raises there).  Users share each M's two best-M
+    levels, so one `sinr_cdf_inv` call takes every profile and level.
     """
     one_m = np.ndim(M) == 0
-    Ms = (M,) if one_m else tuple(M)
+    N, Ms, _ = check_budget(N, M)
+    if not 0.0 < K < math.inf:
+        raise DomainError(f"K must be positive and finite, got K={K}")
     levels, fed = [], []
     for j, m in enumerate(Ms):
-        if not 1 <= m <= N:
-            raise DomainError(f"need 1 <= M <= N, got M={m}, N={N}")
         q1 = 1.0 - N / (K * m)
         if q1 > 0.0:
             q2 = 1.0 - N / (K * m * math.e)
@@ -135,10 +137,7 @@ def normalizing_constants(p, K: float, N: int, M) -> NormalizingConstants:
                 f"quantile argument 1 - N/(K*M) = {q1:.4g} is not in (0, 1); "
                 "need K*M/N > 1 for the extreme-value regime"
             )
-    if isinstance(p, LinkProfile):  # a few float calls beat numpy's overhead
-        x = np.array([sinr_cdf_inv(p, u) for u in levels])
-    else:
-        x = sinr_cdf_inv(p, np.array(levels))
+    x = sinr_cdf_inv(p, np.array(levels))
     a, b = np.full((2,) + x.shape[:-1] + (len(Ms),), np.nan)
     a[..., fed] = _log2(1.0 + x[..., 0::2])
     b[..., fed] = _log2((1.0 + x[..., 1::2]) / (1.0 + x[..., 0::2]))
@@ -151,6 +150,7 @@ def normalizing_constants_closed(kind: str, rho_params, K: float, N: int,
                                  M: int) -> NormalizingConstants:
     """Closed-form constants for the simplified SINR kinds at M = N (full
     feedback) and M = 1 (best-1 feedback)."""
+    N, (M,), _ = check_budget(N, M)
     if kind == NOISE_LIMITED:
         rho0 = rho_params if np.isscalar(rho_params) else rho_params[0]
         ratio = None
@@ -195,26 +195,31 @@ def normalizing_constants_closed(kind: str, rho_params, K: float, N: int,
     raise DomainError(f"closed forms exist only for M in {{1, N}}, got M={M}")
 
 
-def user_rate_asymptotic(p: LinkProfile, K0: int, N: int, M: int) -> float:
-    """Two-moment extreme-value approximation of the individual user rate."""
-    nc = normalizing_constants(p, K0, N, M)
-    outage_factor = 1.0 - (1.0 - M / N) ** K0
-    return outage_factor * (nc.a + EULER_GAMMA * nc.b) / K0
+def user_rate_asymptotic(p, K0: int, N: int, M):
+    """Two-moment extreme-value approximation of the individual user rate,
+    (1 - (1 - M/N)^K0) (a + gamma b) / K0: the chance that anyone feeds
+    the block back, times the mean of the Gumbel limit, over the K0
+    users that share it.  p and M take the shapes of
+    `normalizing_constants`, and so do the rates, NaN where K0*M/N <= 1
+    (one M raises there)."""
+    one_m = np.ndim(M) == 0
+    N, Ms, K0 = check_budget(N, M, K0)
+    nc = normalizing_constants(p, K0, N, Ms[0] if one_m else Ms)
+    outage = np.array([1.0 - (1.0 - m / N) ** K0 for m in Ms])
+    rates = (outage[0] if one_m else outage) * (nc.a + EULER_GAMMA * nc.b) / K0
+    return rates if np.ndim(rates) else float(rates)
 
 
 def sum_rate_asymptotic(profiles, N: int, M):
     """Extreme-value approximation of the cell sum rate; a sequence of Ms
-    gives an array, NaN where K0*M/N <= 1 (one M raises there).  Users are
-    added in profile order, one float at a time."""
-    profiles = list(profiles)
+    gives an array, NaN where K0*M/N <= 1 (one M raises there).  The
+    column sums of `user_rate_asymptotic`, in profile order."""
+    profiles = tuple(profiles)
     if not profiles:
         raise DomainError("need at least one profile")
-    K0 = len(profiles)
-    nc = normalizing_constants(profiles, K0, N, M)
-    outage = [1.0 - (1.0 - m / N) ** K0 for m in np.atleast_1d(M).tolist()]
-    rates = np.array(outage) * (nc.a.reshape(K0, -1)
-                                + EULER_GAMMA * nc.b.reshape(K0, -1)) / K0
-    sums = [sum(column) for column in rates.T.tolist()]
+    rates = user_rate_asymptotic(profiles, len(profiles), N, M)
+    sums = [sum(column) for column in
+            rates.reshape(len(profiles), -1).T.tolist()]
     return np.array(sums) if np.ndim(M) else sums[0]
 
 

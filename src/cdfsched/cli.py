@@ -190,7 +190,7 @@ def _cmd_rate_asymptotic(args) -> int:
     M = args.M if args.M is not None else N
     profiles = scenario_profiles(scenario, seed)
     K0 = len(profiles)
-    per_user = [user_rate_asymptotic(p, K0, N, M) for p in profiles]
+    per_user = user_rate_asymptotic(profiles, K0, N, M).tolist()
     total = sum(per_user)
     nc = normalizing_constants(profiles, K0, N, M)
     rows = [(k, K0, N, M, a, b, r, total) for k, (a, b, r) in

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
 
 import mpmath as mp
 import numpy as np
@@ -46,7 +45,8 @@ from .channel import (
     stacked_by_kind,
 )
 from .errors import CancellationError, DomainError
-from .feedback import BestMPoly, feedback_count_pmf_exact, xi2_vector
+from .feedback import (BestMPoly, check_budget, feedback_count_pmf_exact,
+                       xi2_vector)
 from .specfun import QuadratureConfig, adaptive_quad_halfline
 
 #: largest eps for which the general-kind closed form is attempted
@@ -335,9 +335,7 @@ def _quadrature(profiles, K0: int, N: int, Ms: tuple[int, ...]) -> np.ndarray:
     """(len(profiles), len(Ms)) collapsed-rate integrals on one shared mesh,
     each column in its own y = x / rho0."""
     prob = np.array(Ms) / N
-    # one profile keeps its float scales, on which numpy is faster
-    groups = (stacked_by_kind(profiles) if len(profiles) > 1
-              else [([0], profiles[0])])
+    groups = stacked_by_kind(profiles)
 
     def integrand(ys):  # node-major rows, each kind's users side by side
         blocks = []
@@ -385,23 +383,6 @@ def _collapsed_rates(profiles: tuple[LinkProfile, ...], K0: int, N: int,
     return rates
 
 
-def _check_budget(K0, N, Ms) -> tuple[int, int, tuple[int, ...]]:
-    """K0, N and at least one M as ints, with K0 >= 1 and 1 <= M <= N; a
-    bool or a non-integer raises DomainError.  Ints, as the weights'
-    C(N, i) overflow a numpy int."""
-    Ms = tuple(Ms)
-    for name, v in (("K0", K0), ("N", N), *(("M", m) for m in Ms)):
-        if isinstance(v, bool) or not isinstance(v, Integral):
-            raise DomainError(f"{name} must be an integer, got {v!r}")
-    K0, N, Ms = int(K0), int(N), tuple(map(int, Ms))
-    if K0 < 1:
-        raise DomainError(f"K0 must be >= 1, got {K0}")
-    if not Ms or not all(1 <= m <= N for m in Ms):
-        raise DomainError("need 1 <= M <= N, got M="
-                          f"{', '.join(map(str, Ms)) or 'none'}, N={N}")
-    return K0, N, Ms
-
-
 def user_rate_exact(p, K0: int, N: int, M: int,
                     closed_form_max_eps: int = CLOSED_FORM_MAX_EPS):
     """Individual user rate under CDF scheduling with best-M feedback.
@@ -413,7 +394,7 @@ def user_rate_exact(p, K0: int, N: int, M: int,
     needs more than _MAX_DPS working digits, take one collapsed quadrature
     together.
     """
-    K0, N, (M,) = _check_budget(K0, N, (M,))
+    N, (M,), K0 = check_budget(N, M, K0)
     profiles = (p,) if isinstance(p, LinkProfile) else tuple(p)
     rates, quad = np.empty(len(profiles)), []
     for k, pk in enumerate(profiles):
@@ -449,6 +430,6 @@ def sum_rate_exact(profiles, N: int, M) -> RateBreakdown:
     if np.ndim(M) == 0:
         per_user = tuple(user_rate_exact(profiles, K0, N, M).tolist())
         return RateBreakdown(per_user=per_user, sum_rate=float(sum(per_user)))
-    _, N, Ms = _check_budget(K0, N, M)
+    N, Ms, _ = check_budget(N, M)
     per_user = _collapsed_rates(profiles, K0, N, Ms)
     return RateBreakdown(per_user=per_user, sum_rate=per_user.sum(axis=0))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
@@ -30,14 +31,27 @@ from .channel import LinkProfile, sinr_cdf
 from .errors import DomainError
 
 
-def _check_nm(N: int, M: int):
-    if not (1 <= M <= N):
-        raise DomainError(f"need 1 <= M <= N, got M={M}, N={N}")
+def check_budget(N, M, K0=1) -> tuple[int, tuple[int, ...], int]:
+    """N, the budgets M (one or a nonempty sequence) as a tuple, and the
+    user count K0, all ints, with 1 <= M <= N and K0 >= 1: the one check
+    of a best-M budget.  A bool or a non-integer raises DomainError.
+    Ints, as the weights' C(N, i) overflow a numpy int."""
+    Ms = (M,) if np.ndim(M) == 0 else tuple(M)
+    for name, v in (("K0", K0), ("N", N), *(("M", m) for m in Ms)):
+        if isinstance(v, bool) or not isinstance(v, Integral):
+            raise DomainError(f"{name} must be an integer, got {v!r}")
+    K0, N, Ms = int(K0), int(N), tuple(map(int, Ms))
+    if K0 < 1:
+        raise DomainError(f"K0 must be >= 1, got {K0}")
+    if not Ms or not all(1 <= m <= N for m in Ms):
+        raise DomainError("need 1 <= M <= N, got M="
+                          f"{', '.join(map(str, Ms)) or 'none'}, N={N}")
+    return N, Ms, K0
 
 
 @lru_cache(maxsize=4096)
 def xi1_exact(N: int, M: int, m: int) -> Fraction:
-    _check_nm(N, M)
+    N, (M,), _ = check_budget(N, M)
     if not 0 <= m <= M - 1:
         raise DomainError(f"need 0 <= m <= M-1, got m={m}, M={M}")
     total = Fraction(0)
@@ -53,6 +67,7 @@ def xi1(N: int, M: int, m: int) -> float:
 
 @lru_cache(maxsize=512)
 def xi1_vector(N: int, M: int) -> tuple[Fraction, ...]:
+    N, (M,), _ = check_budget(N, M)
     return tuple(xi1_exact(N, M, m) for m in range(M))
 
 
@@ -62,7 +77,7 @@ def xi2_vector(N: int, M: int, tau0: int) -> tuple[Fraction, ...]:
     polynomial recursion.  M = 1 and M = N have closed forms, F_Y = F^N and
     F_Y = F; below M = N the leading coefficient xi1_0 = (-1)^(M-1)
     C(N-2, M-1) / M that the recursion divides by is nonzero."""
-    _check_nm(N, M)
+    N, (M,), _ = check_budget(N, M)
     if tau0 < 1:
         raise DomainError(f"tau0 must be >= 1, got {tau0}")
     top = tau0 * (M - 1)
@@ -84,7 +99,7 @@ def xi2_vector(N: int, M: int, tau0: int) -> tuple[Fraction, ...]:
 
 def xi2_convolution(N: int, M: int, tau0: int) -> tuple[Fraction, ...]:
     """Oracle path: repeated polynomial convolution of the xi1 coefficients."""
-    _check_nm(N, M)
+    N, (M,), _ = check_budget(N, M)
     if tau0 < 1:
         raise DomainError(f"tau0 must be >= 1, got {tau0}")
     c = xi1_vector(N, M)
@@ -168,7 +183,7 @@ class BestMPoly:
 
     @classmethod
     def build(cls, N: int, M: int) -> "BestMPoly":
-        _check_nm(N, M)
+        N, (M,), _ = check_budget(N, M)
         cdf_n = tuple((M - i) * comb(N, i) for i in range(M))
         pdf_n = tuple(N * comb(N - 1, j) for j in range(M))
         return cls(N=N, M=M, cdf_n=cdf_n, pdf_n=pdf_n)
@@ -223,7 +238,7 @@ def bestm_cdf(p: LinkProfile, N: int, M: int, x) -> float:
 
 def feedback_count_pmf(K: int, M: int, N: int, tau0: int) -> float:
     """P(exactly tau0 of K users fed back a given resource block)."""
-    _check_nm(N, M)
+    N, (M,), K = check_budget(N, M, K)
     if not 0 <= tau0 <= K:
         raise DomainError(f"need 0 <= tau0 <= K, got tau0={tau0}, K={K}")
     return float(feedback_count_pmf_exact(K, M, N, tau0))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .channel import (
     sinr_cdf,
 )
 from .errors import DomainError
-from .feedback import BestMPoly
+from .feedback import BestMPoly, check_budget
 
 POLICIES = ("cdf", "greedy", "round_robin")
 
@@ -41,14 +42,12 @@ class SimConfig:
     threads_hint: int = 1
 
     def __post_init__(self):
-        if self.num_drops < 1 or self.slots_per_drop < 1:
-            raise DomainError("num_drops and slots_per_drop must be >= 1")
         if self.policy not in POLICIES:
             raise DomainError(f"policy must be one of {POLICIES}")
-        if self.M < 1:
-            raise DomainError("M must be >= 1")
-        if self.threads_hint < 1:
-            raise DomainError("threads_hint must be >= 1")
+        for name in ("num_drops", "slots_per_drop", "M", "threads_hint"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
+                raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,7 @@ def drop_rng(master_seed: int, drop_index: int) -> np.random.Generator:
 def best_m_select(cqi, M: int):
     """Indices and values of the M largest entries, ties to the lower index."""
     cqi = np.asarray(cqi, dtype=float)
-    if not 1 <= M <= cqi.size:
-        raise DomainError(f"need 1 <= M <= {cqi.size}, got M={M}")
+    _, (M,), _ = check_budget(cqi.size, M)
     order = np.argsort(-cqi, kind="stable")[:M]
     return [(int(i), float(cqi[i])) for i in order]
 
@@ -266,8 +264,7 @@ def _run_drops(drop_profiles, N: int, config: SimConfig) -> RateReport:
     drop-index order.  drop_profiles(rng) gives a drop's link profiles,
     drawing first from that drop's stream; its slots then continue the
     same stream."""
-    if config.M > N:
-        raise DomainError(f"M={config.M} exceeds N={N}")
+    check_budget(N, config.M)
 
     def one(drop: int):
         rng = drop_rng(config.master_seed, drop)

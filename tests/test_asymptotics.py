@@ -140,6 +140,9 @@ class TestNormalizingConstants:
             normalizing_constants_closed("general", 1.0, 50.0, 16, 16)
         with pytest.raises(DomainError):
             normalizing_constants_closed("noise_limited", 1.0, 50.0, 16, 4)
+        for N, M in ((16, True), (16.0, 16), (16, 17)):
+            with pytest.raises(DomainError):
+                normalizing_constants_closed("noise_limited", 1.0, 50.0, N, M)
 
 
 class TestAsymptoticRates:
@@ -182,17 +185,21 @@ class TestAllBudgets:
                              ids=lambda c: f"K{len(c)}-{c[0].kind}")
     def test_sums_match_one_budget_at_a_time(self, cell):
         # NaN exactly where the one-budget call raises, and otherwise the
-        # same float: the users' rates added in profile order
-        sums = sum_rate_asymptotic(cell, N_RB, range(1, N_RB + 1))
-        assert sums.shape == (N_RB,)
+        # same float: each user's rate, and the users' rates added in
+        # profile order
+        K0, Ms = len(cell), range(1, N_RB + 1)
+        sums = sum_rate_asymptotic(cell, N_RB, Ms)
+        rates = user_rate_asymptotic(cell, K0, N_RB, Ms)
+        assert sums.shape == (N_RB,) and rates.shape == (K0, N_RB)
         for M, got in enumerate(sums.tolist(), start=1):
             try:
                 one = sum_rate_asymptotic(cell, N_RB, M)
             except PreconditionError:
-                assert math.isnan(got)
+                assert math.isnan(got) and np.isnan(rates[:, M - 1]).all()
                 continue
-            assert got == one == sum(user_rate_asymptotic(p, len(cell), N_RB,
-                                                          M) for p in cell)
+            per_user = [user_rate_asymptotic(p, K0, N_RB, M) for p in cell]
+            assert rates[:, M - 1].tolist() == per_user
+            assert got == one == sum(per_user)
 
     def test_constants_table_is_the_scalar_definition(self):
         # a = log2(1 + x1), b = log2((1 + x2)/(1 + x1)) with math.log2 and
@@ -230,6 +237,9 @@ class TestAllBudgets:
             normalizing_constants([NL, G2], 2.0, 16, 4)
         with pytest.raises(DomainError):
             normalizing_constants([NL, G2], 20.0, 16, (1, 17))
+        for K in (-5.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="got K="):
+                normalizing_constants([NL, G2], K, 16, 4)
         with pytest.raises(PreconditionError):
             sum_rate_asymptotic([NL], 16, 16)
         assert np.isnan(sum_rate_asymptotic([NL], 16, (16,))).all()

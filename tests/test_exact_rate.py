@@ -17,10 +17,16 @@ import numpy as np
 import pytest
 
 from cdfsched import exact_rate
+from cdfsched.asymptotics import (
+    bestm_cdf_inv,
+    normalizing_constants,
+    sum_rate_asymptotic,
+    user_rate_asymptotic,
+)
 from cdfsched.channel import LinkProfile
 from cdfsched.cli import load_scenario, scenario_profiles
 from cdfsched.errors import CancellationError, ConvergenceError, DomainError
-from cdfsched.feedback import xi1_vector
+from cdfsched.feedback import BestMPoly, xi1_vector
 from cdfsched.exact_rate import (
     RateBreakdown,
     g_k,
@@ -35,6 +41,7 @@ from cdfsched.exact_rate import (
     _psi_table,
     _series_budget,
 )
+from cdfsched.simulator import SimConfig, simulate_profiles
 from cdfsched.specfun import QuadratureConfig
 from mp_reference import pdf_mp, sf_mp
 from test_acceptance import het_profiles
@@ -234,6 +241,26 @@ class TestGk:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+#: every entry that takes a best-M budget, as (name, call with N, M and,
+#: for the per-user rates, the user count K0)
+_BUDGETED = [
+    ("user_rate_exact",
+     lambda N=16, M=4, K0=2: user_rate_exact(NL, K0, N, M)),
+    ("sum_rate_exact", lambda N=16, M=4: sum_rate_exact([NL] * 2, N, M)),
+    ("user_rate_asymptotic",
+     lambda N=16, M=4, K0=20: user_rate_asymptotic(NL, K0, N, M)),
+    ("sum_rate_asymptotic",
+     lambda N=16, M=4: sum_rate_asymptotic([NL] * 20, N, M)),
+    ("normalizing_constants",
+     lambda N=16, M=4: normalizing_constants(NL, 20.0, N, M)),
+    ("bestm_cdf_inv", lambda N=16, M=4: bestm_cdf_inv(NL, N, M, 0.5)),
+    ("BestMPoly.build", lambda N=16, M=4: BestMPoly.build(N, M)),
+    ("simulate_profiles", lambda N=16, M=4: simulate_profiles(
+        [NL] * 2, N, SimConfig(num_drops=1, slots_per_drop=10,
+                               policy="cdf", M=M, master_seed=0))),
+]
+
+
 class TestUserRate:
     def test_single_user_full_feedback_is_mean_rate(self):
         # one user, full feedback: the scheduler just serves the user's own
@@ -272,6 +299,14 @@ class TestUserRate:
             user_rate_exact(NL, 0, 16, 4)
         with pytest.raises(DomainError):
             user_rate_exact(NL, 2, 16, 17)
+        # every entry that takes a budget refuses a bad one the same way
+        bad = [dict(M=2.5), dict(M=True), dict(M=0), dict(M=17),
+               dict(M=()), dict(N=16.0)]
+        for name, rate in _BUDGETED:
+            takes_k0 = name in ("user_rate_exact", "user_rate_asymptotic")
+            for case in bad + ([dict(K0=0), dict(K0=2.5)] if takes_k0 else []):
+                with pytest.raises(DomainError):
+                    rate(**case)
 
     @pytest.mark.parametrize("K0", [20.5, 2.5, True])
     def test_non_integer_k0_refused(self, K0):
@@ -280,18 +315,22 @@ class TestUserRate:
             user_rate_exact(NL, K0, 16, 4)
 
     @pytest.mark.parametrize("M", [2.5, True])
-    @pytest.mark.parametrize("rate", [
-        lambda M: user_rate_exact(NL, 2, 16, M),
-        lambda M: sum_rate_exact([NL, NL], 16, M),
-    ], ids=["user_rate_exact", "sum_rate_exact"])
+    @pytest.mark.parametrize("rate", [rate for _, rate in _BUDGETED],
+                             ids=[name for name, _ in _BUDGETED])
     def test_non_integer_m_refused(self, rate, M):
         with pytest.raises(DomainError, match="M must be an integer"):
-            rate(M)
+            rate(M=M)
 
     def test_numpy_integer_m_is_its_int(self):
         # numpy's int64 weights C(100, i) would overflow; the int's do not
         out = sum_rate_exact([NL] * 3, 100, np.int64(50))
         assert out == sum_rate_exact([NL] * 3, 100, 50)
+        assert BestMPoly.build(np.int64(100), np.int64(50)) \
+            == BestMPoly.build(100, 50)
+        cell = het_profiles(16)
+        np.testing.assert_array_equal(
+            sum_rate_asymptotic(cell, 16, np.arange(1, 17)),
+            sum_rate_asymptotic(cell, 16, range(1, 17)))
 
 
 def _collapsed_reference(rho0, K0, N, M):

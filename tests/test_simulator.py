@@ -82,8 +82,9 @@ class TestBestMSelect:
         assert [i for i, _ in sel] == [1, 2, 0]
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            best_m_select([1.0, 2.0], 3)
+        for M in (3, 0, 1.5, True):
+            with pytest.raises(DomainError):
+                best_m_select([1.0, 2.0], M)
 
 
 class TestScheduleSlot:
@@ -215,6 +216,12 @@ class TestSimulateProfiles:
         with pytest.raises(DomainError):
             SimConfig(num_drops=1, slots_per_drop=1, policy="pf", M=1,
                       master_seed=0)
+        # counts are integers; numpy's are taken, a bool or a float is not
+        for field in ("num_drops", "slots_per_drop", "M", "threads_hint"):
+            for bad in (True, 2.5, 2.0):
+                with pytest.raises(DomainError, match=field):
+                    _cfg(**{field: bad})
+            assert getattr(_cfg(**{field: np.int64(2)}), field) == 2
 
 
 #: heterogeneous users: noise-limited at three SNRs, one interference-
