@@ -109,11 +109,6 @@ def _bestm_poly_quantile(N: int, M: int, q: float) -> float:
         f"(N={N}, M={M}, q={q!r}); bracket [{lo!r}, {hi!r}]")
 
 
-#: math.log2 elementwise, as the constants always took it; numpy's log2
-#: differs from it in the last bit on some arguments
-_log2 = np.frompyfunc(math.log2, 1, 1)
-
-
 def normalizing_constants(p, K, N: int, M) -> NormalizingConstants:
     """Location/scale constants for the maximum of the K*M/N effective
     competitors per resource block.  K may be non-integer, and is one
@@ -148,8 +143,8 @@ def normalizing_constants(p, K, N: int, M) -> NormalizingConstants:
             )
     x = sinr_cdf_inv(p, np.array(levels))
     a, b = np.full((2,) + x.shape[:-1] + (len(Ms),), np.nan)
-    a[..., fed] = _log2(1.0 + x[..., 0::2])
-    b[..., fed] = _log2((1.0 + x[..., 1::2]) / (1.0 + x[..., 0::2]))
+    a[..., fed] = np.log2(1.0 + x[..., 0::2])
+    b[..., fed] = np.log2((1.0 + x[..., 1::2]) / (1.0 + x[..., 0::2]))
     if one_m:
         a, b = a[..., 0], b[..., 0]
     return NormalizingConstants(*(v if v.ndim else float(v) for v in (a, b)))

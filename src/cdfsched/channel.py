@@ -3,17 +3,21 @@
 A LinkProfile captures one user's large-scale state after cell association:
 the serving SNR scale rho0, the retained interferer scales, and which
 simplified regime (if any) the profile represents.  Under Rayleigh fading
-the SINR survival is a product, the noise term times one Laplace-transform
-factor per interferer (Andrews, Baccelli & Ganti, IEEE Trans. Commun.
-59(11), 2011):
+every profile has one product-form SINR survival, the noise term times one
+Laplace-transform factor per interferer (Andrews, Baccelli & Ganti, IEEE
+Trans. Commun. 59(11), 2011):
 
-    S(x) = exp(-x/rho0) * prod_b rho0 / (rho0 + rho_b x),
+    S(x) = exp(-nu x/rho0) * prod_b rho0 / (rho0 + rho_b x),
 
-without the noise term in the interference-limited kind.  The product has
-no poles where interferer scales tie, so every profile is evaluated from
-it; its partial-fraction expansion lives only in the closed-form engine of
-`exact_rate`, the tests' independent oracle.  `sinr_cdf_inv` solves a
-whole cell's quantiles, every profile at every level, in one call.
+where the noise weight nu (`LinkProfile.noise`) is 0 in the
+interference-limited kind and 1 otherwise; the noise-limited kind has no
+interferers.  The kind is a label: the law reads only nu and the scales.
+The product has no poles where interferer scales tie, so every profile is
+evaluated from it; its partial-fraction expansion lives only in the
+closed-form engine of `exact_rate`, the tests' independent oracle.  A
+cell is one zero-padded stack of those numbers (`stacked`), and
+`sinr_cdf_inv` solves its quantiles, every profile at every level, in one
+Newton.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from itertools import zip_longest
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,6 +155,12 @@ class LinkProfile:
     def num_interferers(self) -> int:
         return len(self.rho_int)
 
+    @property
+    def noise(self) -> float:
+        """Weight nu of the noise term in the SINR law: 0.0 in the
+        interference-limited kind, which neglects the noise, else 1.0."""
+        return 0.0 if self.kind == INTERFERENCE_LIMITED else 1.0
+
 
 def path_loss_db(tier: str, d: float) -> float:
     """3GPP-style distance path loss in dB; valid for d >= 1 m."""
@@ -206,26 +215,29 @@ def build_link_profile(scenario: Scenario, user_index: int,
 
 
 def _log_sf(p: LinkProfile, x):
-    """log S(x) for x >= 0: one log1p of the interferer product less one,
-    and the noise term except in the interference-limited kind.
+    """log S(x) for numpy x >= 0: minus one log1p of the interferer
+    product less one, minus the noise term nu x / rho0.
 
     The product less one is carried as d <- d + t * (1 + d), t = rho_b x /
     rho0: every step adds a nonnegative term, so d keeps its relative
-    accuracy at small x, where the product itself rounds to 1 + O(eps)."""
+    accuracy at small x, where the product itself rounds to 1 + O(eps).
+    Every law's survival is 0 at x = inf, so those points are set apart:
+    there a zero scale, or the noise term of a law without noise, would
+    be 0 * inf = NaN."""
+    at_inf = x == np.inf
+    if at_inf.any():
+        return np.where(at_inf, -np.inf, _log_sf(p, np.where(at_inf, 0.0, x)))
     d = 0.0
     for rho_b in p.rho_int:
         t = (rho_b / p.rho0) * x
         d = d + t * (1.0 + d)
-    log_s = -np.log1p(d)
-    if p.kind != INTERFERENCE_LIMITED:
-        log_s = log_s - x / p.rho0
-    return log_s
+    return -np.log1p(d) - p.noise * x / p.rho0
 
 
 def _hazard(p: LinkProfile, x):
-    """-d log S / dx = 1/rho0 + sum_b rho_b / (rho0 + rho_b x), without the
-    noise term in the interference-limited kind."""
-    h = 0.0 if p.kind == INTERFERENCE_LIMITED else 1.0 / p.rho0
+    """-d log S / dx = nu / rho0 + sum_b rho_b / (rho0 + rho_b x), for
+    0 <= x < inf."""
+    h = p.noise / p.rho0
     for rho_b in p.rho_int:
         h = h + rho_b / (p.rho0 + rho_b * x)
     return h
@@ -237,18 +249,19 @@ def _as_output(out):
 
 def sinr_cdf(p: LinkProfile, x):
     """CDF of the per-resource-block SINR; 0 for x <= 0.  p may also be the
-    stacked rows of `stacked_by_kind`, against whose (K, 1) columns x
+    stacked rows of `stacked`, against whose (K, 1) columns x
     broadcasts."""
     return _as_output(-np.expm1(_log_sf(p, np.maximum(x, 0.0))))
 
 
 def sinr_pdf(p: LinkProfile, x):
-    """Density of the per-resource-block SINR; 0 for x < 0.  p may also be
-    stacked rows, as in `sinr_cdf`."""
+    """Density of the per-resource-block SINR; 0 for x < 0 and at x = inf.
+    p may also be stacked rows, as in `sinr_cdf`."""
     x = np.asarray(x, dtype=float)
-    xc = np.maximum(x, 0.0)
+    inside = (x >= 0) & (x < np.inf)
+    xc = np.where(inside, x, 0.0)
     out = np.exp(_log_sf(p, xc)) * _hazard(p, xc)
-    return _as_output(np.where(x >= 0, out, 0.0))
+    return _as_output(np.where(inside, out, 0.0))
 
 
 def sinr_sf(p: LinkProfile, x):
@@ -257,45 +270,37 @@ def sinr_sf(p: LinkProfile, x):
     return _as_output(np.exp(_log_sf(p, np.maximum(x, 0.0))))
 
 
-def stacked_by_kind(profiles):
-    """The profiles grouped by kind, as (indices, rows) for each kind
-    present: rows holds the fields `_log_sf` and `_hazard` read, with
-    the group's rho0 and interferer scales as (K, 1) columns.  A profile
-    with fewer interferers than its group is padded with zero scales,
-    which add exactly 0 to both."""
-    groups = []
-    for kind in (NOISE_LIMITED, INTERFERENCE_LIMITED, GENERAL):
-        idx = [k for k, pk in enumerate(profiles) if pk.kind == kind]
-        if idx:
-            group = [profiles[k] for k in idx]
-            scales = zip_longest(*(pk.rho_int for pk in group), fillvalue=0.0)
-            groups.append((idx, SimpleNamespace(
-                rho0=np.array([[pk.rho0] for pk in group]), kind=kind,
-                rho_int=tuple(np.array(col)[:, None] for col in scales),
-                num_interferers=np.array([[pk.num_interferers]
-                                          for pk in group]))))
-    return groups
+def stacked(profiles):
+    """A cell's profiles as one stack of (K, 1) columns, the fields
+    `_log_sf` and `_hazard` read, against which x broadcasts: rho0, the
+    noise weight, the interferer scales and their count.  A profile with
+    fewer interferers than the most any has is led by zero scales: they add
+    exactly 0 to both, and as they come first, a product that overflows to
+    inf never meets their 0 * inf = NaN."""
+    def column(field):
+        return np.array([getattr(p, field) for p in profiles], float)[:, None]
+
+    J = max((p.num_interferers for p in profiles), default=0)
+    scales = np.array([(0.0,) * (J - p.num_interferers) + p.rho_int
+                       for p in profiles]).reshape(len(profiles), J)
+    return SimpleNamespace(rho0=column("rho0"), noise=column("noise"),
+                           rho_int=tuple(scales.T[:, :, None]),
+                           num_interferers=column("num_interferers"))
 
 
-def _quantile(rows, q, target):
-    """Quantiles of one kind at the levels q, target = log(1 - q), of one
-    LinkProfile or of the stacked rows of `stacked_by_kind`; the Newton
-    runs on every point at once and freezes each after its step."""
-    if rows.kind == NOISE_LIMITED:
-        return -rows.rho0 * target
-    if rows.kind == INTERFERENCE_LIMITED:
-        return rows.rho0 / rows.rho_int[0] * q / (1.0 - q)
-    tol = 1e-15 * (rows.num_interferers + 1) * abs(target) \
+def _quantile(rows, target):
+    """Quantiles at target = log(1 - q) of the stacked rows of `stacked`,
+    against whose (K, 1) columns target broadcasts; the Newton runs on
+    every point at once and freezes each after its step."""
+    tol = 1e-15 * (rows.num_interferers + 1) * np.abs(target) \
         + sys.float_info.min
-    array = isinstance(target, np.ndarray)  # else floats, for speed
-    x, active = (np.zeros_like(target) if array else 0.0), True
+    x = np.zeros(np.broadcast_shapes(rows.rho0.shape, target.shape))
+    active = True
     for _ in range(100):
         gap = _log_sf(rows, x) - target
-        gap = gap if array else float(gap)
-        step = gap / _hazard(rows, x)
-        x = np.where(active, x + step, x) if array else x + step
-        active = active & ~(gap <= tol) if array else not gap <= tol
-        if not (active.any() if array else active):
+        x = np.where(active, x + gap / _hazard(rows, x), x)
+        active = active & ~(gap <= tol)
+        if not active.any():
             return x
     raise ConvergenceError(
         "SINR quantile not reached in 100 Newton steps at "
@@ -305,38 +310,26 @@ def _quantile(rows, q, target):
 
 def sinr_cdf_inv(p, q):
     """Quantile of the SINR distribution at the level q, a float or an
-    array; closed form in the simplified kinds.
+    array.
 
-    p is one LinkProfile, or a sequence of K of them, against whose (K, 1)
-    column q broadcasts.  The general profiles share one Newton over their
-    stacked scales (`stacked_by_kind`).
+    p is one LinkProfile, for a quantile of q's shape, or a sequence of K
+    of them, against whose (K, 1) column q broadcasts.  Either is one
+    stack (`stacked`) and takes one Newton over every point.
 
-    In the general kind, Newton on log S(x) = log(1 - q) from x = 0: log S
-    is convex and decreasing, so the iterates climb to the root without
-    overshooting it.  Each of the J steps of `_log_sf`'s product adds
-    about 5 roundings to the relative error of d, and the log1p, the noise
-    term and their sum 2 more, so the computed log S is off by up to about
-    u * (5J + 2) * |log S|, u = 1.1e-16, even near x = 0; below the
-    smallest normal float, by a few subnormal spacings.  A gap below that
-    is rounding, so the step that crosses it is each point's last.
+    Newton runs on log S(x) = log(1 - q) from x = 0: log S is convex and
+    decreasing, so the iterates climb to the root without overshooting
+    it.  Each of the J steps of `_log_sf`'s product adds about 5 roundings
+    to the relative error of d, and the log1p, the noise term and their
+    sum 2 more, so the computed log S is off by up to about u * (5J + 2) *
+    |log S|, u = 1.1e-16, even near x = 0; below the smallest normal
+    float, by a few subnormal spacings.  A gap below that is rounding, so
+    the step that crosses it is each point's last.
     """
-    if isinstance(q, float) and 0.0 < q < 1.0:
-        target = math.log1p(-q)
-    else:
-        q = np.asarray(q, dtype=float)
-        bad = q[~((q > 0.0) & (q < 1.0))]
-        if bad.size:
-            raise DomainError("quantile argument must be in (0, 1), got "
-                              f"{float(bad[0])}")
-        # math.log1p, as for a float q: numpy's differs in the last bit
-        target = np.array([math.log1p(-v) for v in q.ravel().tolist()]
-                          ).reshape(q.shape)
-    if isinstance(p, LinkProfile):
-        return _as_output(_quantile(p, q, target))
-    profiles = list(p)
-    shape = np.broadcast_shapes((len(profiles), 1), np.shape(q))
-    q, target = np.broadcast_to(q, shape), np.broadcast_to(target, shape)
-    out = np.empty(shape)
-    for idx, rows in stacked_by_kind(profiles):
-        out[idx] = _quantile(rows, q[idx], target[idx])
-    return out
+    q = np.asarray(q, dtype=float)
+    bad = q[~((q > 0.0) & (q < 1.0))]
+    if bad.size:
+        raise DomainError("quantile argument must be in (0, 1), got "
+                          f"{float(bad[0])}")
+    one = isinstance(p, LinkProfile)
+    x = _quantile(stacked([p] if one else list(p)), np.log1p(-q))
+    return _as_output(x.reshape(q.shape)) if one else x

@@ -5,11 +5,11 @@ feedback count collapses in closed form, leaving the binomial-tail F_Y of
 `feedback`, which `_collapsed_rates` integrates in floating point over the
 product-form SINR law of `channel`.  It integrates a whole cell at once:
 every (user, M) column is one column of a vector integrand on one shared
-mesh, each user in its own y = x / rho0, the users stacked by kind as
-`channel.stacked_by_kind` lays them out and taken a bounded number of
-columns at a time.  F_Y comes from `BestMPoly.columns`, the one float
-evaluator of F_Y.  A cell's rates at one M are one `user_rate_exact` call,
-and at a sequence of Ms, the planner's scan, one `_collapsed_rates` call.
+mesh, each user in its own y = x / rho0, the users one stack of the SINR
+law's numbers (`channel.stacked`), taken a bounded number of columns at a
+time.  F_Y comes from `BestMPoly.columns`, the one float evaluator of
+F_Y.  A cell's rates at one M are one `user_rate_exact` call, and at a
+sequence of Ms, the planner's scan, one `_collapsed_rates` call.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  Each G is an alternating binomial sum
@@ -36,14 +36,7 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .channel import (
-    GENERAL,
-    INTERFERENCE_LIMITED,
-    LinkProfile,
-    sinr_cdf,
-    sinr_pdf,
-    stacked_by_kind,
-)
+from .channel import GENERAL, LinkProfile, sinr_cdf, sinr_pdf, stacked
 from .errors import CancellationError, DomainError
 from .feedback import (BestMPoly, check_budget, feedback_count_pmf_exact,
                        xi2_vector)
@@ -160,12 +153,13 @@ class _ClosedFormEngine:
         """T(ell) and its lost digits, one formula for every kind:
         S^(ell+1) / (1 + x) = e^(-alpha x) prod_b beta_b^(ell+1) (x +
         beta_b)^-(ell+1) (x + 1)^-1, with beta_b = rho0 / rho_b and alpha =
-        (ell + 1) / rho0, or 0 without noise.  Its partial fractions, pole
-        by pole, integrate term by term to I2 (Gradshteyn & Ryzhik 3.353);
-        a pole on 1 (rho_b == rho0) merges with the noise pole exactly."""
+        nu (ell + 1) / rho0, nu the noise weight.  Its partial fractions,
+        pole by pole, integrate term by term to I2 (Gradshteyn & Ryzhik
+        3.353); a pole on 1 (rho_b == rho0) merges with the noise pole
+        exactly."""
         rho0 = mp.mpf(self.p.rho0)
         betas = [rho0 / mp.mpf(r) for r in self.p.rho_int]
-        alpha = 0 if self.p.kind == INTERFERENCE_LIMITED else (ell + 1) / rho0
+        alpha = self.p.noise * (ell + 1) / rho0
         orders = {mp.mpf(1): 1}
         for beta in betas:
             orders[beta] = orders.get(beta, 0) + ell + 1
@@ -335,24 +329,17 @@ def _quadrature(profiles, K0: int, N: int, Ms: tuple[int, ...]) -> np.ndarray:
     """(len(profiles), len(Ms)) collapsed-rate integrals on one shared mesh,
     each column in its own y = x / rho0."""
     prob = np.array(Ms) / N
-    groups = stacked_by_kind(profiles)
+    rows = stacked(profiles)
 
-    def integrand(ys):  # node-major rows, each kind's users side by side
-        blocks = []
-        for _, rows in groups:
-            xs = rows.rho0 * ys
-            FY, dFY = BestMPoly.columns(N, Ms, sinr_cdf(rows, xs).T)
-            mix = (1.0 - prob + prob * FY) ** (K0 - 1)
-            weight = rows.rho0 * sinr_pdf(rows, xs) * np.log1p(xs) / _LN2
-            blocks.append((dFY * mix * weight.T.reshape(-1, 1)).reshape(
-                len(ys), -1))
-        return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+    def integrand(ys):  # node-major rows, the users side by side
+        xs = rows.rho0 * ys
+        FY, dFY = BestMPoly.columns(N, Ms, sinr_cdf(rows, xs).T)
+        mix = (1.0 - prob + prob * FY) ** (K0 - 1)
+        weight = rows.rho0 * sinr_pdf(rows, xs) * np.log1p(xs) / _LN2
+        return (dFY * mix * weight.T.reshape(-1, 1)).reshape(len(ys), -1)
 
     vals = adaptive_quad_halfline(integrand, _QUADRATURE, vectorized=True)
-    rates = np.empty((len(profiles), len(Ms)))
-    rates[[k for idx, _ in groups for k in idx]] = prob * vals.reshape(
-        len(profiles), len(Ms))
-    return rates
+    return prob * vals.reshape(len(profiles), len(Ms))
 
 
 @lru_cache(maxsize=128)

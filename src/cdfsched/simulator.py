@@ -17,12 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .channel import (
-    INTERFERENCE_LIMITED,
-    Scenario,
-    build_link_profile,
-    sinr_cdf,
-)
+from .channel import Scenario, build_link_profile, sinr_cdf
 from .errors import DomainError
 from .feedback import BestMPoly, check_budget
 
@@ -182,10 +177,7 @@ def _run_drop(profiles, N: int, config: SimConfig, rng: np.random.Generator):
             cqi = np.empty((n, K0, N))
             for k, p in enumerate(profiles):
                 sig = p.rho0 * rng.exponential(size=(n, N))
-                if p.kind == INTERFERENCE_LIMITED:
-                    denom = np.zeros((n, N))  # noise neglected by definition
-                else:
-                    denom = np.ones((n, N))
+                denom = np.full((n, N), p.noise)
                 for rho_b in p.rho_int:
                     denom += rho_b * rng.exponential(size=(n, N))
                 cqi[:, k, :] = sig / denom

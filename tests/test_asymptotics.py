@@ -222,10 +222,11 @@ class TestAllBudgets:
             assert got == one == sum(per_user)
 
     def test_constants_table_is_the_scalar_definition(self):
-        # a = log2(1 + x1), b = log2((1 + x2)/(1 + x1)) with math.log2 and
-        # the best-M quantiles x1, x2 at 1 - N/(KM) and 1 - N/(KMe), NaN
-        # where K*M/N <= 1, float for float; at K = 20 numpy's log2 misses math.log2's last bit for one of a, b
-        # of each of these profiles (at M = 4, 4, 6)
+        # a = log2(1 + x1), b = log2((1 + x2)/(1 + x1)) with numpy's log2
+        # and the best-M quantiles x1, x2 at 1 - N/(KM) and 1 - N/(KMe),
+        # NaN where K*M/N <= 1, float for float; at K = 20 math.log2 misses
+        # numpy's last bit for one of a, b of each of these profiles (at
+        # M = 4, 4, 6)
         edges = [LinkProfile.general(25.5, (1.9,)),
                  LinkProfile.general(0.9, (0.66,)),
                  LinkProfile.general(0.2, (0.16,))]
@@ -243,8 +244,8 @@ class TestAllBudgets:
                     x1 = bestm_cdf_inv(p, N_RB, M, 1.0 - N_RB / (K * M))
                     x2 = bestm_cdf_inv(p, N_RB, M,
                                        1.0 - N_RB / (K * M * math.e))
-                    assert got == [math.log2(1.0 + x1).hex(),
-                                   math.log2((1.0 + x2) / (1.0 + x1)).hex()]
+                    assert got == [np.log2(1.0 + x1).hex(),
+                                   np.log2((1.0 + x2) / (1.0 + x1)).hex()]
                     one = normalizing_constants(p, K, N_RB, M)
                     assert got == [one.a.hex(), one.b.hex()]
             row = normalizing_constants(cell[-1], K, N_RB, Ms)

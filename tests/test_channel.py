@@ -172,10 +172,31 @@ class TestArrayQuantile:
         with pytest.raises(DomainError, match=f"got {bad!r}$"):
             sinr_cdf_inv(TIED, bad)
 
+    @pytest.mark.parametrize("rho0", SCALES)
+    def test_simplified_kinds_match_their_closed_forms(self, rho0):
+        # the noise- and interference-limited quantiles come from the one
+        # Newton; the docstring's bound on log S, u (5J + 2) |log(1 - q)|,
+        # carried to x by the hazard h, plus a few subnormal spacings
+        levels = [5e-324, 1e-300, 1e-12, 1e-6, 0.5, 1 - 1e-12, 1 - 2**-53]
+        cases = [(LinkProfile.noise_limited(rho0),
+                  lambda q: -rho0 * math.log1p(-q))]
+        for rho1 in (0.3 * rho0, 1e-8):
+            cases.append((LinkProfile.interference_limited(rho0, rho1),
+                          lambda q, rho1=rho1: rho0 / rho1 * q / (1 - q)))
+        for p, closed in cases:
+            for q, x in zip(levels, sinr_cdf_inv(p, np.array(levels))):
+                want = closed(q)
+                h = p.noise / rho0 + sum(r / (rho0 + r * want)
+                                         for r in p.rho_int)
+                bound = 1.1e-16 * (5 * p.num_interferers + 2) \
+                    * abs(math.log1p(-q)) / h + 4 * 5e-324
+                assert abs(x - want) <= bound, (p, q)
+
     def test_unconverged_points_report_the_gap_left(self, monkeypatch):
-        # a hazard of 1e300 makes every Newton step negligible
+        # a hazard of 1e300 makes every Newton step negligible; the
+        # noise-limited row's three points iterate too
         monkeypatch.setattr(channel, "_hazard", lambda p, x: 1e300)
-        with pytest.raises(ConvergenceError, match="at 6 point") as err:
+        with pytest.raises(ConvergenceError, match="at 9 point") as err:
             sinr_cdf_inv([TIED, PROFILES[0], J4], np.array([0.1, 0.5, 0.9]))
         assert err.value.achieved_error == pytest.approx(-math.log1p(-0.9))
         with pytest.raises(ConvergenceError, match="at 1 point") as err:
@@ -273,6 +294,15 @@ class TestSinrDistribution:
         if p.kind != "interference_limited":
             assert sinr_cdf(p, x) == 1.0
         assert sinr_sf(p, x) > 0.0
+
+    def test_infinity_on_every_kind(self):
+        # nu * x is 0 * inf without noise, and so is a zero-padded scale
+        # in a stack; an interference-limited CQI is inf when the
+        # simulator draws an interferer power of 0
+        for p in [*PROFILES, channel.stacked(PROFILES)]:
+            assert np.all(sinr_cdf(p, math.inf) == 1.0)
+            assert np.all(sinr_sf(p, math.inf) == 0.0)
+            assert np.all(sinr_pdf(p, math.inf) == 0.0)
 
     def test_quantile_domain(self):
         with pytest.raises(DomainError):
