@@ -255,13 +255,13 @@ def sinr_cdf(p: LinkProfile, x):
 
 
 def sinr_pdf(p: LinkProfile, x):
-    """Density of the per-resource-block SINR; 0 for x < 0 and at x = inf.
-    p may also be stacked rows, as in `sinr_cdf`."""
+    """Density of the per-resource-block SINR; 0 for x < 0 and at x = inf,
+    NaN for a NaN x.  p may also be stacked rows, as in `sinr_cdf`."""
     x = np.asarray(x, dtype=float)
-    inside = (x >= 0) & (x < np.inf)
-    xc = np.where(inside, x, 0.0)
+    outside = (x < 0) | (x == np.inf)  # a NaN x is not, and stays NaN
+    xc = np.where(outside, 0.0, x)
     out = np.exp(_log_sf(p, xc)) * _hazard(p, xc)
-    return _as_output(np.where(inside, out, 0.0))
+    return _as_output(np.where(outside, 0.0, out))
 
 
 def sinr_sf(p: LinkProfile, x):

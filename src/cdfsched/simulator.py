@@ -3,15 +3,21 @@
 Drop-based simulation: each drop redraws the large-scale state (shadowing,
 association), then runs block-fading slots in which every user feeds back
 its best-M resource blocks and the base station schedules one user per
-block.  Per-drop RNG substreams are derived from a counter-based generator
-keyed by (master_seed, drop_index), so results are bit-identical for a
-fixed master seed no matter how the drops are distributed across threads.
+block.  Each chunk of slots draws every user's SINRs into one buffer, then
+scores one user at a time against a running winner.  Per-drop RNG
+substreams come from a counter-based generator keyed by (master_seed,
+drop_index), so results are bit-identical for a fixed master seed however
+the drops are spread over threads.  Threads run drops in parallel; a drop
+with a spare thread (threads_hint at least twice the drops run at once)
+draws its next chunk there while it scores the current one.  That is what
+threads_hint buys at one drop, and it leaves the stream as it is.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -155,7 +161,23 @@ def _batch_slots(slots_per_drop: int) -> list[int]:
     return [base + (b < extra) for b in range(n_batches)]
 
 
-def _run_drop(profiles, N: int, config: SimConfig, rng: np.random.Generator):
+def _draw(profiles, rng, scratch, x):
+    """One chunk's SINRs into x (K0, n, N): a user's signal and interferer
+    exponentials in one call, the interference summed in scale order."""
+    for p, xk in zip(profiles, x):
+        e = scratch[:(1 + p.num_interferers) * xk.size].reshape(-1, *xk.shape)
+        rng.standard_exponential(out=e)
+        e[0] *= p.rho0
+        xk[...] = p.noise
+        for rho_b, e_b in zip(p.rho_int, e[1:]):
+            e_b *= rho_b
+            xk += e_b
+        np.divide(e[0], xk, out=xk)
+    return x
+
+
+def _run_drop(profiles, N: int, config: SimConfig, rng: np.random.Generator,
+              pool=None):
     """Simulate one drop's slots; single stream, deterministic order.
 
     Returns the per-batch rate sums (B, K0) in bits/s/Hz over slot-RBs,
@@ -168,50 +190,51 @@ def _run_drop(profiles, N: int, config: SimConfig, rng: np.random.Generator):
     batch_counts = np.zeros((len(batches), K0), dtype=np.int64)
     batch_outage = np.zeros(len(batches), dtype=np.int64)
 
+    # the chunk boundaries fix the draw order: never change them
     chunk_cap = max(1, 65536 // K0)
+    chunks = [(b, min(chunk_cap, b_slots - start))
+              for b, b_slots in enumerate(batches)
+              for start in range(0, b_slots, chunk_cap)]
+    rows = min(chunk_cap, batches[0]) * N  # the first batch is the longest
+    bufs = [np.empty(K0 * rows) for _ in range(1 + (pool is not None))]
+    scratch = np.empty(rows * (1 + max(p.num_interferers for p in profiles)))
+
+    def draw(c):
+        x = bufs[c % len(bufs)][:K0 * chunks[c][1] * N]
+        return _draw(profiles, rng, scratch, x.reshape(K0, -1, N))
+
+    future = pool.submit(draw, 0) if pool else None
     slot_cursor = 0
-    for b, b_slots in enumerate(batches):
-        for start in range(0, b_slots, chunk_cap):
-            n = min(chunk_cap, b_slots - start)
-            # draw SINR for every (slot, user, rb)
-            cqi = np.empty((n, K0, N))
-            for k, p in enumerate(profiles):
-                sig = p.rho0 * rng.exponential(size=(n, N))
-                denom = np.full((n, N), p.noise)
-                for rho_b in p.rho_int:
-                    denom += rho_b * rng.exponential(size=(n, N))
-                cqi[:, k, :] = sig / denom
+    for c, (b, n) in enumerate(chunks):
+        x = future.result() if pool else draw(c)
+        # the pool draws c + 1 into the buffer c - 1 freed while c is scored
+        if pool and c + 1 < len(chunks):
+            future = pool.submit(draw, c + 1)
+        if config.policy == "round_robin":
+            winner = ((slot_cursor + np.arange(n))[:, None] * N
+                      + np.arange(N)) % K0
+            served = np.ones((n, N), dtype=bool)
+        else:
+            best = np.full((n, N), -1.0)
+            winner = np.zeros((n, N), dtype=np.intp)
+            for k, (p, xk) in enumerate(zip(profiles, x)):
+                # best-M feedback: a user's M largest blocks.  F_Y is one
+                # increasing map shared by all users, so the largest F_k(x)
+                # wins F_Y(F_k(x)); a strict > keeps ties at the lower index
+                kth = np.partition(xk, N - M, axis=1)[:, N - M, None]
+                score = sinr_cdf(p, xk) if config.policy == "cdf" else xk
+                up = (xk >= kth) & (score > best)
+                best = np.where(up, score, best)
+                winner = np.where(up, k, winner)
+            served = best >= 0.0  # a block nobody fed back is in outage
 
-            if config.policy == "round_robin":
-                rb_index = (slot_cursor + np.arange(n))[:, None] * N \
-                    + np.arange(N)[None, :]
-                winner = rb_index % K0
-                served = np.ones((n, N), dtype=bool)
-            else:
-                # best-M feedback mask: keep each user's M largest blocks
-                kth = np.partition(cqi, N - M, axis=2)[:, :, N - M]
-                mask = cqi >= kth[:, :, None]
-                if config.policy == "cdf":
-                    # F_Y is one increasing map shared by all users, so
-                    # ranking by F_k(x) picks the argmax of F_Y(F_k(x))
-                    score = np.empty_like(cqi)
-                    for k, p in enumerate(profiles):
-                        score[:, k, :] = sinr_cdf(p, cqi[:, k, :])
-                else:
-                    score = cqi.copy()
-                score[~mask] = -1.0
-                winner = score.argmax(axis=1)
-                top = np.take_along_axis(score, winner[:, None, :],
-                                         axis=1)[:, 0, :]
-                served = top >= 0.0  # a block nobody fed back is in outage
-
-            won = np.take_along_axis(cqi, winner[:, None, :], axis=1)[:, 0, :]
-            served_winner = winner[served]
-            batch_rate[b] += np.bincount(
-                served_winner, np.log2(1.0 + won[served]), K0)
-            batch_counts[b] += np.bincount(served_winner, minlength=K0)
-            batch_outage[b] += served.size - np.count_nonzero(served)
-            slot_cursor += n
+        won = np.take_along_axis(x, winner[None], axis=0)[0]
+        served_winner = winner[served]
+        batch_rate[b] += np.bincount(
+            served_winner, np.log2(1.0 + won[served]), K0)
+        batch_counts[b] += np.bincount(served_winner, minlength=K0)
+        batch_outage[b] += served.size - np.count_nonzero(served)
+        slot_cursor += n
 
     return batch_rate, batch_counts, batch_outage
 
@@ -252,19 +275,24 @@ def _aggregate(drops, N: int, config: SimConfig) -> RateReport:
 
 
 def _run_drops(drop_profiles, N: int, config: SimConfig) -> RateReport:
-    """Run every drop, concurrently when threads_hint > 1, and reduce in
+    """Run every drop, min(num_drops, threads_hint) at once, and reduce in
     drop-index order.  drop_profiles(rng) gives a drop's link profiles,
     drawing first from that drop's stream; its slots then continue the
     same stream."""
     check_budget(N, config.M)
 
+    workers = min(config.num_drops, config.threads_hint)
+    ahead = config.threads_hint >= 2 * workers  # a spare thread per drop
+
     def one(drop: int):
         rng = drop_rng(config.master_seed, drop)
-        return _run_drop(drop_profiles(rng), N, config, rng)
+        with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() \
+                as pool:
+            return _run_drop(drop_profiles(rng), N, config, rng, pool)
 
     indices = range(config.num_drops)
-    if config.threads_hint > 1 and config.num_drops > 1:
-        with ThreadPoolExecutor(max_workers=config.threads_hint) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             drops = list(pool.map(one, indices))
     else:
         drops = [one(i) for i in indices]

@@ -304,6 +304,17 @@ class TestSinrDistribution:
             assert np.all(sinr_sf(p, math.inf) == 0.0)
             assert np.all(sinr_pdf(p, math.inf) == 0.0)
 
+    def test_nan_on_every_kind(self):
+        # a NaN x gives NaN, not a silent 0.0, in the density as in the
+        # CDF and the survival; the points beside it keep their bits
+        x = np.array([math.nan, -1.0, 0.0, 0.5, math.inf])
+        for p in [*PROFILES, channel.stacked(PROFILES)]:
+            for law in (sinr_cdf, sinr_sf, sinr_pdf):
+                assert np.all(np.isnan(law(p, math.nan)))
+                values = law(p, x)
+                assert np.all(np.isnan(values[..., 0]))
+                assert np.array_equal(values[..., 1:], law(p, x[1:]))
+
     def test_quantile_domain(self):
         with pytest.raises(DomainError):
             sinr_cdf_inv(PROFILES[0], 0.0)

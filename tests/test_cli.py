@@ -390,6 +390,15 @@ class TestSimulateCommand:
         _, out4, _ = run_cli(capsys, *base, "--threads", "4")
         assert out1 == out4  # bitwise identical CSV
 
+    @pytest.mark.parametrize("drops", ["1", "2", "3"])
+    def test_csv_identical_for_every_thread_count(self, capsys, drops):
+        # one drop draws ahead on a spare thread; more drops share them
+        base = ("simulate", "--scenario", GOLDEN, "--M", "4",
+                "--drops", drops, "--slots", "300")
+        outs = {run_cli(capsys, *base, "--threads", t)[1]
+                for t in ("1", "2", "3", "4")}
+        assert len(outs) == 1
+
     def test_policy_flag(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--scenario", GOLDEN,
                                "--policy", "round_robin", "--slots", "100")

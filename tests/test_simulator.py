@@ -6,10 +6,13 @@ examples; and closed-form outage and fairness values.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from cdfsched import simulator
 from cdfsched.channel import Cell, LinkProfile, Scenario, sinr_cdf
 from cdfsched.errors import DomainError
 from cdfsched.exact_rate import user_rate_exact
@@ -270,41 +273,127 @@ class TestWideCarrier:
 
 class TestOracleTally:
     """The vectorized drop against the scalar reference scheduler on the
-    same draws.  At 8 slots per drop every statistics batch, and so every
-    chunk, is one slot, so the drop's stream can be redrawn here slot by
-    slot in the simulator's order."""
+    same draws.  A drop of 8 * n slots has 8 statistics batches of n slots,
+    and with 5 users each batch is one chunk, so the drop's stream can be
+    redrawn here chunk by chunk in the simulator's order: per user, the
+    signal and then each interferer as one (n, N) block."""
 
-    @pytest.mark.parametrize("N,M", [(16, 4), (8, 1), (8, 8)])
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_tallies_match_schedule_slot(self, policy, N, M):
-        slots = 8
+    @staticmethod
+    def _check(policy, N, M, slots):
+        n = slots // 8
         rng = drop_rng(123, 0)
         rate_sum = np.zeros(len(HETERO))
         outage = 0
-        for slot in range(slots):
-            sinr = []
+        for chunk in range(8):
+            draws = []
             for p in HETERO:
-                sig = p.rho0 * rng.exponential(size=(1, N))
-                denom = np.zeros((1, N)) \
-                    if p.kind == "interference_limited" else np.ones((1, N))
+                sig = p.rho0 * rng.exponential(size=(n, N))
+                denom = np.zeros((n, N)) \
+                    if p.kind == "interference_limited" else np.ones((n, N))
                 for rho_b in p.rho_int:
-                    denom += rho_b * rng.exponential(size=(1, N))
-                sinr.append((sig / denom)[0])
-            feedback = [best_m_select(s, M) for s in sinr]
-            assignment, rates = schedule_slot(
-                feedback, policy, HETERO, N, genie_sinr=sinr,
-                rr_offset=slot * N)
-            for k, rate in zip(assignment, rates):
-                if k < 0:
-                    outage += 1
-                else:
-                    rate_sum[k] += rate
+                    denom += rho_b * rng.exponential(size=(n, N))
+                draws.append(sig / denom)
+            for i in range(n):
+                sinr = [d[i] for d in draws]
+                feedback = [best_m_select(s, M) for s in sinr]
+                assignment, rates = schedule_slot(
+                    feedback, policy, HETERO, N, genie_sinr=sinr,
+                    rr_offset=(chunk * n + i) * N)
+                for k, rate in zip(assignment, rates):
+                    if k < 0:
+                        outage += 1
+                    else:
+                        rate_sum[k] += rate
         rep = simulate_profiles(HETERO, N, _cfg(
             policy=policy, M=M, slots_per_drop=slots, master_seed=123))
         rb_total = slots * N
         np.testing.assert_allclose(rep.per_user_rate, rate_sum / rb_total,
                                    rtol=1e-12, atol=0.0)
         assert rep.outage_fraction == outage / rb_total
+
+    @pytest.mark.parametrize("N,M", [(16, 4), (8, 1), (8, 8)])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_tallies_match_schedule_slot(self, policy, N, M):
+        self._check(policy, N, M, slots=8)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_tallies_match_at_multi_slot_chunks(self, policy):
+        # 3 slots a chunk: a swap of the slot and block axes shows here
+        self._check(policy, 16, 4, slots=24)
+
+
+class TestThreads:
+    """Draw-ahead and drop threads: the same bits, at most threads_hint
+    workers, and a failing draw surfaces without leaking a thread."""
+
+    @pytest.fixture
+    def executors(self, monkeypatch):
+        """The max_workers of every executor made, and the most workers
+        ever asked for at once."""
+        lock = threading.Lock()
+        made, live, peak = [], [0], [0]
+
+        class Counting(simulator.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                with lock:
+                    made.append(max_workers)
+                    live[0] += max_workers
+                    peak[0] = max(peak[0], live[0])
+
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                with lock:
+                    live[0] -= self._max_workers
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", Counting)
+        return made, peak
+
+    @pytest.mark.parametrize("drops", [1, 2, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_workers_never_exceed_threads_hint(self, executors, drops,
+                                               threads):
+        made, peak = executors
+        cfg = _cfg(num_drops=drops, slots_per_drop=40, threads_hint=threads)
+        assert simulate_profiles(HETERO, 8, cfg) == \
+            simulate_profiles(HETERO, 8, _cfg(num_drops=drops,
+                                              slots_per_drop=40))
+        assert peak[0] <= threads
+        if threads == 1:
+            assert made == []
+        if threads >= 2 * min(drops, threads):  # a spare thread per drop
+            assert made.count(1) >= drops
+
+    def test_bits_hold_under_fast_thread_switching(self):
+        # more threads than cores and a switch every microsecond: a chunk
+        # buffer refilled before it was scored would change the report
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = simulate_profiles(HETERO, 8, _cfg(
+                num_drops=2, slots_per_drop=400, threads_hint=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == simulate_profiles(HETERO, 8, _cfg(
+            num_drops=2, slots_per_drop=400))
+
+    @pytest.mark.parametrize("drops,threads", [(1, 2), (2, 4), (3, 2)])
+    def test_failing_draw_reaches_caller(self, monkeypatch, drops, threads):
+        baseline = threading.active_count()
+        draw = simulator._draw
+        calls = [0]
+
+        def failing(*args):
+            calls[0] += 1
+            if calls[0] >= 3:
+                raise RuntimeError("draw failed")
+            return draw(*args)
+
+        monkeypatch.setattr(simulator, "_draw", failing)
+        cfg = _cfg(num_drops=drops, slots_per_drop=16, threads_hint=threads)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            simulate_profiles(HETERO, 8, cfg)
+        assert threading.active_count() == baseline
 
 
 class TestSimulateScenario:
