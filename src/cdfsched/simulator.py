@@ -4,20 +4,18 @@ Drop-based simulation: each drop redraws the large-scale state (shadowing,
 association), then runs block-fading slots in which every user feeds back
 its best-M resource blocks and the base station schedules one user per
 block.  Each chunk of slots draws every user's SINRs into one buffer, then
-scores one user at a time against a running winner.  Per-drop RNG
-substreams come from a counter-based generator keyed by (master_seed,
-drop_index), so results are bit-identical for a fixed master seed however
-the drops are spread over threads.  Threads run drops in parallel; a drop
-with a spare thread (threads_hint at least twice the drops run at once)
-draws its next chunk there while it scores the current one.  That is what
-threads_hint buys at one drop, and it leaves the stream as it is.
+scores one user at a time, on the blocks it fed back only, against a
+running winner.  Per-drop RNG substreams come from a counter-based
+generator keyed by (master_seed, drop_index), so results are bit-identical
+for a fixed master seed however the drops are spread over threads.
+Threads run drops in parallel, one thread a drop: threads_hint buys
+nothing at one drop.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -176,8 +174,7 @@ def _draw(profiles, rng, scratch, x):
     return x
 
 
-def _run_drop(profiles, N: int, config: SimConfig, rng: np.random.Generator,
-              pool=None):
+def _run_drop(profiles, N: int, config: SimConfig, rng: np.random.Generator):
     """Simulate one drop's slots; single stream, deterministic order.
 
     Returns the per-batch rate sums (B, K0) in bits/s/Hz over slot-RBs,
@@ -196,37 +193,33 @@ def _run_drop(profiles, N: int, config: SimConfig, rng: np.random.Generator,
               for b, b_slots in enumerate(batches)
               for start in range(0, b_slots, chunk_cap)]
     rows = min(chunk_cap, batches[0]) * N  # the first batch is the longest
-    bufs = [np.empty(K0 * rows) for _ in range(1 + (pool is not None))]
+    buf = np.empty(K0 * rows)
     scratch = np.empty(rows * (1 + max(p.num_interferers for p in profiles)))
-
-    def draw(c):
-        x = bufs[c % len(bufs)][:K0 * chunks[c][1] * N]
-        return _draw(profiles, rng, scratch, x.reshape(K0, -1, N))
-
-    future = pool.submit(draw, 0) if pool else None
     slot_cursor = 0
-    for c, (b, n) in enumerate(chunks):
-        x = future.result() if pool else draw(c)
-        # the pool draws c + 1 into the buffer c - 1 freed while c is scored
-        if pool and c + 1 < len(chunks):
-            future = pool.submit(draw, c + 1)
+    for b, n in chunks:
+        x = _draw(profiles, rng, scratch, buf[:K0 * n * N].reshape(K0, n, N))
         if config.policy == "round_robin":
             winner = ((slot_cursor + np.arange(n))[:, None] * N
                       + np.arange(N)) % K0
             served = np.ones((n, N), dtype=bool)
         else:
-            best = np.full((n, N), -1.0)
-            winner = np.zeros((n, N), dtype=np.intp)
+            best = np.full(n * N, -1.0)
+            winner = np.zeros(n * N, dtype=np.intp)
             for k, (p, xk) in enumerate(zip(profiles, x)):
-                # best-M feedback: a user's M largest blocks.  F_Y is one
-                # increasing map shared by all users, so the largest F_k(x)
-                # wins F_Y(F_k(x)); a strict > keeps ties at the lower index
+                # best-M feedback: a user's M largest blocks, and only
+                # those are scored.  F_Y is one increasing map shared by all
+                # users, so the largest F_k(x) wins F_Y(F_k(x)); a strict >
+                # keeps ties at the lower index
                 kth = np.partition(xk, N - M, axis=1)[:, N - M, None]
-                score = sinr_cdf(p, xk) if config.policy == "cdf" else xk
-                up = (xk >= kth) & (score > best)
-                best = np.where(up, score, best)
-                winner = np.where(up, k, winner)
-            served = best >= 0.0  # a block nobody fed back is in outage
+                fed = np.flatnonzero(xk >= kth)
+                score = xk.ravel().take(fed)
+                if config.policy == "cdf":
+                    score = sinr_cdf(p, score)
+                up = score > best.take(fed)
+                best.put(fed[up], score[up])
+                winner.put(fed[up], k)
+            winner = winner.reshape(n, N)
+            served = best.reshape(n, N) >= 0.0  # an unfed block: outage
 
         won = np.take_along_axis(x, winner[None], axis=0)[0]
         served_winner = winner[served]
@@ -282,13 +275,10 @@ def _run_drops(drop_profiles, N: int, config: SimConfig) -> RateReport:
     check_budget(N, config.M)
 
     workers = min(config.num_drops, config.threads_hint)
-    ahead = config.threads_hint >= 2 * workers  # a spare thread per drop
 
     def one(drop: int):
         rng = drop_rng(config.master_seed, drop)
-        with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() \
-                as pool:
-            return _run_drop(drop_profiles(rng), N, config, rng, pool)
+        return _run_drop(drop_profiles(rng), N, config, rng)
 
     indices = range(config.num_drops)
     if workers > 1:

@@ -392,7 +392,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("drops", ["1", "2", "3"])
     def test_csv_identical_for_every_thread_count(self, capsys, drops):
-        # one drop draws ahead on a spare thread; more drops share them
+        # fewer, as many and more threads than drops
         base = ("simulate", "--scenario", GOLDEN, "--M", "4",
                 "--drops", drops, "--slots", "300")
         outs = {run_cli(capsys, *base, "--threads", t)[1]

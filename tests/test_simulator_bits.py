@@ -1,9 +1,9 @@
 """Frozen simulator output: `float.hex` of every `RateReport` field.
 
-The expected values were recorded from the one-chunk-at-a-time drawing and
-scoring loop that preceded the draw-ahead pipeline.  Any change to the draw
-order, the chunk boundaries, the SINR arithmetic, the winner rule or the
-tally shows here as a changed bit.  The cases cover every policy, drops
+The expected values were recorded from the drawing and scoring loop that
+preceded per-user scoring, one (slot, user, block) array a chunk.  Any
+change to the draw order, the chunk boundaries, the SINR arithmetic, the
+winner rule or the tally shows here as a changed bit.  The cases cover every policy, drops
 whose statistics batches span several chunks, a 7-slot drop, full
 feedback, a mixed NL/IL/G cell with a near-degenerate
 interference-limited user, several drops on several threads and the
