@@ -223,7 +223,9 @@ def _log_sf(p: LinkProfile, x):
     accuracy at small x, where the product itself rounds to 1 + O(eps).
     Every law's survival is 0 at x = inf, so those points are set apart:
     there a zero scale, or the noise term of a law without noise, would
-    be 0 * inf = NaN."""
+    be 0 * inf = NaN.  At a huge finite x the product, or the noise
+    term, may overflow: its inf is the limit, log S = -inf, and the laws
+    below take it without a warning."""
     at_inf = x == np.inf
     if at_inf.any():
         return np.where(at_inf, -np.inf, _log_sf(p, np.where(at_inf, 0.0, x)))
@@ -236,7 +238,7 @@ def _log_sf(p: LinkProfile, x):
 
 def _hazard(p: LinkProfile, x):
     """-d log S / dx = nu / rho0 + sum_b rho_b / (rho0 + rho_b x), for
-    0 <= x < inf."""
+    0 <= x < inf; a rho_b x that overflows adds its limit, 0."""
     h = p.noise / p.rho0
     for rho_b in p.rho_int:
         h = h + rho_b / (p.rho0 + rho_b * x)
@@ -251,7 +253,8 @@ def sinr_cdf(p: LinkProfile, x):
     """CDF of the per-resource-block SINR; 0 for x <= 0.  p may also be the
     stacked rows of `stacked`, against whose (K, 1) columns x
     broadcasts."""
-    return _as_output(-np.expm1(_log_sf(p, np.maximum(x, 0.0))))
+    with np.errstate(over="ignore"):  # an overflow is the limit: _log_sf
+        return _as_output(-np.expm1(_log_sf(p, np.maximum(x, 0.0))))
 
 
 def sinr_pdf(p: LinkProfile, x):
@@ -260,14 +263,16 @@ def sinr_pdf(p: LinkProfile, x):
     x = np.asarray(x, dtype=float)
     outside = (x < 0) | (x == np.inf)  # a NaN x is not, and stays NaN
     xc = np.where(outside, 0.0, x)
-    out = np.exp(_log_sf(p, xc)) * _hazard(p, xc)
+    with np.errstate(over="ignore"):
+        out = np.exp(_log_sf(p, xc)) * _hazard(p, xc)
     return _as_output(np.where(outside, 0.0, out))
 
 
 def sinr_sf(p: LinkProfile, x):
     """Survival function 1 - F of the SINR; accurate deep in the tail,
     where 1 - sinr_cdf cancels."""
-    return _as_output(np.exp(_log_sf(p, np.maximum(x, 0.0))))
+    with np.errstate(over="ignore"):
+        return _as_output(np.exp(_log_sf(p, np.maximum(x, 0.0))))
 
 
 def stacked(profiles):

@@ -5,11 +5,12 @@ feedback count collapses in closed form, leaving the binomial-tail F_Y of
 `feedback`, which `_collapsed_rates` integrates in floating point over the
 product-form SINR law of `channel`.  It integrates a whole cell at once:
 every (user, M) column is one column of a vector integrand on one shared
-mesh, each user in its own y = x / rho0, the users one stack of the SINR
-law's numbers (`channel.stacked`), taken a bounded number of columns at a
-time.  F_Y comes from `BestMPoly.columns`, the one float evaluator of
-F_Y.  A cell's rates at one M are one `user_rate_exact` call, and at a
-sequence of Ms, the planner's scan, one `_collapsed_rates` call.
+mesh, each user in its own y = x / s on its map scale s (`_map_scale`),
+the users one stack of the SINR law's numbers (`channel.stacked`), taken
+a bounded number of columns at a time.  F_Y comes from
+`BestMPoly.columns`, the one float evaluator of F_Y.  A cell's rates at
+one M are one `user_rate_exact` call, and at a sequence of Ms, the
+planner's scan, one `_collapsed_rates` call.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  Each G is an alternating binomial sum
@@ -321,21 +322,33 @@ def _series_budget(p: LinkProfile) -> int:
 #: of the best-M term table at each node: it bounds the integrand's arrays
 _MAX_COLUMNS = 256
 
-_QUADRATURE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10,
+_QUADRATURE = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-11,
                                max_subdivisions=6000)
+
+
+def _map_scale(rows):
+    """(K, 1) map scales s of the stacked rows, each near the top of its
+    rate integrand's mass: the SINR scale sigma = rho0 / (nu + sum_b
+    rho_b), or, where sigma is smaller, 1, where log1p(x) stops growing
+    like x, or rho0 if below 1 when the noise term cuts the law off
+    there."""
+    sigma = rows.rho0 / (rows.noise + sum(rows.rho_int))
+    return np.maximum(sigma, np.where(rows.noise > 0,
+                                      np.minimum(1.0, rows.rho0), 1.0))
 
 
 def _quadrature(profiles, K0: int, N: int, Ms: tuple[int, ...]) -> np.ndarray:
     """(len(profiles), len(Ms)) collapsed-rate integrals on one shared mesh,
-    each column in its own y = x / rho0."""
+    each column in its own y = x / s, s its `_map_scale`."""
     prob = np.array(Ms) / N
     rows = stacked(profiles)
+    scale = _map_scale(rows)
 
     def integrand(ys):  # node-major rows, the users side by side
-        xs = rows.rho0 * ys
+        xs = scale * ys
         FY, dFY = BestMPoly.columns(N, Ms, sinr_cdf(rows, xs).T)
         mix = (1.0 - prob + prob * FY) ** (K0 - 1)
-        weight = rows.rho0 * sinr_pdf(rows, xs) * np.log1p(xs) / _LN2
+        weight = scale * sinr_pdf(rows, xs) * np.log1p(xs) / _LN2
         return (dFY * mix * weight.T.reshape(-1, 1)).reshape(len(ys), -1)
 
     vals = adaptive_quad_halfline(integrand, _QUADRATURE, vectorized=True)
@@ -354,13 +367,16 @@ def _collapsed_rates(profiles: tuple[LinkProfile, ...], K0: int, N: int,
     Averaging tau0 * F_Y^(tau0-1) over the Binomial(K0, M/N) feedback count
     telescopes to K0 * (M/N) * (1 - M/N + (M/N) F_Y)^(K0-1), leaving one
     smooth positive integral per (user, K0, N, M).  It is taken in
-    y = x / rho0, so that the half-line map samples the SINR on its own
-    scale; unscaled, every first node misses the density at rho0 = 1e-8.
+    y = x / s, s the column's `_map_scale`, so that the half-line map,
+    which resolves t = y / (1 + y) finely near 0 and coarsely near 1, has
+    each column's mass below y = 1: on y = x / rho0 an
+    interference-limited user with rho0 / rho1 = 1e-9 put its mass at
+    y ~ 1e9, where the nodes round to t = 1.
     """
-    # neighbours in kind and interference level share a mesh with few
-    # panels to spare
-    unique = sorted(dict.fromkeys(profiles),
-                    key=lambda p: (p.kind, sum(p.rho_int), p.rho0))
+    # neighbours in map scale share a mesh with few panels to spare
+    unique = list(dict.fromkeys(profiles))
+    scales = _map_scale(stacked(unique))[:, 0]
+    unique = [unique[k] for k in np.argsort(scales, kind="stable")]
     step = max(1, _MAX_COLUMNS // max(Ms))
     rates = np.concatenate([_quadrature(unique[a:a + step], K0, N, Ms)
                             for a in range(0, len(unique), step)])
@@ -385,7 +401,7 @@ def user_rate_exact(p, K0: int, N: int, M: int,
     profiles = (p,) if isinstance(p, LinkProfile) else tuple(p)
     rates, quad = np.empty(len(profiles)), []
     for k, pk in enumerate(profiles):
-        if N * K0 <= min(closed_form_max_eps, _series_budget(pk)):
+        if N * K0 <= closed_form_max_eps and N * K0 <= _series_budget(pk):
             xis = tuple(xi2_vector(N, M, tau0) for tau0 in range(1, K0 + 1))
             try:
                 rates[k] = float(_engine(pk).weighted_sum(

@@ -129,12 +129,25 @@ _BLOCK_ENTRIES = 1 << 20
 
 
 def _term_sums(N: int, u, s, weights):
-    """The table s^i u^(N-1-i), i < len(weights), of the 1-D u and s times
-    the weights, a block of rows at a time."""
-    i = np.arange(len(weights))
-    rows = max(1, _BLOCK_ENTRIES // len(i))
-    sums = [(s[a:a + rows, None] ** i * u[a:a + rows, None] ** (N - 1 - i))
-            @ weights for a in range(0, max(len(u), 1), rows)]
+    """The table s^i u^(N-1-i), i < m = len(weights), of the 1-D u and s
+    times the weights, a block of rows at a time.  The table is built by
+    column products, without a power per entry: the powers of s forward
+    from 1, then the powers of u backward from one u^(N-m) per row."""
+    m = len(weights)
+    rows = max(1, _BLOCK_ENTRIES // m)
+    sums = []
+    for a in range(0, max(len(u), 1), rows):
+        ub, sb = u[a:a + rows], s[a:a + rows]
+        table = np.empty((len(ub), m), order="F")
+        table[:, 0] = 1.0
+        for i in range(1, m):
+            np.multiply(table[:, i - 1], sb, out=table[:, i])
+        low = ub ** (N - m)
+        for i in range(m - 1, 0, -1):
+            table[:, i] *= low
+            low *= ub
+        table[:, 0] = low
+        sums.append(table @ weights)
     return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 

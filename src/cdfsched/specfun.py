@@ -66,6 +66,10 @@ _G7_WEIGHTS = np.array([
 ])
 
 
+#: the largest float below 1, the half-line map's last finite node
+_LAST_T = np.nextafter(1.0, 0.0)
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     abs_tol: float = 1e-12
@@ -96,7 +100,9 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
                            vectorized: bool = False):
     """Integrate f over [0, inf) via the substitution x = t / (1 - t).
 
-    Suitable for integrands decaying at least exponentially.  With
+    Suitable for integrands decaying at least exponentially, or that have
+    decayed long before x = 2^53, the map's last finite node: a node that
+    rounds to t = 1, x = inf, counts as 0.  With
     vectorized=True, f maps an ndarray of n abscissae to n values, or to an
     (n, C) array whose C columns are integrated on one shared mesh;
     otherwise it is called one float abscissa at a time.
@@ -126,11 +132,17 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
     column_valued = False
 
     def mapped(ts):
+        # a node at t = 1 would map to x = inf, and 0 * inf is NaN: f is
+        # taken at the last finite node instead, and the node counts as 0
         nonlocal column_valued
+        inside = ts < 1.0
+        ts = np.minimum(ts, _LAST_T)
         one_minus = 1.0 - ts
         fx = np.asarray(fv(ts / one_minus), dtype=float)
         column_valued = fx.ndim == 2
-        return fx.reshape(len(ts), -1) / (one_minus**2)[:, None]
+        fx = fx.reshape(len(ts), -1) / (one_minus**2)[:, None]
+        fx[~inside] = 0.0
+        return fx
 
     edges = np.linspace(0.0, 1.0, 5)
     lo, hi = edges[:-1], edges[1:]

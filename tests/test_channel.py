@@ -7,6 +7,7 @@ values.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -303,6 +304,20 @@ class TestSinrDistribution:
             assert np.all(sinr_cdf(p, math.inf) == 1.0)
             assert np.all(sinr_sf(p, math.inf) == 0.0)
             assert np.all(sinr_pdf(p, math.inf) == 0.0)
+
+    @pytest.mark.parametrize("p", [
+        LinkProfile.general(5.0, (1.0, 0.3)),
+        LinkProfile.general(1e-8, (1e8, 1e8)),
+        LinkProfile.noise_limited(1e-8)])
+    def test_largest_float_warns_of_nothing(self, p):
+        # at x = 1e308 the interferer product, the noise term or rho_b x
+        # pass the largest float: their inf is the law's limit, not a
+        # warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sinr_cdf(p, 1e308) == 1.0
+            assert sinr_sf(p, 1e308) == 0.0
+            assert sinr_pdf(p, 1e308) == 0.0
 
     def test_nan_on_every_kind(self):
         # a NaN x gives NaN, not a silent 0.0, in the density as in the

@@ -651,11 +651,11 @@ def _counting(monkeypatch):
 
 
 def test_quadrature_calls_per_rate_on_a_large_cell(monkeypatch):
-    """Round-batched refinement on the rho0-scaled map: at K0 = 50 with the
-    golden scenario's users, a collapsed-quadrature rate costs only a few
-    calls of its integrand, whatever M.  Each rate is exactly one call of
-    exact_rate's half-line quadrature, the span the benchmark's tracer
-    times."""
+    """Round-batched refinement, each column on its own map scale: at
+    K0 = 50 with the golden scenario's users, a collapsed-quadrature rate
+    costs only a few calls of its integrand, whatever M.  Each rate is
+    exactly one call of exact_rate's half-line quadrature, the span the
+    benchmark's tracer times."""
     profiles = _golden_profiles()
     quads, calls = _counting(monkeypatch)
     for p in profiles:
@@ -664,6 +664,67 @@ def test_quadrature_calls_per_rate_on_a_large_cell(monkeypatch):
             user_rate_exact(p, 50, 16, M)
     assert len(quads) == 16 * len(profiles)
     assert len(calls) / (16 * len(profiles)) <= 8
+
+
+def test_abscissae_of_a_large_cell_at_one_m(monkeypatch):
+    # a K0 = 50 golden cell at M = 4 is one quadrature of at most 600
+    # integrand abscissae (840 with every column on y = x / rho0)
+    cell = _jittered_golden(50)
+    quads, calls = _counting(monkeypatch)
+    _collapsed_rates.cache_clear()
+    sum_rate_exact(cell, 16, 4)
+    assert len(quads) == 1
+    assert sum(calls) <= 600
+
+
+#: the interference-limited scale grid, 1e-8 to 1e8
+SCALE_GRID = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8)
+
+
+class TestScaleRange:
+    """Rates over the model's whole scale range, rho from 1e-8 to 1e8."""
+
+    @pytest.mark.parametrize("rho0", SCALE_GRID)
+    def test_interference_limited_rate_is_its_ratios(self, rho0):
+        # IL(rho0, rho1) has the law of IL(rho0 / rho1, 1): their rates
+        # agree at one M and at every M of the scan, down to ratio 1e-16
+        for rho1 in SCALE_GRID:
+            p = LinkProfile.interference_limited(rho0, rho1)
+            ref = LinkProfile.interference_limited(rho0 / rho1, 1.0)
+            assert user_rate_exact(p, 5, 16, 4) == pytest.approx(
+                user_rate_exact(ref, 5, 16, 4), rel=1e-12, abs=0)
+            np.testing.assert_allclose(_surface(p, 5, 16), _surface(ref, 5, 16),
+                                       rtol=1e-12, atol=0)
+
+    def test_random_cells(self):
+        """300 random cells: N <= 100, K0 <= 60, up to three distinct
+        profiles of every kind with J <= 5, a third of the general ones
+        with interferers tied within 1e-9, every scale log-uniform on
+        [1e-8, 1e8].  Every rate of the all-M scan is finite, positive and
+        nondecreasing in M."""
+        rng = np.random.default_rng(2301)
+
+        def scale():
+            return float(10.0 ** rng.uniform(-8.0, 8.0))
+
+        def profile():
+            kind = rng.integers(3)
+            if kind == 0:
+                return LinkProfile.noise_limited(scale())
+            if kind == 1:
+                return LinkProfile.interference_limited(scale(), scale())
+            rho = [scale() for _ in range(rng.integers(1, 6))]
+            if rng.random() < 1 / 3:
+                rho = [rho[0] * (1.0 - 1e-9 * b) for b in range(len(rho))]
+            return LinkProfile.general(scale(), rho)
+
+        for _ in range(300):
+            N, K0 = int(rng.integers(1, 101)), int(rng.integers(1, 61))
+            pool = [profile() for _ in range(rng.integers(1, 4))]
+            cell = [pool[k % len(pool)] for k in range(K0)]
+            rates = sum_rate_exact(cell, N, range(1, N + 1)).per_user
+            assert np.all(np.isfinite(rates)) and np.all(rates > 0), cell
+            assert np.all(np.diff(rates, axis=1) >= -1e-9 * rates[:, 1:]), cell
 
 
 #: the criterion-02 profiles, the golden-scale J = 4 profile, a tie and the

@@ -5,6 +5,7 @@ the constant.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -68,6 +69,26 @@ class TestAdaptiveQuad:
                 QuadratureConfig(max_subdivisions=6), vectorized=True)
         assert math.isfinite(info.value.achieved_error)
         assert info.value.achieved_error > 0.0
+
+    def test_nodes_at_t_one_count_as_zero(self):
+        # an exponential on the scale 1e13 draws the refinement to nodes
+        # that round to t = 1, x = inf: f sees only finite abscissae, up to
+        # the map's last one, 2^53 - 1, and the stall reports a finite error
+        seen = []
+
+        def f(xs):
+            seen.append(xs)
+            return np.exp(-xs / 1e13) / 1e13
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as info:
+                adaptive_quad_halfline(
+                    f, QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10,
+                                        max_subdivisions=6000),
+                    vectorized=True)
+        assert math.isfinite(info.value.achieved_error)
+        assert np.concatenate(seen).max() == 2.0**53 - 1
 
     def test_oscillatory(self):
         # int_0^inf e^(-x/5) sin x = 1 / (1 + 1/25)
