@@ -27,7 +27,8 @@ from .channel import (
     sinr_pdf,
     sinr_sf,
 )
-from .errors import ConvergenceError, DomainError, PreconditionError
+from .errors import (ConvergenceError, DomainError, PreconditionError,
+                     _finite_real)
 from .feedback import BestMPoly, check_budget
 from .specfun import EULER_GAMMA
 
@@ -122,13 +123,13 @@ def normalizing_constants(p, K, N: int, M) -> NormalizingConstants:
     one_m = np.ndim(M) == 0
     N, Ms, _ = check_budget(N, M)
     k_dim = np.ndim(K)
-    Ks = [K] * len(Ms) if k_dim == 0 else np.asarray(K, float).tolist()
+    Ks = [K] * len(Ms) if k_dim == 0 else list(K)
     if k_dim > 1 or len(Ks) != len(Ms):
         raise DomainError(f"need one K or one K per budget, got {len(Ks)} "
                           f"for {len(Ms)} budgets")
     for k in Ks:
-        if not 0.0 < k < math.inf:
-            raise DomainError(f"K must be positive and finite, got K={k}")
+        if not _finite_real(k, "K", DomainError) > 0:
+            raise DomainError(f"K must be positive, got K={k!r}")
     levels, fed = [], []
     for j, (m, k) in enumerate(zip(Ms, Ks)):
         q1 = 1.0 - N / (k * m)

@@ -23,14 +23,14 @@ Newton.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ScenarioError
+from .errors import (ConvergenceError, DomainError, ScenarioError,
+                     _finite_real, _integer)
 
 GENERAL = "general"
 INTERFERENCE_LIMITED = "interference_limited"
@@ -49,10 +49,9 @@ class Cell:
     def __post_init__(self):
         if self.tier not in ("macro", "pico"):
             raise ScenarioError(f"unknown tier {self.tier!r}")
-        if not math.isfinite(self.tx_power_dbm):
-            raise ScenarioError("tx_power_dbm must be finite")
-        if not all(math.isfinite(v) for v in self.position):
-            raise ScenarioError(f"cell position must be finite, got {self.position}")
+        _finite_real(self.tx_power_dbm, "tx_power_dbm", ScenarioError)
+        for i, v in enumerate(self.position):
+            _finite_real(v, f"position[{i}]", ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -70,20 +69,18 @@ class Scenario:
             raise ScenarioError("scenario needs at least one cell")
         if not self.users:
             raise ScenarioError("scenario needs at least one user")
-        if (isinstance(self.num_rb, bool)
-                or not isinstance(self.num_rb, numbers.Integral)
-                or self.num_rb < 1):
-            raise ScenarioError(f"num_rb must be an integer >= 1, got {self.num_rb!r}")
-        if not all(math.isfinite(v) for u in self.users for v in u):
-            raise ScenarioError("user positions must be finite")
-        if not math.isfinite(self.noise_psd_dbm_hz):
-            raise ScenarioError("noise_psd_dbm_hz must be finite")
-        if not (math.isfinite(self.shadowing_sigma_db)
-                and self.shadowing_sigma_db >= 0):
-            raise ScenarioError("shadowing_sigma_db must be finite and >= 0")
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
-            raise ScenarioError("bandwidth_hz must be positive and finite")
-        if not (0 < self.interferer_keep_threshold <= 1):
+        _integer(self.num_rb, "num_rb", ScenarioError, 1)
+        for k, u in enumerate(self.users):
+            for i, v in enumerate(u):
+                _finite_real(v, f"users[{k}][{i}]", ScenarioError)
+        for name in ("noise_psd_dbm_hz", "bandwidth_hz", "shadowing_sigma_db",
+                     "interferer_keep_threshold"):
+            _finite_real(getattr(self, name), name, ScenarioError)
+        if self.shadowing_sigma_db < 0:
+            raise ScenarioError("shadowing_sigma_db must be >= 0")
+        if self.bandwidth_hz <= 0:
+            raise ScenarioError("bandwidth_hz must be positive")
+        if not 0 < self.interferer_keep_threshold <= 1:
             raise ScenarioError("interferer_keep_threshold must be in (0, 1]")
         try:
             noise_mw = 10.0 ** (self.noise_power_rb_dbm / 10.0)
@@ -103,12 +100,6 @@ class Scenario:
         )
 
 
-def _positive_finite(v) -> bool:
-    """v is a real number (not a bool), finite and positive."""
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v) and v > 0)
-
-
 @dataclass(frozen=True)
 class LinkProfile:
     """One user's large-scale state: serving scale, interferer scales, kind."""
@@ -118,13 +109,15 @@ class LinkProfile:
     kind: str = NOISE_LIMITED
 
     def __post_init__(self):
-        if not _positive_finite(self.rho0):
+        if self.kind not in (GENERAL, INTERFERENCE_LIMITED, NOISE_LIMITED):
+            raise DomainError(f"unknown profile kind {self.kind!r}")
+        if not isinstance(self.rho_int, tuple):
             raise DomainError(
-                f"rho0 must be a positive finite number, got {self.rho0!r}")
-        if not (isinstance(self.rho_int, tuple)
-                and all(_positive_finite(r) for r in self.rho_int)):
-            raise DomainError("interferer scales must be a tuple of positive "
-                              f"finite numbers, got {self.rho_int!r}")
+                f"interferer scales must be a tuple, got {self.rho_int!r}")
+        for name, v in (("rho0", self.rho0),
+                        *(("rho_int", r) for r in self.rho_int)):
+            if not _finite_real(v, name, DomainError) > 0:
+                raise DomainError(f"{name} must be positive, got {name}={v!r}")
         if self.kind == NOISE_LIMITED and self.rho_int:
             raise DomainError("noise_limited profile cannot have interferers")
         if self.kind == INTERFERENCE_LIMITED and len(self.rho_int) != 1:
@@ -189,7 +182,7 @@ def build_link_profile(scenario: Scenario, user_index: int,
 
     rx_dbm = np.empty(len(scenario.cells))
     for c, cell in enumerate(scenario.cells):
-        d = float(np.hypot(*(pos - np.asarray(cell.position))))
+        d = float(np.hypot(*(pos - np.asarray(cell.position, float))))
         rx_dbm[c] = cell.tx_power_dbm - path_loss_db(cell.tier, d) + shadow[c]
 
     serving = int(np.argmax(rx_dbm))  # argmax takes the first maximum

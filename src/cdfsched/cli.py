@@ -16,12 +16,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__
 from .asymptotics import (competitor_count, normalizing_constants,
                           user_rate_asymptotic)
 from .channel import Cell, LinkProfile, Scenario, build_link_profile
-from .errors import DomainError, PreconditionError, ScenarioError
+from .errors import DomainError, PreconditionError, ScenarioError, _integer
 from .exact_rate import g_k, g_k_quadrature, sum_rate_exact
 from .feedback import xi2_convolution, xi2_vector
 from .planner import plan_feedback
@@ -32,13 +33,8 @@ SEED_ENV_VAR = "CDFSCHED_SEED"
 
 _DEFAULT_TX_DBM = {"macro": 43.0, "pico": 30.0}
 
-#: scenario-file fields passed to Scenario as numbers
-_NUMERIC_FIELDS = {
-    "noise_psd_dbm_hz", "bandwidth_hz", "num_rb", "shadowing_sigma_db",
-    "interferer_keep_threshold",
-}
-
-_SCENARIO_FIELDS = {"cells", "users", "seed"} | _NUMERIC_FIELDS
+#: a scenario file's fields: the seed and those of Scenario
+_SCENARIO_FIELDS = {"seed"} | {f.name for f in fields(Scenario)}
 
 
 def _reject_constant(name: str):
@@ -75,9 +71,11 @@ def load_scenario(path: str) -> tuple[Scenario, dict]:
     unknown = set(raw) - _SCENARIO_FIELDS
     if unknown:
         raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
-    missing = [f for f in ("cells", "users") if f not in raw]
-    if missing:
-        raise ScenarioError(f"scenario is missing required fields: {missing}")
+    not_lists = [f for f in ("cells", "users")
+                 if not isinstance(raw.get(f), list)]
+    if not_lists:
+        raise ScenarioError(
+            f"scenario fields {not_lists} are missing or not lists")
 
     cells = []
     for i, c in enumerate(raw["cells"]):
@@ -86,36 +84,24 @@ def load_scenario(path: str) -> tuple[Scenario, dict]:
                 f"cells[{i}] needs at least 'tier' and 'position_m'"
             )
         tier = c["tier"]
-        tx = c.get("tx_power_dbm", _DEFAULT_TX_DBM.get(tier))
-        if tx is None:
+        if tier not in ("macro", "pico"):  # by ==: a list is no dict key
             raise ScenarioError(f"cells[{i}]: unknown tier {tier!r}")
-        pos = c["position_m"]
-        if (not isinstance(pos, (list, tuple)) or len(pos) != 2
-                or not all(isinstance(v, (int, float)) for v in pos)):
-            raise ScenarioError(f"cells[{i}].position_m must be [x, y]")
-        cells.append(Cell(tier=tier, position=(float(pos[0]), float(pos[1])),
-                          tx_power_dbm=float(tx)))
+        cells.append(Cell(tier=tier,
+                          position=_pair(c["position_m"],
+                                         f"cells[{i}].position_m"),
+                          tx_power_dbm=c.get("tx_power_dbm",
+                                             _DEFAULT_TX_DBM[tier])))
+    users = tuple(_pair(u, f"users[{i}]") for i, u in enumerate(raw["users"]))
+    numbers = {f: v for f, v in raw.items()
+               if f not in ("cells", "users", "seed")}
+    return Scenario(cells=tuple(cells), users=users, **numbers), raw
 
-    users = []
-    for i, u in enumerate(raw["users"]):
-        if (not isinstance(u, (list, tuple)) or len(u) != 2
-                or not all(isinstance(v, (int, float)) for v in u)):
-            raise ScenarioError(f"users[{i}] must be an [x, y] position")
-        users.append((float(u[0]), float(u[1])))
 
-    kwargs = {}
-    for field in sorted(_NUMERIC_FIELDS & raw.keys()):
-        val = raw[field]
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ScenarioError(f"scenario field {field!r} must be numeric")
-        kwargs[field] = val
-    try:
-        scenario = Scenario(cells=tuple(cells), users=tuple(users), **kwargs)
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(str(exc))
-    return scenario, raw
+def _pair(value, where: str) -> tuple:
+    """A JSON [x, y] as a tuple, whose numbers Cell and Scenario check."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ScenarioError(f"{where} must be [x, y]")
+    return tuple(value)
 
 
 def scenario_profiles(scenario: Scenario, master_seed: int):
@@ -135,10 +121,7 @@ def _resolve_seed(args, raw: dict) -> int:
     if args.seed is not None:
         return args.seed
     if "seed" in raw:
-        seed = raw["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ScenarioError(f"scenario seed must be an integer, got {seed!r}")
-        return seed
+        return _integer(raw["seed"], "seed", ScenarioError)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -168,12 +151,19 @@ def _write_rows(args, header, rows):
             out.close()
 
 
-def _cmd_rate_exact(args) -> int:
+def _setup(args, profiles: bool = True):
+    """A command's scenario, seed, N, budget M (--M, else full feedback)
+    and drop-0 link profiles (None if not asked for)."""
     scenario, raw = load_scenario(args.scenario)
     seed = _resolve_seed(args, raw)
     N = scenario.num_rb
-    M = args.M if args.M is not None else N
-    profiles = scenario_profiles(scenario, seed)
+    M = N if getattr(args, "M", None) is None else args.M
+    return (scenario, seed, N, M,
+            scenario_profiles(scenario, seed) if profiles else None)
+
+
+def _cmd_rate_exact(args) -> int:
+    _, _, N, M, profiles = _setup(args)
     report = sum_rate_exact(profiles, N, M)
     rows = [
         (k, len(profiles), N, M, r, report.sum_rate)
@@ -185,11 +175,7 @@ def _cmd_rate_exact(args) -> int:
 
 
 def _cmd_rate_asymptotic(args) -> int:
-    scenario, raw = load_scenario(args.scenario)
-    seed = _resolve_seed(args, raw)
-    N = scenario.num_rb
-    M = args.M if args.M is not None else N
-    profiles = scenario_profiles(scenario, seed)
+    _, _, N, M, profiles = _setup(args)
     K0 = len(profiles)
     per_user = user_rate_asymptotic(profiles, K0, N, M).tolist()
     total = sum(per_user)
@@ -202,10 +188,7 @@ def _cmd_rate_asymptotic(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario, raw = load_scenario(args.scenario)
-    seed = _resolve_seed(args, raw)
-    N = scenario.num_rb
-    M = args.M if args.M is not None else N
+    scenario, seed, N, M, _ = _setup(args, profiles=False)
     config = SimConfig(num_drops=args.drops, slots_per_drop=args.slots,
                        policy=args.policy, M=M, master_seed=seed,
                        threads_hint=args.threads)
@@ -229,10 +212,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_plan_feedback(args) -> int:
-    scenario, raw = load_scenario(args.scenario)
-    seed = _resolve_seed(args, raw)
-    N = scenario.num_rb
-    profiles = scenario_profiles(scenario, seed)
+    _, _, N, _, profiles = _setup(args)
     result = plan_feedback(profiles, N, args.eta)
     _write_rows(args, ["eta", "N", "K0", "m_exact", "m_asymptotic",
                        "ratio_at_m", "evaluations"],
@@ -273,9 +253,7 @@ def _cmd_validate(args) -> int:
            "exact rational comparison")
 
     if args.scenario:
-        scenario, raw = load_scenario(args.scenario)
-        seed = _resolve_seed(args, raw)
-        cell_profiles = scenario_profiles(scenario, seed)
+        _, seed, _, _, cell_profiles = _setup(args)
     else:
         seed = args.seed if args.seed is not None else 0
         cell_profiles = profiles

@@ -38,7 +38,7 @@ import mpmath as mp
 import numpy as np
 
 from .channel import GENERAL, LinkProfile, sinr_cdf, sinr_pdf, stacked
-from .errors import CancellationError, DomainError
+from .errors import CancellationError, DomainError, _integer
 from .feedback import (BestMPoly, check_budget, feedback_count_pmf_exact,
                        xi2_vector)
 from .specfun import QuadratureConfig, adaptive_quad_halfline
@@ -52,6 +52,9 @@ CLOSED_FORM_MAX_INTERFERERS = 4
 _LN2 = math.log(2.0)
 
 _MAX_DPS = 600
+
+_OUT_OF_DIGITS = (f"closed form needs more than {_MAX_DPS} digits of working "
+                  "precision; use the quadrature path")
 
 #: digits each series term is held to against the sum: 14 for the float
 #: rate, 3 more for up to 64 terms and term sizes rounded to a bit
@@ -211,13 +214,18 @@ class _ClosedFormEngine:
                 f"{CLOSED_FORM_MAX_INTERFERERS} interferers, no two tied and "
                 f"none tied to rho0 within {_MERGED_POLE_TOL:.0e} unless equal "
                 "to it; use the quadrature path")
+        # level ell loses about ell times level 1's digits: a top level
+        # that would not fit _MAX_DPS refuses after the first two levels
+        for ell in range(min(2, len(d))):
+            self.level(ell, _TERM_DIGITS)
+        if len(d) > 1 and (self._t_cache[1][2] * (len(d) - 1)
+                           + _TERM_DIGITS > _MAX_DPS):
+            raise CancellationError(_OUT_OF_DIGITS)
         need = [_TERM_DIGITS] * len(d)
         while True:
             tab = [self.level(ell, n) for ell, n in enumerate(need)]
             if any(acc < n for (_, acc), n in zip(tab, need)):
-                raise CancellationError(
-                    f"closed form needs more than {_MAX_DPS} digits of "
-                    "working precision; use the quadrature path")
+                raise CancellationError(_OUT_OF_DIGITS)
             with mp.workdps(int(max(acc for _, acc in tab)) + 20):
                 terms = [mp.mpf(c.numerator) / c.denominator * v
                          for c, (v, _) in zip(d, tab)]
@@ -252,9 +260,8 @@ def _binomial_levels(coeffs) -> tuple[Fraction, ...]:
 
 def g_k(p: LinkProfile, eps: int) -> float:
     """Closed-form G(eps) = int_0^inf log2(1+x) d(F_Z(x))^eps in bits/s/Hz."""
-    if eps < 1 or eps != int(eps):
-        raise DomainError(f"eps must be a positive integer, got {eps}")
-    return float(_engine(p).weighted_sum(_binomial_levels({int(eps): 1})))
+    eps = _integer(eps, "eps", DomainError, 1)
+    return float(_engine(p).weighted_sum(_binomial_levels({eps: 1})))
 
 
 def g_k_quadrature(p: LinkProfile, eps: int) -> float:
@@ -263,9 +270,7 @@ def g_k_quadrature(p: LinkProfile, eps: int) -> float:
     G(eps) / eps is the collapsed rate of eps users at N = M = 1, where
     every user feeds back and F_Y = F.
     """
-    if eps < 1 or eps != int(eps):
-        raise DomainError(f"eps must be a positive integer, got {eps}")
-    eps = int(eps)
+    eps = _integer(eps, "eps", DomainError, 1)
     return eps * float(_collapsed_rates((p,), eps, 1, (1,))[0, 0])
 
 

@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from numbers import Integral
 
 import numpy as np
 
 from .channel import LinkProfile, sinr_cdf
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 
 def check_budget(N, M, K0=1) -> tuple[int, tuple[int, ...], int]:
@@ -37,14 +36,9 @@ def check_budget(N, M, K0=1) -> tuple[int, tuple[int, ...], int]:
     of a best-M budget.  A bool or a non-integer raises DomainError.
     Ints, as the weights' C(N, i) overflow a numpy int."""
     Ms = (M,) if np.ndim(M) == 0 else tuple(M)
-    for name, v in (("K0", K0), ("N", N), *(("M", m) for m in Ms)):
-        # a plain int passes without the slower Integral check
-        if type(v) is not int and (isinstance(v, bool)
-                                   or not isinstance(v, Integral)):
-            raise DomainError(f"{name} must be an integer, got {v!r}")
-    K0, N, Ms = int(K0), int(N), tuple(map(int, Ms))
-    if K0 < 1:
-        raise DomainError(f"K0 must be >= 1, got {K0}")
+    K0 = _integer(K0, "K0", DomainError, 1)
+    N = _integer(N, "N", DomainError)
+    Ms = tuple([_integer(m, "M", DomainError) for m in Ms])
     if not Ms or not all(1 <= m <= N for m in Ms):
         raise DomainError("need 1 <= M <= N, got M="
                           f"{', '.join(map(str, Ms)) or 'none'}, N={N}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import sum_rate_asymptotic
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, _finite_real
 from .exact_rate import sum_rate_exact
 
 log = logging.getLogger(__name__)
@@ -42,7 +42,7 @@ class PlanResult:
 
 
 def _check_eta(eta: float):
-    if not 0.0 < eta <= 1.0:
+    if not 0.0 < _finite_real(eta, "eta", DomainError) <= 1.0:
         raise DomainError(f"eta must be in (0, 1], got {eta}")
 
 

@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .channel import Scenario, build_link_profile, sinr_cdf
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .feedback import BestMPoly, check_budget
 
 POLICIES = ("cdf", "greedy", "round_robin")
@@ -44,9 +43,8 @@ class SimConfig:
         if self.policy not in POLICIES:
             raise DomainError(f"policy must be one of {POLICIES}")
         for name in ("num_drops", "slots_per_drop", "M", "threads_hint"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Integral) or v < 1:
-                raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
+            _integer(getattr(self, name), name, DomainError, 1)
+        _integer(self.master_seed, "master_seed", DomainError)
 
 
 @dataclass(frozen=True)
@@ -66,6 +64,7 @@ def drop_rng(master_seed: int, drop_index: int) -> np.random.Generator:
 
     The key is uint64: a list key would pass seeds >= 2**63 through float64.
     """
+    master_seed = _integer(master_seed, "master seed", DomainError)
     if not 0 <= master_seed < 2**64:
         raise DomainError(f"master seed must be in [0, 2**64), got {master_seed}")
     key = np.array([master_seed, drop_index], dtype=np.uint64)
@@ -81,15 +80,15 @@ def best_m_select(cqi, M: int):
 
 
 def schedule_slot(feedback, policy: str, profiles, N: int,
-                  genie_sinr=None, rng: np.random.Generator | None = None,
-                  rr_offset: int = 0):
+                  genie_sinr=None, rr_offset: int = 0):
     """Assign one user per resource block for a single slot.
 
     feedback: per-user list of (rb_index, cqi) pairs as produced by
     best_m_select.  Returns (assignment, rates): assignment[rb] is the
     winning user index or -1 for an outage block; rates[rb] is
     log2(1 + CQI) of the winner's raw fed-back value (round_robin uses the
-    assigned user's actual slot SINR from genie_sinr).
+    assigned user's actual slot SINR from genie_sinr).  A tie goes to the
+    lower user index, as in the simulator.
     """
     if policy not in POLICIES:
         raise DomainError(f"policy must be one of {POLICIES}")
@@ -109,28 +108,16 @@ def schedule_slot(feedback, policy: str, profiles, N: int,
     polys = BestMPoly.build(N, M) if M else None
     for rb in range(N):
         best_score = -1.0
-        winners: list[tuple[int, float]] = []
         for k, fb in enumerate(feedback):
             for idx, val in fb:
                 if idx != rb:
                     continue
-                if policy == "cdf":
-                    score = float(polys.eval_in_f(sinr_cdf(profiles[k], val)))
-                else:
-                    score = val
+                score = (float(polys.eval_in_f(sinr_cdf(profiles[k], val)))
+                         if policy == "cdf" else val)
                 if score > best_score:
                     best_score = score
-                    winners = [(k, val)]
-                elif score == best_score:
-                    winners.append((k, val))
-        if not winners:
-            continue  # outage block
-        if len(winners) > 1 and rng is not None:
-            k, val = winners[rng.integers(len(winners))]
-        else:
-            k, val = winners[0]
-        assignment[rb] = k
-        rates[rb] = math.log2(1.0 + val)
+                    assignment[rb] = k
+                    rates[rb] = math.log2(1.0 + val)
     return assignment, rates
 
 

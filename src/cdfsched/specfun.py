@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _finite_real, _integer
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -77,20 +77,25 @@ class QuadratureConfig:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
+        for name in ("abs_tol", "rel_tol"):
+            if not _finite_real(getattr(self, name), name, DomainError) > 0:
+                raise DomainError(f"{name} must be positive")
+        _integer(self.max_subdivisions, "max_subdivisions", DomainError, 1)
 
 
-def _gk15(f, lo, hi):
-    """GK15 values and |K15 - G7| error estimates, (panels, C), on every
-    panel [lo, hi], with one call of the vectorized integrand for all
-    panels.  f maps n abscissae to an (n, C) array."""
+def _nodes(lo, hi):
+    """The GK15 abscissae of every panel [lo, hi], panel by panel."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    fx = f((mid[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(
-        len(lo), len(_GK_NODES), -1)
+    return (mid[:, None] + half[:, None] * _GK_NODES).ravel()
+
+
+def _gk15(fx, lo, hi):
+    """GK15 values and |K15 - G7| error estimates, (panels, C), on every
+    panel [lo, hi], from the values fx, (n, C), of the integrand at
+    `_nodes(lo, hi)`."""
+    half = 0.5 * (hi - lo)
+    fx = fx.reshape(len(lo), len(_GK_NODES), -1)
     k15 = half[:, None] * (_GK_WEIGHTS @ fx)
     g7 = half[:, None] * (_G7_WEIGHTS @ fx[:, 1::2])
     return k15, np.abs(k15 - g7)
@@ -120,7 +125,9 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
 
     Returns the integral value, or the C values of a column-valued f.
     Raises ConvergenceError, carrying the worst column's achieved error
-    estimate, when the next round would exceed max_subdivisions.
+    estimate, when the next round would exceed max_subdivisions, or, with
+    the largest estimate of the mass beyond x = 2^53, when that exceeds a
+    column's tolerance.
     """
     if config is None:
         config = QuadratureConfig()
@@ -146,12 +153,21 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
 
     edges = np.linspace(0.0, 1.0, 5)
     lo, hi = edges[:-1], edges[1:]
-    vals, errs = _gk15(mapped, lo, hi)
+    # the starting panels' call also takes the last finite node: the last
+    # ulp of t, [_LAST_T, 1], where no panel has a node, carries about
+    # (1 - _LAST_T) times the mapped value there, x f(x) at x = 2^53 - 1
+    fx = mapped(np.append(_nodes(lo, hi), _LAST_T))
+    beyond = (1.0 - _LAST_T) * np.abs(fx[-1])
+    vals, errs = _gk15(fx[:-1], lo, hi)
     budget = config.max_subdivisions - 3
     while True:
         total_val, total_err = vals.sum(0), errs.sum(0)
         tol = np.maximum(config.rel_tol * np.abs(total_val), config.abs_tol)
         if (total_err <= tol).all():
+            if (beyond > tol).any():
+                raise ConvergenceError(
+                    "adaptive quadrature misses the mass beyond x = 2^53, "
+                    "its last node", achieved_error=float(beyond.max()))
             return total_val if column_valued else float(total_val[0])
         scaled = (errs / tol).max(1)
         order = np.argsort(-scaled)
@@ -170,7 +186,8 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
         step = 0.25 * (hi[cut] - lo[cut])
         new_lo = (lo[cut] + step * np.arange(4)[:, None]).ravel()
         new_hi = np.concatenate((new_lo[count:], hi[cut]))
-        new_vals, new_errs = _gk15(mapped, new_lo, new_hi)
+        new_vals, new_errs = _gk15(mapped(_nodes(new_lo, new_hi)), new_lo,
+                                   new_hi)
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
         vals = np.concatenate((vals[keep], new_vals))

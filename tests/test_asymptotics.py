@@ -265,7 +265,7 @@ class TestAllBudgets:
             normalizing_constants([NL, G2], 2.0, 16, 4)
         with pytest.raises(DomainError):
             normalizing_constants([NL, G2], 20.0, 16, (1, 17))
-        for K in (-5.0, math.inf, math.nan):
+        for K in (-5.0, math.inf, math.nan, True, "20"):
             with pytest.raises(DomainError, match="got K="):
                 normalizing_constants([NL, G2], K, 16, 4)
             with pytest.raises(DomainError, match="got K="):

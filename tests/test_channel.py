@@ -238,8 +238,11 @@ class TestLinkProfile:
         lambda: LinkProfile.noise_limited("2"),
         lambda: LinkProfile.noise_limited(True),
         lambda: LinkProfile.general(5.0, (1.0, True)),
+        lambda: LinkProfile(rho0=1.0, kind="foo"),
+        lambda: LinkProfile(rho0=1.0, rho_int=[1.0], kind="general"),
     ], ids=["tuple_interferer", "scalar_interferers", "string_interferer",
-            "string_rho0", "bool_rho0", "bool_interferer"])
+            "string_rho0", "bool_rho0", "bool_interferer", "unknown_kind",
+            "list_interferers"])
     def test_malformed_scales_rejected(self, make):
         # a stray TypeError would escape the CLI's exit-2 mapping
         with pytest.raises(DomainError):
@@ -381,6 +384,24 @@ class TestScenario:
             _scenario([Cell("macro", (0, 0), 43.0)], [(1.0, 1.0)], num_rb=0)
         with pytest.raises(ScenarioError):
             Cell("femto", (0, 0), 43.0)
+        # every number is a real number, not a bool, and finite: a stray
+        # TypeError would escape the CLI's exit-2 mapping
+        for bad in ("43", True, math.inf, 10**400):
+            with pytest.raises(ScenarioError, match="tx_power_dbm"):
+                Cell("macro", (0, 0), bad)
+            with pytest.raises(ScenarioError, match=r"position\[1\]"):
+                Cell("macro", (0, bad), 43.0)
+            with pytest.raises(ScenarioError, match=r"users\[0\]\[0\]"):
+                _scenario([Cell("macro", (0, 0), 43.0)], [(bad, 1.0)])
+            for field in ("noise_psd_dbm_hz", "bandwidth_hz",
+                          "shadowing_sigma_db", "interferer_keep_threshold"):
+                with pytest.raises(ScenarioError, match=field):
+                    _scenario([Cell("macro", (0, 0), 43.0)], [(1.0, 1.0)],
+                              **{field: bad})
+        for bad in ("16", True, 16.0):
+            with pytest.raises(ScenarioError, match="num_rb"):
+                _scenario([Cell("macro", (0, 0), 43.0)], [(1.0, 1.0)],
+                          num_rb=bad)
 
 
 class TestAssociation:

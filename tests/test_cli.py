@@ -341,6 +341,25 @@ BAD_SCENARIOS = {
                 "tx_power_dbm": 1e4}]),
     "fractional_num_rb": _golden_text(num_rb=16.7),
     "boolean_num_rb": _golden_text(num_rb=True),
+    # a number is a JSON number: a list, a string or a boolean is not
+    "list_tier": _golden_text(
+        cells=[{"tier": ["macro"], "position_m": [0, 0]}]),
+    "string_tx_power": _golden_text(
+        cells=[{"tier": "macro", "position_m": [0, 0],
+                "tx_power_dbm": "abc"}]),
+    "numeric_string_tx_power": _golden_text(
+        cells=[{"tier": "macro", "position_m": [0, 0],
+                "tx_power_dbm": "43"}]),
+    "boolean_tx_power": _golden_text(
+        cells=[{"tier": "macro", "position_m": [0, 0],
+                "tx_power_dbm": True}]),
+    "boolean_cell_position": _golden_text(
+        cells=[{"tier": "macro", "position_m": [True, 0]}]),
+    "boolean_user_position": _golden_text(users=[[120, 40], [250, True]]),
+    "string_bandwidth": _golden_text(bandwidth_hz="5e6"),
+    "cell_position_overflows_a_float": _golden_text(
+        cells=[{"tier": "macro", "position_m": [10**400, 0]}]),
+    "cells_not_a_list": _golden_text(cells=5),
 }
 
 
@@ -353,7 +372,7 @@ def test_bad_scenario_exits_two_without_warnings(capsys, tmp_path, text):
         code, out, err = run_cli(capsys, "rate-exact", "--scenario",
                                  str(path), "--M", "1")
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert out == ""
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in err

@@ -295,6 +295,10 @@ class TestUserRate:
         assert got == pytest.approx(expect, rel=rel)
 
     def test_domain(self):
+        for eps in (0, 2.5, 2.0, True, "2"):
+            for g in (g_k, g_k_quadrature):
+                with pytest.raises(DomainError, match="eps"):
+                    g(NL, eps)
         with pytest.raises(DomainError):
             user_rate_exact(NL, 0, 16, 4)
         with pytest.raises(DomainError):
@@ -450,10 +454,14 @@ def test_series_beyond_working_precision_takes_the_quadrature():
     # and raises, but the rate is the collapsed quadrature's
     p = LinkProfile.general(2.0, (1e-9,))
     assert 16 * 4 <= _series_budget(p)
+    exact_rate._engine.cache_clear()
     with pytest.raises(CancellationError):
         g_k(p, 64)
     assert user_rate_exact(p, 4, 16, 4) == pytest.approx(
         _collapsed_rates((p,), 4, 16, (4,))[0, 0], rel=1e-12)
+    # level 1 loses 9.9 digits, about 620 at level 63 by extrapolation:
+    # both series are refused before any further level is computed
+    assert sorted(exact_rate._engine(p)._t_cache) == [0, 1]
 
 
 def test_each_level_integral_is_computed_at_most_twice(monkeypatch):

@@ -105,6 +105,10 @@ class TestExactPlanner:
             min_feedback_exact(PROFILES, 8, 0.0)
         with pytest.raises(DomainError):
             min_feedback_exact(PROFILES, 8, 1.5)
+        # eta is a real number: True is not 1, nor "0.9" 0.9
+        for eta in (True, "0.9", math.nan):
+            with pytest.raises(DomainError, match="eta"):
+                plan_feedback(PROFILES, 8, eta)
 
 
 class TestAsymptoticPlanner:

@@ -68,7 +68,7 @@ class TestDropRng:
 
     def test_seed_range_is_zero_to_two_to_the_64(self):
         drop_rng(2**64 - 1, 0)
-        for seed in (-1, 2**64):
+        for seed in (-1, 2**64, 1.5, 2.0, True):
             with pytest.raises(DomainError):
                 drop_rng(seed, 0)
 
@@ -101,11 +101,11 @@ class TestScheduleSlot:
         assert rates[1] == 0.0
 
     def test_identical_users_tie_resolved(self):
+        # a tie keeps the lower user index, as the simulator does
         N = 2
         fb = [[(0, 2.0), (1, 1.0)], [(0, 2.0), (1, 1.0)]]
-        rng = drop_rng(3, 0)
-        assignment, rates = schedule_slot(fb, "cdf", [NL, NL], N, rng=rng)
-        assert set(assignment) <= {0, 1}
+        assignment, rates = schedule_slot(fb, "cdf", [NL, NL], N)
+        assert list(assignment) == [0, 0]
         assert rates[0] == pytest.approx(math.log2(3.0))
 
     def test_greedy_picks_raw_maximum(self):
@@ -219,8 +219,10 @@ class TestSimulateProfiles:
         with pytest.raises(DomainError):
             SimConfig(num_drops=1, slots_per_drop=1, policy="pf", M=1,
                       master_seed=0)
-        # counts are integers; numpy's are taken, a bool or a float is not
-        for field in ("num_drops", "slots_per_drop", "M", "threads_hint"):
+        # counts and the seed are integers; numpy's are taken, a bool or a
+        # float is not
+        for field in ("num_drops", "slots_per_drop", "M", "threads_hint",
+                      "master_seed"):
             for bad in (True, 2.5, 2.0):
                 with pytest.raises(DomainError, match=field):
                     _cfg(**{field: bad})

@@ -90,6 +90,17 @@ class TestAdaptiveQuad:
         assert math.isfinite(info.value.achieved_error)
         assert np.concatenate(seen).max() == 2.0**53 - 1
 
+    @pytest.mark.parametrize("scale", [1e10, 1e13, 1e15, 1e16, 1e17, 1e20])
+    def test_mass_beyond_the_last_node_raises(self, scale):
+        # an exponential on a scale near or past x = 2^53, the map's last
+        # finite node: the panels either stall, or see none of its mass and
+        # would return a near-zero integral but for the look at that node
+        with pytest.raises(ConvergenceError) as info:
+            adaptive_quad_halfline(lambda xs: np.exp(-xs / scale) / scale,
+                                   vectorized=True)
+        assert math.isfinite(info.value.achieved_error)
+        assert info.value.achieved_error > 0.0
+
     def test_oscillatory(self):
         # int_0^inf e^(-x/5) sin x = 1 / (1 + 1/25)
         val = adaptive_quad_halfline(lambda xs: np.exp(-xs / 5) * np.sin(xs),
@@ -119,6 +130,12 @@ class TestAdaptiveQuad:
             QuadratureConfig(abs_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureConfig(max_subdivisions=0)
+        for bad in (math.inf, math.nan, True, "1e-10"):
+            with pytest.raises(DomainError, match="rel_tol"):
+                QuadratureConfig(rel_tol=bad)
+        for bad in (2.5, True, "10"):
+            with pytest.raises(DomainError, match="max_subdivisions"):
+                QuadratureConfig(max_subdivisions=bad)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-3, 3), min_size=1, max_size=6),
