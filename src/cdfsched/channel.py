@@ -83,12 +83,17 @@ class Scenario:
         if not 0 < self.interferer_keep_threshold <= 1:
             raise ScenarioError("interferer_keep_threshold must be in (0, 1]")
         try:
-            noise_mw = 10.0 ** (self.noise_power_rb_dbm / 10.0)
+            noise_dbm = self.noise_power_rb_dbm
+        except (OverflowError, ValueError):  # no float, or a zero, per RB
+            raise ScenarioError("bandwidth_hz / num_rb must be a positive "
+                                "float") from None
+        try:
+            noise_mw = 10.0 ** (noise_dbm / 10.0)
         except OverflowError:
             noise_mw = math.inf
         if not 0.0 < noise_mw < math.inf:
             raise ScenarioError(
-                f"noise power per resource block ({self.noise_power_rb_dbm:.6g}"
+                f"noise power per resource block ({noise_dbm:.6g}"
                 " dBm) must be positive and finite in mW"
             )
 

@@ -66,6 +66,8 @@ def load_scenario(path: str) -> tuple[Scenario, dict]:
             f"scenario file {path!r} is not valid JSON: {exc.msg} "
             f"(line {exc.lineno}, column {exc.colno})"
         )
+    except ValueError as exc:  # an integer past Python's digit limit, say
+        raise ScenarioError(f"cannot parse scenario file {path!r}: {exc}")
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must contain a JSON object")
     unknown = set(raw) - _SCENARIO_FIELDS

@@ -68,6 +68,11 @@ _G7_WEIGHTS = np.array([
 
 #: the largest float below 1, the half-line map's last finite node
 _LAST_T = np.nextafter(1.0, 0.0)
+#: the nodes of x = 2^52 - 1 and 2^53 - 1, the last two finite ones
+_TAIL_T = np.array([np.nextafter(_LAST_T, 0.0), _LAST_T])
+#: the starting mesh, graded toward t = 1 (see adaptive_quad_halfline)
+_START_EDGES = np.concatenate(([0.0, 0.25, 0.5, 0.75],
+                               1.0 - 4.0 ** -np.arange(2, 9), [1.0]))
 
 
 @dataclass(frozen=True)
@@ -113,21 +118,25 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
     otherwise it is called one float abscissa at a time.
 
     Globally adaptive GK15/G7 refinement in t (QUADPACK's QAG rule),
-    batched by rounds.  It starts from [0, 1] cut into four panels.  Column
+    batched by rounds.  It starts from eleven panels graded toward t = 1:
+    [0, 1] cut at 1/4, 1/2, 3/4 and at 1 - 4^-k for k = 2..8, so that one
+    call of the integrand follows a slow tail out to x ~ 6.6e4.  Column
     c has tolerance tol_c = max(abs_tol, rel_tol * |value_c|); a panel's
     error counts in units of tol_c, at its worst column.  While some
     column's summed error estimate exceeds its tolerance, a round cuts
     into four the panels with the largest errors, as many as it takes for
     the panels left alone to carry less than an eighth of a tolerance, and
-    evaluates all the new panels in one call of the integrand.  Cutting a
-    panel in four counts as three subdivisions (the panels three
-    bisections make); the starting panels are always made.
+    evaluates all the new panels in one call of the integrand.
+    max_subdivisions bounds the panel count: a mesh of P panels counts as
+    P - 1 subdivisions, so cutting a panel in four counts as three.  The
+    starting panels, ten subdivisions, are always made, and with fewer
+    than thirteen no round is.
 
     Returns the integral value, or the C values of a column-valued f.
     Raises ConvergenceError, carrying the worst column's achieved error
-    estimate, when the next round would exceed max_subdivisions, or, with
+    estimate, when the next round would exceed max_subdivisions; or, with
     the largest estimate of the mass beyond x = 2^53, when that exceeds a
-    column's tolerance.
+    column's tolerance, or is nonzero and has not fallen from x = 2^52.
     """
     if config is None:
         config = QuadratureConfig()
@@ -151,20 +160,20 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
         fx[~inside] = 0.0
         return fx
 
-    edges = np.linspace(0.0, 1.0, 5)
-    lo, hi = edges[:-1], edges[1:]
-    # the starting panels' call also takes the last finite node: the last
-    # ulp of t, [_LAST_T, 1], where no panel has a node, carries about
-    # (1 - _LAST_T) times the mapped value there, x f(x) at x = 2^53 - 1
-    fx = mapped(np.append(_nodes(lo, hi), _LAST_T))
-    beyond = (1.0 - _LAST_T) * np.abs(fx[-1])
-    vals, errs = _gk15(fx[:-1], lo, hi)
-    budget = config.max_subdivisions - 3
+    lo, hi = _START_EDGES[:-1], _START_EDGES[1:]
+    # the starting panels' call also takes the last two finite nodes: the
+    # last ulp of t, [_LAST_T, 1], where no panel has a node, carries about
+    # (1 - _LAST_T) times the mapped value there, x f(x) at x = 2^53 - 1; an
+    # x f(x) that has not fallen since x = 2^52 - 1 holds on past 2^53 too
+    fx = mapped(np.append(_nodes(lo, hi), _TAIL_T))
+    before, beyond = (1.0 - _TAIL_T)[:, None] * np.abs(fx[-2:])
+    vals, errs = _gk15(fx[:-2], lo, hi)
+    budget = config.max_subdivisions - (len(lo) - 1)
     while True:
         total_val, total_err = vals.sum(0), errs.sum(0)
         tol = np.maximum(config.rel_tol * np.abs(total_val), config.abs_tol)
         if (total_err <= tol).all():
-            if (beyond > tol).any():
+            if ((beyond > tol) | ((beyond > 0) & (beyond >= before))).any():
                 raise ConvergenceError(
                     "adaptive quadrature misses the mass beyond x = 2^53, "
                     "its last node", achieved_error=float(beyond.max()))

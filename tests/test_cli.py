@@ -360,6 +360,10 @@ BAD_SCENARIOS = {
     "cell_position_overflows_a_float": _golden_text(
         cells=[{"tier": "macro", "position_m": [10**400, 0]}]),
     "cells_not_a_list": _golden_text(cells=5),
+    "num_rb_overflows_a_float": _golden_text(num_rb=10**400),
+    # valid JSON, but past Python's limit of 4,300 digits for an int
+    "seed_past_the_int_digit_limit": _golden_text(seed="S").replace(
+        '"S"', "9" * 5001),
 }
 
 

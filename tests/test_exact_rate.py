@@ -643,15 +643,19 @@ def _golden_profiles():
 
 def _counting(monkeypatch):
     """Count the calls of the quadrature exact_rate imports, and the
-    integrand calls each makes: (quadratures, integrand calls)."""
+    integrand calls each makes: (quadratures, integrand calls), a list
+    per quadrature and one list of all, of the abscissae of each call."""
     quads, calls = [], []
     quad = exact_rate.adaptive_quad_halfline
 
     def counting(f, *args, **kwargs):
+        mine = []
+
         def counted(xs):
+            mine.append(len(xs))
             calls.append(len(xs))
             return f(xs)
-        quads.append(f)
+        quads.append(mine)
         return quad(counted, *args, **kwargs)
 
     monkeypatch.setattr(exact_rate, "adaptive_quad_halfline", counting)
@@ -659,11 +663,11 @@ def _counting(monkeypatch):
 
 
 def test_quadrature_calls_per_rate_on_a_large_cell(monkeypatch):
-    """Round-batched refinement, each column on its own map scale: at
-    K0 = 50 with the golden scenario's users, a collapsed-quadrature rate
-    costs only a few calls of its integrand, whatever M.  Each rate is
-    exactly one call of exact_rate's half-line quadrature, the span the
-    benchmark's tracer times."""
+    """Round-batched refinement from a starting mesh graded toward t = 1,
+    each column on its own map scale: at K0 = 50 with the golden
+    scenario's users, a collapsed-quadrature rate costs two calls of its
+    integrand, whatever M.  Each rate is exactly one call of exact_rate's
+    half-line quadrature, the span the benchmark's tracer times."""
     profiles = _golden_profiles()
     quads, calls = _counting(monkeypatch)
     for p in profiles:
@@ -671,7 +675,19 @@ def test_quadrature_calls_per_rate_on_a_large_cell(monkeypatch):
             _collapsed_rates.cache_clear()  # so that every rate is computed
             user_rate_exact(p, 50, 16, M)
     assert len(quads) == 16 * len(profiles)
-    assert len(calls) / (16 * len(profiles)) <= 8
+    assert len(calls) / (16 * len(profiles)) <= 3
+
+
+@pytest.mark.parametrize("Ms", [4, range(1, 17)], ids=["M4", "all_M"])
+@pytest.mark.parametrize("cell", [_jittered_golden(50), het_profiles(20)],
+                         ids=["golden_K0_50", "hetnet_K0_20"])
+def test_integrand_calls_per_quadrature(monkeypatch, cell, Ms):
+    # the starting call takes every column's tail out to t = 1 - 4^-8,
+    # and one more round settles each quadrature (two calls)
+    quads, _ = _counting(monkeypatch)
+    _collapsed_rates.cache_clear()
+    sum_rate_exact(cell, 16, Ms)
+    assert quads and max(map(len, quads)) <= 3
 
 
 def test_abscissae_of_a_large_cell_at_one_m(monkeypatch):
@@ -793,15 +809,14 @@ class TestRateSurface:
 
     def test_integrand_calls_on_a_large_cell(self, monkeypatch):
         """All 16 M of a K0 = 50 golden-cell user take one quadrature and
-        fewer integrand calls than a handful of single rates (about 65 for
-        all 16)."""
+        as few integrand calls as one single rate (two)."""
         profiles = _golden_profiles()
         quads, calls = _counting(monkeypatch)
         for p in profiles:
             _collapsed_rates.cache_clear()  # so that every surface is computed
             _surface(p, 50, 16)
         assert len(quads) == len(profiles)
-        assert len(calls) / len(profiles) <= 8
+        assert len(calls) / len(profiles) <= 3
 
     def test_exhausted_budget_raises(self, monkeypatch):
         quad = exact_rate.adaptive_quad_halfline

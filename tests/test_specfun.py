@@ -90,16 +90,27 @@ class TestAdaptiveQuad:
         assert math.isfinite(info.value.achieved_error)
         assert np.concatenate(seen).max() == 2.0**53 - 1
 
-    @pytest.mark.parametrize("scale", [1e10, 1e13, 1e15, 1e16, 1e17, 1e20])
+    @pytest.mark.parametrize("scale", [1e10, 1e13, 1e15, 1e16, 1e17, 1e20,
+                                       1e28, 1e30])
     def test_mass_beyond_the_last_node_raises(self, scale):
         # an exponential on a scale near or past x = 2^53, the map's last
         # finite node: the panels either stall, or see none of its mass and
-        # would return a near-zero integral but for the look at that node
+        # would return a near-zero integral but for the look at that node;
+        # far past it, x f(x) is below every tolerance there, but has not
+        # fallen since x = 2^52
         with pytest.raises(ConvergenceError) as info:
             adaptive_quad_halfline(lambda xs: np.exp(-xs / scale) / scale,
                                    vectorized=True)
         assert math.isfinite(info.value.achieved_error)
         assert info.value.achieved_error > 0.0
+
+    @pytest.mark.parametrize("power", [1.75, 2.0, 3.0])
+    def test_algebraic_tail_past_the_last_node(self, power):
+        # x f(x) of (1 + x)^-power falls from x = 2^52 to 2^53 and carries
+        # less than a tolerance beyond: the look at those nodes passes it
+        val = adaptive_quad_halfline(lambda xs: (1.0 + xs) ** -power,
+                                     vectorized=True)
+        assert val == pytest.approx(1.0 / (power - 1.0), rel=1e-10)
 
     def test_oscillatory(self):
         # int_0^inf e^(-x/5) sin x = 1 / (1 + 1/25)
