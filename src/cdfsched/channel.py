@@ -17,7 +17,8 @@ evaluated from it; its partial-fraction expansion lives only in the
 closed-form engine of `exact_rate`, the tests' independent oracle.  A
 cell is one zero-padded stack of those numbers (`stacked`), and
 `sinr_cdf_inv` solves its quantiles, every profile at every level, in one
-Newton.
+Newton.  `_cdf_and_pdf` gives the CDF and the density of the same points
+from one pass of log S, for the rate integrand.
 """
 
 from __future__ import annotations
@@ -255,15 +256,28 @@ def sinr_cdf(p: LinkProfile, x):
         return _as_output(-np.expm1(_log_sf(p, np.maximum(x, 0.0))))
 
 
+def _cdf_and_pdf(p, x):
+    """`sinr_cdf` and `sinr_pdf` of the same x, as arrays, from one
+    `_log_sf` and one `_hazard`: the operations of the CDF in its order,
+    x = inf set apart as `_log_sf` sets it apart.  The density is 0
+    there and at x < 0, and takes the CDF's clipped x elsewhere, which
+    differs from x only at x = -0.0, where either zero gives its bits."""
+    x = np.asarray(x, dtype=float)
+    xc = np.maximum(x, 0.0)
+    at_inf = xc == np.inf
+    outside = (x < 0) | at_inf  # a NaN x is not, and stays NaN
+    xc = np.where(at_inf, 0.0, xc)
+    with np.errstate(over="ignore"):  # an overflow is the limit: _log_sf
+        log_sf = _log_sf(p, xc)
+        cdf = -np.expm1(np.where(at_inf, -np.inf, log_sf))
+        pdf = np.where(outside, 0.0, np.exp(log_sf) * _hazard(p, xc))
+    return cdf, pdf
+
+
 def sinr_pdf(p: LinkProfile, x):
     """Density of the per-resource-block SINR; 0 for x < 0 and at x = inf,
     NaN for a NaN x.  p may also be stacked rows, as in `sinr_cdf`."""
-    x = np.asarray(x, dtype=float)
-    outside = (x < 0) | (x == np.inf)  # a NaN x is not, and stays NaN
-    xc = np.where(outside, 0.0, x)
-    with np.errstate(over="ignore"):
-        out = np.exp(_log_sf(p, xc)) * _hazard(p, xc)
-    return _as_output(np.where(outside, 0.0, out))
+    return _as_output(_cdf_and_pdf(p, x)[1])
 
 
 def sinr_sf(p: LinkProfile, x):

@@ -7,10 +7,12 @@ product-form SINR law of `channel`.  It integrates a whole cell at once:
 every (user, M) column is one column of a vector integrand on one shared
 mesh, each user in its own y = x / s on its map scale s (`_map_scale`),
 the users one stack of the SINR law's numbers (`channel.stacked`), taken
-a bounded number of columns at a time.  F_Y comes from
-`BestMPoly.columns`, the one float evaluator of F_Y.  A cell's rates at
-one M are one `user_rate_exact` call, and at a sequence of Ms, the
-planner's scan, one `_collapsed_rates` call.
+a bounded number of columns at a time.  Each integrand call takes the
+law's CDF and density from one pass (`channel._cdf_and_pdf`) and F_Y
+from `BestMPoly.columns`, the one float evaluator of F_Y, and finishes
+in place in those fresh arrays.  A cell's rates at one M are one
+`user_rate_exact` call, and at a sequence of Ms, the planner's scan,
+one `_collapsed_rates` call.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  Each G is an alternating binomial sum
@@ -37,7 +39,8 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .channel import GENERAL, LinkProfile, sinr_cdf, sinr_pdf, stacked
+from .channel import (GENERAL, LinkProfile, _cdf_and_pdf, sinr_cdf, sinr_pdf,
+                      stacked)
 from .errors import CancellationError, DomainError, _integer
 from .feedback import (BestMPoly, check_budget, feedback_count_pmf_exact,
                        xi2_vector)
@@ -267,11 +270,21 @@ def g_k(p: LinkProfile, eps: int) -> float:
 def g_k_quadrature(p: LinkProfile, eps: int) -> float:
     """Quadrature evaluation of G(eps), the oracle for the closed-form g_k.
 
-    G(eps) / eps is the collapsed rate of eps users at N = M = 1, where
-    every user feeds back and F_Y = F.
+    It integrates eps F^(eps-1) f log2(1+x) straight from the public
+    `sinr_cdf` and `sinr_pdf`, in y = x / s on the profile's
+    `_map_scale` s: it shares the SINR law and the quadrature with the
+    rates, but not the collapsed-rate kernel of `_quadrature`.
     """
     eps = _integer(eps, "eps", DomainError, 1)
-    return eps * float(_collapsed_rates((p,), eps, 1, (1,))[0, 0])
+    scale = float(_map_scale(stacked([p]))[0, 0])
+
+    def integrand(ys):
+        xs = scale * ys
+        return (scale * sinr_cdf(p, xs) ** (eps - 1) * sinr_pdf(p, xs)
+                * np.log1p(xs) / _LN2)
+
+    return eps * adaptive_quad_halfline(integrand, _QUADRATURE,
+                                        vectorized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -344,17 +357,34 @@ def _map_scale(rows):
 
 def _quadrature(profiles, K0: int, N: int, Ms: tuple[int, ...]) -> np.ndarray:
     """(len(profiles), len(Ms)) collapsed-rate integrals on one shared mesh,
-    each column in its own y = x / s, s its `_map_scale`."""
+    each column in its own y = x / s, s its `_map_scale`.
+
+    The integrand evaluates the SINR law once a call, CDF and density
+    from one `_log_sf` pass, and writes only the arrays that call made:
+    the F_Y array of `BestMPoly.columns` becomes the mix, its power and
+    the products, the density the weight.  The read-only
+    `_column_weights` and `_collapsed_rates` results are never written.
+    Each step is one IEEE operation per entry, in the order of
+    (1 - p + p F_Y)^(K0-1) dF_Y (s f log1p(x) / ln 2), p = M / N;
+    tests/test_exact_rate_bits.py freezes the rates' bits."""
     prob = np.array(Ms) / N
+    stay = 1.0 - prob
     rows = stacked(profiles)
     scale = _map_scale(rows)
 
     def integrand(ys):  # node-major rows, the users side by side
         xs = scale * ys
-        FY, dFY = BestMPoly.columns(N, Ms, sinr_cdf(rows, xs).T)
-        mix = (1.0 - prob + prob * FY) ** (K0 - 1)
-        weight = scale * sinr_pdf(rows, xs) * np.log1p(xs) / _LN2
-        return (dFY * mix * weight.T.reshape(-1, 1)).reshape(len(ys), -1)
+        cdf, weight = _cdf_and_pdf(rows, xs)
+        FY, dFY = BestMPoly.columns(N, Ms, cdf.T)
+        FY *= prob
+        FY += stay
+        FY **= K0 - 1  # not np.power: numpy's `**` squares for 2
+        FY *= dFY
+        weight *= scale
+        weight *= np.log1p(xs)
+        weight /= _LN2
+        FY *= weight.T.reshape(-1, 1)
+        return FY.reshape(len(ys), -1)
 
     vals = adaptive_quad_halfline(integrand, _QUADRATURE, vectorized=True)
     return prob * vals.reshape(len(profiles), len(Ms))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdfsched import channel
+from cdfsched import channel, exact_rate
 from cdfsched.channel import (
     Cell,
     LinkProfile,
@@ -332,6 +332,36 @@ class TestSinrDistribution:
                 values = law(p, x)
                 assert np.all(np.isnan(values[..., 0]))
                 assert np.array_equal(values[..., 1:], law(p, x[1:]))
+
+    @pytest.mark.parametrize("p", [
+        *PROFILES, J4, TIED, LinkProfile.general(1e-8, (1e8, 1e8)),
+        LinkProfile.interference_limited(1e-8, 1.0),
+        LinkProfile.noise_limited(1e8),
+        channel.stacked([*PROFILES, J4, LinkProfile.noise_limited(1e-8)])],
+        ids=lambda p: getattr(p, "kind", "stacked"))
+    def test_one_pass_law_keeps_both_laws_bits(self, p):
+        # the CDF and density of one _log_sf pass are sinr_cdf's bits
+        # and the bits of a density with its own pass, on every edge: 0,
+        # the smallest subnormal, 2^53 times the quadrature's map scale
+        # (its last node), a product that overflows to inf, inf itself
+        # and x < 0; a stack's zero-padded rows broadcast against x
+        scale = exact_rate._map_scale(
+            channel.stacked([p]) if isinstance(p, LinkProfile) else p)
+        edges = [0.0, 5e-324, 1e-300, 1.0, 1e308, math.inf, -1.0, -0.0]
+        x = np.concatenate([np.broadcast_to(edges, (len(scale), 8)),
+                            2.0**53 * scale], axis=1)
+        outside = (x < 0) | (x == math.inf)
+        xc = np.where(outside, 0.0, x)
+        with np.errstate(over="ignore"):
+            own = np.exp(channel._log_sf(p, xc)) * channel._hazard(p, xc)
+        own = np.where(outside, 0.0, own)
+
+        def bits(a):
+            return np.asarray(a).view(np.int64).tolist()
+
+        cdf, pdf = channel._cdf_and_pdf(p, x)
+        assert bits(cdf) == bits(sinr_cdf(p, x))
+        assert bits(pdf) == bits(own) == bits(sinr_pdf(p, x))
 
     def test_quantile_domain(self):
         with pytest.raises(DomainError):
