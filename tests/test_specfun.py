@@ -1,7 +1,7 @@
 """Adaptive quadrature and the Euler-Mascheroni constant.
 
-Oracles: closed-form antiderivatives for the quadrature, and mpmath for
-the constant.
+Oracles: closed-form antiderivatives for the quadrature, mpmath for the
+constant, and the panel rule's nodes and weights derived afresh in mpmath.
 """
 
 import math
@@ -15,8 +15,13 @@ from hypothesis import strategies as st
 
 from cdfsched.errors import ConvergenceError, DomainError
 from cdfsched.specfun import (
+    _K15_WEIGHTS,
+    _NODES,
+    _P31_WEIGHTS,
     EULER_GAMMA,
     QuadratureConfig,
+    _nodes,
+    _p31,
     adaptive_quad_halfline,
 )
 
@@ -39,14 +44,110 @@ def _deg13(t):
 DEG13 = 1 / 14 - 3 / 6 + 2
 
 
+def _shifted_moment(c, m):
+    """int_{-1}^{1} t^m sum_k c_k t^k."""
+    return mp.fsum(ck * mp.mpf(2) / (k + m + 1) for k, ck in enumerate(c)
+                   if (k + m) % 2 == 0)
+
+
+def _times(a, b):
+    out = [mp.mpf(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _orthogonal(w, n):
+    """Coefficients, lowest first, of the monic degree-n polynomial
+    orthogonal to every lower degree under the weight w on [-1, 1]."""
+    a = mp.lu_solve(
+        mp.matrix([[_shifted_moment(w, j + k) for j in range(n)]
+                   for k in range(n)]),
+        mp.matrix([-_shifted_moment(w, n + k) for k in range(n)]))
+    return list(a) + [mp.mpf(1)]
+
+
+def _zeros(c):
+    return sorted(mp.re(z) for z in mp.polyroots(c[::-1], maxsteps=200,
+                                                 extraprec=200))
+
+
+def _interpolatory(nodes):
+    """The weights that integrate every degree below len(nodes) exactly."""
+    n = len(nodes)
+    return list(mp.lu_solve(
+        mp.matrix([[x**k for x in nodes] for k in range(n)]),
+        mp.matrix([_shifted_moment([1], k) for k in range(n)])))
+
+
+@pytest.fixture(scope="module")
+def rule_mp():
+    """Kronrod 15 and Patterson 31 in 80-digit mpmath: the Kronrod nodes
+    are the zeros of the Legendre P7 and of the Stieltjes E8, orthogonal
+    under P7; Patterson's 16 more are those of the degree-16 polynomial
+    orthogonal under P7 * E8."""
+    with mp.workdps(80):
+        p7 = _orthogonal([mp.mpf(1)], 7)
+        e8 = _orthogonal(p7, 8)
+        kronrod = sorted(_zeros(p7) + _zeros(e8))
+        patterson = sorted(kronrod + _zeros(_orthogonal(_times(p7, e8), 16)))
+        yield (kronrod, _interpolatory(kronrod), patterson,
+               _interpolatory(patterson))
+
+
+def _ulps(consts, exact):
+    exact = np.array([float(x) for x in exact])
+    return np.abs(consts - exact) / np.spacing(np.abs(exact))
+
+
+class TestPanelRule:
+    def test_derivation_is_exact_to_degree_47(self, rule_mp):
+        _, _, nodes, weights = rule_mp
+        with mp.workdps(80):
+            for deg in (0, 23, 46, 47):
+                err = mp.fsum(w * x**deg for w, x in zip(weights, nodes)) \
+                    - _shifted_moment([1], deg)
+                assert abs(err) < mp.mpf(10) ** -70
+
+    def test_constants_within_two_ulp(self, rule_mp):
+        kronrod, k_weights, patterson, p_weights = rule_mp
+        assert len(_NODES) == 31 and len(_K15_WEIGHTS) == 15
+        assert _ulps(_NODES, patterson).max() <= 2
+        assert _ulps(_P31_WEIGHTS, p_weights).max() <= 2
+        assert _ulps(_K15_WEIGHTS, k_weights).max() <= 2
+
+    def test_every_weight_is_positive(self):
+        assert (_P31_WEIGHTS > 0).all() and (_K15_WEIGHTS > 0).all()
+        assert _P31_WEIGHTS.min() == pytest.approx(0.0036349311950498839,
+                                                   rel=1e-15)
+
+    def test_degree_47_exact_on_one_panel(self):
+        # P31 is exact to degree 47 on [0, 1], where K15 is off by 1.6e-8,
+        # the panel's error estimate
+        lo, hi = np.array([0.0]), np.array([1.0])
+        ts = _nodes(lo, hi)
+        val, err = _p31((ts**47 - 5 * ts**30 + 3 * ts**7 + 1)[:, None],
+                        lo, hi)
+        assert val[0, 0] == pytest.approx(1 / 48 - 5 / 31 + 3 / 8 + 1,
+                                          rel=1e-14)
+        assert err[0, 0] > 1e-9
+
+    def test_kronrod_nodes_at_the_odd_indices(self, rule_mp):
+        # bit for bit the correctly rounded Kronrod 15 nodes, as the
+        # Gauss-Kronrod 15 rule's own nodes were
+        kronrod = rule_mp[0]
+        assert np.array_equal(_NODES[1::2], [float(x) for x in kronrod])
+
+
 class TestAdaptiveQuad:
     def test_polynomial_exact(self):
-        # Gauss-Kronrod 15 integrates degree-13 polynomials exactly
+        # P31 integrates degree-13 polynomials exactly
         val = adaptive_quad_halfline(_pulled_back(_deg13), vectorized=True)
         assert val == pytest.approx(DEG13, rel=1e-14)
 
     def test_degree_13_exact_on_the_starting_panels(self):
-        # G7 is exact to degree 13 as well, so |K15 - G7| vanishes and one
+        # K15 is exact to degree 13 as well, so |P31 - K15| vanishes and one
         # integrand call settles it, whatever the subdivision budget
         calls = []
         f = _pulled_back(_deg13)
@@ -59,6 +160,21 @@ class TestAdaptiveQuad:
                                      QuadratureConfig(max_subdivisions=1),
                                      vectorized=True)
         assert val == pytest.approx(DEG13, rel=1e-14)
+        assert len(calls) == 1
+
+    def test_degree_23_exact_on_the_starting_panels(self):
+        # the highest degree K15 integrates exactly: one call settles it
+        calls = []
+        f = _pulled_back(lambda t: t**23 - 2 * t**11 + 1)
+
+        def counted(xs):
+            calls.append(len(xs))
+            return f(xs)
+
+        val = adaptive_quad_halfline(counted,
+                                     QuadratureConfig(max_subdivisions=1),
+                                     vectorized=True)
+        assert val == pytest.approx(1 / 24 - 2 / 12 + 1, rel=1e-14)
         assert len(calls) == 1
 
     def test_subdivision_budget_exhausted(self):
