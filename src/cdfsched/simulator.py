@@ -5,8 +5,11 @@ association), then runs block-fading slots in which every user feeds back
 its best-M resource blocks and the base station schedules one user per
 block.  Each chunk of slots draws every user's SINRs into one buffer, then
 scores one user at a time, on the blocks it fed back only, against a
-running winner.  Per-drop RNG substreams come from a counter-based
-generator keyed by (master_seed, drop_index), so results are bit-identical
+running winner.  Two kinds of stream, both keyed by position and never by
+thread: a drop's large-scale draw (shadowing, association) comes from a
+Philox stream keyed by (master_seed, drop), and each statistics batch of
+the drop draws its small-scale fading from its own SFC64 stream seeded by
+master_seed with spawn key (drop, batch).  So results are bit-identical
 for a fixed master seed however the drops are spread over threads.
 Threads run drops in parallel, one thread a drop: threads_hint buys
 nothing at one drop.
@@ -44,7 +47,7 @@ class SimConfig:
             raise DomainError(f"policy must be one of {POLICIES}")
         for name in ("num_drops", "slots_per_drop", "M", "threads_hint"):
             _integer(getattr(self, name), name, DomainError, 1)
-        _integer(self.master_seed, "master_seed", DomainError)
+        _master_seed(self.master_seed, "master_seed")
 
 
 @dataclass(frozen=True)
@@ -59,16 +62,32 @@ class RateReport:
     outage_fraction_stderr: float
 
 
+def _master_seed(value, name: str = "master seed") -> int:
+    """value as an int if it is an integer in [0, 2**64); else DomainError."""
+    value = _integer(value, name, DomainError)
+    if not 0 <= value < 2**64:
+        raise DomainError(f"master seed must be in [0, 2**64), got {value}")
+    return value
+
+
 def drop_rng(master_seed: int, drop_index: int) -> np.random.Generator:
-    """Counter-based substream for one drop; independent of thread layout.
+    """The drop's large-scale stream: a counter-based Philox stream keyed by
+    (master_seed, drop_index), independent of thread layout.  A drop's
+    shadowing, and with it association, comes from here; its fading comes
+    from the batch streams.
 
     The key is uint64: a list key would pass seeds >= 2**63 through float64.
     """
-    master_seed = _integer(master_seed, "master seed", DomainError)
-    if not 0 <= master_seed < 2**64:
-        raise DomainError(f"master seed must be in [0, 2**64), got {master_seed}")
-    key = np.array([master_seed, drop_index], dtype=np.uint64)
+    key = np.array([_master_seed(master_seed), drop_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _batch_rng(master_seed: int, drop_index: int,
+               batch: int) -> np.random.Generator:
+    """The small-scale (fading) stream of one statistics batch of a drop:
+    SFC64 seeded by master_seed with spawn key (drop_index, batch)."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        master_seed, spawn_key=(drop_index, batch))))
 
 
 def best_m_select(cqi, M: int):
@@ -161,8 +180,9 @@ def _draw(profiles, rng, scratch, x):
     return x
 
 
-def _run_drop(profiles, N: int, config: SimConfig, rng: np.random.Generator):
-    """Simulate one drop's slots; single stream, deterministic order.
+def _run_drop(profiles, N: int, config: SimConfig, drop: int):
+    """Simulate one drop's slots, each statistics batch from its own
+    stream, in a deterministic order.
 
     Returns the per-batch rate sums (B, K0) in bits/s/Hz over slot-RBs,
     the assignment counts (B, K0) and the outage blocks (B,).
@@ -176,14 +196,16 @@ def _run_drop(profiles, N: int, config: SimConfig, rng: np.random.Generator):
 
     # the chunk boundaries fix the draw order: never change them
     chunk_cap = max(1, 65536 // K0)
-    chunks = [(b, min(chunk_cap, b_slots - start))
+    chunks = [(b, start, min(chunk_cap, b_slots - start))
               for b, b_slots in enumerate(batches)
               for start in range(0, b_slots, chunk_cap)]
     rows = min(chunk_cap, batches[0]) * N  # the first batch is the longest
     buf = np.empty(K0 * rows)
     scratch = np.empty(rows * (1 + max(p.num_interferers for p in profiles)))
     slot_cursor = 0
-    for b, n in chunks:
+    for b, start, n in chunks:
+        if start == 0:
+            rng = _batch_rng(config.master_seed, drop, b)
         x = _draw(profiles, rng, scratch, buf[:K0 * n * N].reshape(K0, n, N))
         if config.policy == "round_robin":
             winner = ((slot_cursor + np.arange(n))[:, None] * N
@@ -257,15 +279,15 @@ def _aggregate(drops, N: int, config: SimConfig) -> RateReport:
 def _run_drops(drop_profiles, N: int, config: SimConfig) -> RateReport:
     """Run every drop, min(num_drops, threads_hint) at once, and reduce in
     drop-index order.  drop_profiles(rng) gives a drop's link profiles,
-    drawing first from that drop's stream; its slots then continue the
-    same stream."""
+    drawing from that drop's large-scale stream; its slots then draw from
+    its batch streams."""
     check_budget(N, config.M)
 
     workers = min(config.num_drops, config.threads_hint)
 
     def one(drop: int):
-        rng = drop_rng(config.master_seed, drop)
-        return _run_drop(drop_profiles(rng), N, config, rng)
+        profiles = drop_profiles(drop_rng(config.master_seed, drop))
+        return _run_drop(profiles, N, config, drop)
 
     indices = range(config.num_drops)
     if workers > 1:

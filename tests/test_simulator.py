@@ -9,6 +9,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -228,6 +229,14 @@ class TestSimulateProfiles:
                     _cfg(**{field: bad})
             assert getattr(_cfg(**{field: np.int64(2)}), field) == 2
 
+    def test_seed_range_checked_at_construction(self):
+        # refused where the config is made, not later in a drop's thread
+        _cfg(master_seed=2**64 - 1)
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError,
+                               match=r"master seed must be in \[0, 2\*\*64\)"):
+                _cfg(master_seed=seed)
+
 
 #: heterogeneous users: noise-limited at three SNRs, one interference-
 #: limited, one general with two interferers
@@ -276,17 +285,17 @@ class TestWideCarrier:
 class TestOracleTally:
     """The vectorized drop against the scalar reference scheduler on the
     same draws.  A drop of 8 * n slots has 8 statistics batches of n slots,
-    and with 5 users each batch is one chunk, so the drop's stream can be
-    redrawn here chunk by chunk in the simulator's order: per user, the
+    and with 5 users each batch is one chunk, so each chunk can be redrawn
+    here from its batch's stream in the simulator's order: per user, the
     signal and then each interferer as one (n, N) block."""
 
     @staticmethod
     def _check(policy, N, M, slots):
         n = slots // 8
-        rng = drop_rng(123, 0)
         rate_sum = np.zeros(len(HETERO))
         outage = 0
         for chunk in range(8):
+            rng = simulator._batch_rng(123, 0, chunk)
             draws = []
             for p in HETERO:
                 sig = p.rho0 * rng.exponential(size=(n, N))
@@ -322,6 +331,31 @@ class TestOracleTally:
     def test_tallies_match_at_multi_slot_chunks(self, policy):
         # 3 slots a chunk: a swap of the slot and block axes shows here
         self._check(policy, 16, 4, slots=24)
+
+
+class TestBatchStreamCalibration:
+    """The batch streams' standard errors are calibrated, which a frozen
+    hex case cannot show.  With 8 equal batches, (MC - exact) / stderr is
+    Student-t with 7 degrees of freedom, so the runs within 2 reported
+    stderr of the exact sum rate, over 60 fixed seeds, are binomial at
+    that t coverage (about 0.914)."""
+
+    def test_two_stderr_coverage_over_60_seeds(self):
+        K0, N, M, seeds, nu = 3, 8, 2, 60, 7
+        exact = user_rate_exact(G2, K0, N, M) * K0
+        hits = 0
+        for seed in range(seeds):
+            rep = simulate_profiles([G2] * K0, N, _cfg(master_seed=seed))
+            hits += abs(rep.sum_rate - exact) <= 2 * rep.sum_rate_stderr
+        # P(|T| <= 2) = 1 - I_{nu / (nu + 4)}(nu / 2, 1 / 2)
+        cover = 1 - float(mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + 4),
+                                         regularized=True))
+        pmf = [math.comb(seeds, c) * cover**c * (1 - cover)**(seeds - c)
+               for c in range(seeds + 1)]
+        # the two-sided 0.1 % band: counts with both tails >= 0.05 %
+        band = [c for c in range(seeds + 1)
+                if sum(pmf[:c + 1]) >= 5e-4 and sum(pmf[c:]) >= 5e-4]
+        assert band[0] <= hits <= band[-1], (hits, band[0], band[-1], cover)
 
 
 class TestThreads:

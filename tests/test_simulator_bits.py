@@ -1,13 +1,15 @@
 """Frozen simulator output: `float.hex` of every `RateReport` field.
 
-The expected values were recorded from the drawing and scoring loop that
-preceded per-user scoring, one (slot, user, block) array a chunk.  Any
-change to the draw order, the chunk boundaries, the SINR arithmetic, the
-winner rule or the tally shows here as a changed bit.  The cases cover every policy, drops
-whose statistics batches span several chunks, a 7-slot drop, full
-feedback, a mixed NL/IL/G cell with a near-degenerate
+The expected values were recorded when each statistics batch first drew
+its fading from its own SFC64 stream, seeded by the master seed with spawn
+key (drop, batch), while each drop's shadowing stayed on its Philox
+stream.  Any change to the streams, the draw order, the chunk boundaries,
+the SINR arithmetic, the winner rule or the tally shows here as a changed
+bit.  The cases cover every policy, drops whose statistics batches span
+several chunks (and so continue one batch stream across chunks), a 7-slot
+drop, full feedback, a mixed NL/IL/G cell with a near-degenerate
 interference-limited user, several drops on several threads and the
-scenario path, which draws each drop's shadowing from the same stream.
+scenario path, which draws each drop's shadowing from the drop's stream.
 """
 
 from pathlib import Path
@@ -65,68 +67,68 @@ CASES = {
 #: name -> float.hex of the fields in RateReport order, tuples flattened
 EXPECTED = {
     "cdf": """
-        0x1.69574d99b3c0dp-2 0x1.967a883e5599dp-1 0x1.9caa82720bfd7p-2
-        0x1.4e8d680911b9dp-3 0x1.8dac97493fd34p-1 0x1.113403abcc1c1p-1
-        0x1.82ffd94ee175bp+1 0x1.ffff88b341236p-1 0x1.6ae147ae147aep-3
-        0x1.2df23f2def0f1p-9 0x1.ab0c78d81ec05p-8 0x1.15d731f9cf523p-9
-        0x1.e918b782f504dp-12 0x1.4df484fccc930p-8 0x1.09fa8fb126da9p-8
-        0x1.eddf93329eb30p-8 0x1.3dfe3d2159738p-16 0x1.d1e2abfaea064p-11
+        0x1.6560739cd4ed2p-2 0x1.907975f8212ccp-1 0x1.9941edadd8ac2p-2
+        0x1.522d02295e262p-3 0x1.97234a540abe1p-1 0x1.0e8aa0ab3107dp-1
+        0x1.8280f489c2d22p+1 0x1.fff8a496c21d2p-1 0x1.6f020c49ba5e3p-3
+        0x1.68e5552a9d010p-9 0x1.b4fae9b086ea7p-8 0x1.8d73404bd6da3p-9
+        0x1.13772070e4a7cp-10 0x1.c88d3286e75cap-8 0x1.ff0ad5752ebc6p-10
+        0x1.6a48bcdeea75dp-8 0x1.2d7c6fb92a6b5p-15 0x1.ba526af7a57d6p-10
     """.split(),
     "cdf_chunks": """
-        0x1.6543ee6f7f022p-2 0x1.8da3e8d7dcdf8p-1 0x1.95a0e94b513dap-2
-        0x1.47b25112d6704p-3 0x1.8a859fb25181fp-1 0x1.0b92928de9823p-1
-        0x1.7cc6c6ce8d67ep+1 0x1.ffffe7f0678e5p-1 0x1.6ca4e963c58eep-3
-        0x1.8ac720c1bb63ep-11 0x1.9cb4f4ea554c1p-10 0x1.b836def1eae17p-11
-        0x1.450b8d7a66b77p-12 0x1.5aff3b85a4965p-10 0x1.25290120ab31bp-10
-        0x1.e6f681e757adcp-10 0x1.9a9733712cbcep-21 0x1.509ed83228dadp-12
+        0x1.66c81943afc60p-2 0x1.8d965c323a978p-1 0x1.966e7ac2a3636p-2
+        0x1.470cab47d7c03p-3 0x1.8907438dd4546p-1 0x1.0b4951ad9ad41p-1
+        0x1.7c915990b2512p+1 0x1.ffffea83c025cp-1 0x1.6bd9fab0e94d7p-3
+        0x1.5de5cacc1001ap-11 0x1.0d8e15d879be5p-9 0x1.64180ee9cfc50p-12
+        0x1.777496d94389cp-12 0x1.3a5ffb2ab24f0p-10 0x1.5e3d84bff3d23p-11
+        0x1.a476fa82c7b7dp-10 0x1.056064dacdc7bp-20 0x1.0ad41a6401ad3p-12
     """.split(),
     "cdf_full_feedback": """
-        0x1.b2a7798045883p-2 0x1.b6e707d8b082fp-1 0x1.d337283f891b7p-2
-        0x1.79c17fea66f5ep-3 0x1.d1029ff9e21c6p-1 0x1.34d000cd7a0adp-1
-        0x1.b786565ea36e5p+1 0x1.ffeafd33f9bb2p-1 0x0.0p+0
-        0x1.182ddcf02278dp-7 0x1.c4bf301e0e5fbp-6 0x1.4456f46aa8227p-7
-        0x1.0f6c41d3b12ccp-8 0x1.7623ba398abd2p-6 0x1.b8d164b836916p-7
-        0x1.6940e70877654p-6 0x1.795a28848fec8p-12 0x0.0p+0
+        0x1.9ab9875bc1273p-2 0x1.c22115f70c241p-1 0x1.ddfd9b71e79f8p-2
+        0x1.8260f87202d2ep-3 0x1.dcb795af96385p-1 0x1.25e1e0266bee8p-1
+        0x1.b86b96d418d8cp+1 0x1.fff52d1b58194p-1 0x0.0p+0
+        0x1.afe02c4c3bbb3p-8 0x1.843894f5576b7p-6 0x1.7cf82885df143p-7
+        0x1.1d45d6a3cdd09p-8 0x1.9119952f8c4ffp-6 0x1.eb56eb19772e5p-7
+        0x1.3ea0ed735e2a3p-6 0x1.620baa1d62d58p-12 0x0.0p+0
     """.split(),
     "greedy": """
-        0x1.f183a7b9defa3p-3 0x1.1124603186c3dp+0 0x1.3d943b4e62c4ep-2
-        0x1.08c9018a6a279p-4 0x1.35319076395f4p+0 0x1.02d4632582517p-1
-        0x1.b2f11b0efe3f6p+1 0x1.e7a4056c3ffa9p-1 0x1.6ae978d4fdf3bp-3
-        0x1.48efdc1dbcb03p-9 0x1.b72109963da99p-8 0x1.9d4295912de39p-10
-        0x1.9db979395d05ap-11 0x1.af7a3eefe6cb5p-8 0x1.6c9f7d23aeb85p-8
-        0x1.c25608cc81fd1p-8 0x1.1265554939515p-11 0x1.16efba88886d3p-10
+        0x1.ea66f93f21a77p-3 0x1.152c056bb8084p+0 0x1.3c34789d2b008p-2
+        0x1.0c0ae63535510p-4 0x1.34b0039bbe10bp+0 0x1.03f06e9b2155fp-1
+        0x1.b4777603c4870p+1 0x1.e79a3935a7bedp-1 0x1.6b22d0e560419p-3
+        0x1.be12a741125eep-9 0x1.59ccf1819314ep-8 0x1.6fcf37f8a6b73p-9
+        0x1.6e7173a0d981ep-11 0x1.be789f96a3d05p-9 0x1.ede789893841bp-9
+        0x1.5c035f9cdc072p-9 0x1.4387c66f34c28p-11 0x1.d20ccedca79dbp-11
     """.split(),
     "greedy_7_slots": """
-        0x1.4709515c67882p-2 0x1.5dfe973d9068dp+0 0x1.1e8a3c1e4ca30p-2
-        0x1.1be16ca050466p-4 0x1.05cf2cc7b2842p+0 0x1.fd83a8de0accep-2
-        0x1.c728d432bbd7bp+1 0x1.e831c148c20bep-1 0x1.8000000000000p-3
-        0x1.a0d52397f0c14p-5 0x1.996ccc5f60e00p-3 0x1.3a6dfe9f9576ap-4
-        0x1.9fe057f29faf6p-7 0x1.5ee42d9020fa9p-3 0x1.086bc0c1276e7p-4
-        0x1.61c93f6337715p-3 0x1.1d0ba800ea9fap-6 0x1.bee9056fb9c38p-6
+        0x1.f55cb87e7301dp-3 0x1.15f8bb2b6fbeap+0 0x1.c756c24f37b6dp-3
+        0x1.0def74ce99fefp-4 0x1.34f03992dc9f7p+0 0x1.769a7baaf5269p-2
+        0x1.98827d27d44f6p+1 0x1.e65369a3af8efp-1 0x1.5b6db6db6db6ep-3
+        0x1.fd111d64e4d63p-5 0x1.7ef302cf5772dp-4 0x1.94f29bd599578p-5
+        0x1.0cb2a51763ba8p-6 0x1.16a12eded065dp-4 0x1.96e3a57e0fc7fp-4
+        0x1.35be080030c22p-3 0x1.533c926dfd8f2p-6 0x1.7024f1597796ap-6
     """.split(),
     "round_robin": """
-        0x1.c5008ac3db38ep-3 0x1.c2cbeeb049f6dp-2 0x1.fd70ee07ef592p-3
-        0x1.61e0f6d09fe96p-4 0x1.3da0cf64041edp-1 0x1.ef8ce4aa030c2p-3
-        0x1.dbe13e79d83f7p+0 0x1.fffffffb51744p-1 0x0.0p+0
-        0x1.5b477671bcde5p-10 0x1.ea35d20bc627cp-9 0x1.daf766a77f4cfp-10
-        0x1.e86cbb5944284p-12 0x1.8369655904851p-9 0x1.fb8082dd2dc48p-10
-        0x1.76480d51e1a4cp-8 0x1.4f2ec413cb52ap-55 0x0.0p+0
+        0x1.c156f7c97a035p-3 0x1.c960025aa570bp-2 0x1.fd09047eeb084p-3
+        0x1.6205e607e0e4fp-4 0x1.3f42e46a5222fp-1 0x1.f35a66dd29c5bp-3
+        0x1.de511d9102561p+0 0x1.fffffffb51744p-1 0x0.0p+0
+        0x1.20fa5b08eecb8p-9 0x1.3a7237e8c0776p-9 0x1.ca5ca9e6bbadfp-10
+        0x1.c7ff72ef5e54bp-12 0x1.18a00648e455cp-9 0x1.322e0338bbc1cp-9
+        0x1.22dacfb345b51p-8 0x1.4f2ec413cb52ap-55 0x0.0p+0
     """.split(),
     "round_robin_chunks": """
-        0x1.c7195b03eb16dp-3 0x1.c6e5caa695a9bp-2 0x1.fc713aa9abb6ap-3
-        0x1.63ba219ae7c9bp-4 0x1.3f409af778f37p-1 0x1.ec42c11cb9e6fp-3
-        0x1.dd8f0d185a776p+0 0x1.fffffffff6188p-1 0x0.0p+0
-        0x1.42beee997752bp-12 0x1.550a9d3a52cc5p-11 0x1.7379599664591p-12
-        0x1.1a55c665256ddp-13 0x1.c6550fe5d130bp-12 0x1.09e081013f013p-11
-        0x1.fd548b8505fccp-11 0x1.3cf8466666c42p-35 0x0.0p+0
+        0x1.c71f4a2c8c095p-3 0x1.c7d78bb914ed9p-2 0x1.fc61b12098f7ep-3
+        0x1.642a9fccca4e9p-4 0x1.3f9b0f649d18fp-1 0x1.ed43d9243b9efp-3
+        0x1.de1eaf2b8c80ep+0 0x1.fffffffff6188p-1 0x0.0p+0
+        0x1.3968ddcc307b3p-12 0x1.34678222c3442p-11 0x1.8c1f12400ea97p-12
+        0x1.7ff23fa79ba53p-13 0x1.12c5fbafe473fp-11 0x1.4b84356c538abp-11
+        0x1.166383ce7098ep-10 0x1.3cf8466666c42p-35 0x0.0p+0
     """.split(),
     "simulate_2_drops": """
-        0x1.52c0dfc42ea4cp+0 0x1.0305d5e613d7fp+0 0x1.cc7d111cbf2f3p-1
-        0x1.f9b6e5abaa9b1p-1 0x1.7444ddabb3e1dp+0 0x1.6b4963ae8ad0fp+2
-        0x1.fffb4e703fd3cp-1 0x1.e9db22d0e5604p-3 0x1.0887bb3bc08e6p-3
-        0x1.d21a880dc3a1fp-5 0x1.21b467a77b7c0p-3 0x1.02d52fb976e15p-3
-        0x1.e73d358866cbdp-4 0x1.b6467d0944751p-5 0x1.58f5073e942b3p-13
-        0x1.fa4d6a55b7a82p-10
+        0x1.529672bcb04eep+0 0x1.0732f0864ed86p+0 0x1.bc3c4a83a83adp-1
+        0x1.e9e98e9c52b23p-1 0x1.77706bf1ef289p+0 0x1.69132ef13af19p+2
+        0x1.fff83369c83f5p-1 0x1.edb22d0e56042p-3 0x1.133b89c845c11p-3
+        0x1.8de025fe0f861p-5 0x1.183de0e31a023p-3 0x1.ea8fa1cb37f3ep-4
+        0x1.e968423aeaab0p-4 0x1.b2cf5a6b7f87cp-5 0x1.cdcf43f5c4fadp-14
+        0x1.4a88dcdc883c7p-9
     """.split(),
 }
 
