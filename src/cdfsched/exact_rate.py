@@ -18,25 +18,26 @@ Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  Each G is an alternating binomial sum
 of level integrals T(ell) = int S(x)^(ell+1) / (1+x) dx, so the series is
 one exact level-weight vector, folded from the xi2 rationals, times a
-per-profile table of T(ell).  The closed form of T runs on mpmath and is
-one formula for every profile kind: the product-form S^(ell+1) / (1+x)
-is e^(-alpha x) times one product of poles, (x + beta_b)^-(ell+1) for
-each interferer and (x + 1)^-1, whose partial fractions integrate term
-by term to the half-line integrals I2.  Each level is held to the digits
-its term needs against the cancellation measured on the weighted sum,
-and the public entry points return floats.  The partial fractions live
-only here, in the engine, the independent oracle for the product-form
-quadrature.
+per-profile table of T(ell).  The closed form of T is one formula for
+every profile kind: the product-form S^(ell+1) / (1+x) is e^(-alpha x)
+times one product of poles, (x + beta_b)^-(ell+1) for each interferer
+and (x + 1)^-1, whose partial fractions integrate term by term to the
+half-line integrals I2.  It runs in thread-local decimal contexts, each
+level held to the digits its term needs against the cancellation
+measured on the weighted sum; mpmath only seeds I2 with e^z E1(z).  The
+public entry points return floats.  The partial fractions live only here,
+in the engine, the independent oracle for the product-form quadrature.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from decimal import MAX_PREC, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-import mpmath as mp
 import numpy as np
 
 from .channel import (GENERAL, LinkProfile, _cdf_and_pdf, sinr_cdf, sinr_pdf,
@@ -77,7 +78,7 @@ def _psi_table(betas, j_vector, b):
     P = prod_{c != b} (d_c + t) and Q = -sum_c j_c P / (d_c + t), so
     a_0 = prod_c d_c^(-j_c) and (n + 1) p_0 a_(n+1) = sum_k q_k a_(n-k) -
     sum_(k >= 1) p_k (n + 1 - k) a_(n+1-k), O(K) per coefficient for K
-    poles (Stanley 1980).  Works for float or mpf inputs.
+    poles (Stanley 1980).  Works for float or Decimal inputs.
     """
     zero = betas[b] * 0
     others = [(betas[c] - betas[b], j_vector[c])
@@ -106,44 +107,64 @@ def _psi_table(betas, j_vector, b):
 # ---------------------------------------------------------------------------
 # arbitrary-precision closed-form engine
 
-def _i2_mp(alpha, beta, gamma_max):
+#: exact Decimal sums; one mpmath context a thread, as mpmath.mp is global
+_EXACT, _MP = Context(prec=MAX_PREC), threading.local()
+
+
+def _mag(x) -> float:
+    """mpmath's mag of a Decimal: floor(log2 |x|) + 1, or -inf at 0."""
+    e = x.adjusted()
+    return -math.inf if not x else math.floor(
+        math.log2(abs(float(x.scaleb(-e)))) + e * math.log2(10)) + 1
+
+
+def _e1_seed(z):
+    """e^z E1(z) to the context's digits, on this thread's mpmath context."""
+    if not hasattr(_MP, "ctx"):
+        from mpmath import MPContext
+        _MP.ctx = MPContext()
+    ctx, ctx.dps = _MP.ctx, getcontext().prec
+    x = ctx.mpf(str(z))
+    return Decimal(ctx.nstr(ctx.exp(x) * ctx.e1(x), ctx.dps + 3))
+
+
+def _i2(alpha, beta, gamma_max):
     """I2(alpha, beta, gamma) = int_0^inf e^(-alpha x) (x + beta)^(-gamma) dx
     for gamma = 1..gamma_max as (values, lost-digit estimates), via the
-    stable-seeded upward recursion in mpf arithmetic.
+    stable-seeded upward recursion in the current decimal context.
 
     At alpha = 0 the divergent I2(0, beta, 1) is seeded with its finite
     part -ln(beta): a partial-fraction sum of total order >= 2 has gamma = 1
     coefficients summing to zero, so the divergent parts cancel, and the
     recursion gives beta^(1 - gamma) / (gamma - 1) unchanged above it."""
-    seed = -mp.log(beta) if alpha == 0 else \
-        mp.exp(alpha * beta) * mp.e1(alpha * beta)
-    ulp = mp.mpf(10) ** (-mp.mp.dps + 1)
+    dps = getcontext().prec
+    seed = -beta.ln() if alpha == 0 else _e1_seed(alpha * beta)
+    ulp = Decimal(1).scaleb(1 - dps)
     vals, err, losses = [seed], abs(seed) * ulp, [0.0]
     for g in range(2, gamma_max + 1):
         lead = beta ** (1 - g)
         err = (lead * ulp + alpha * err) / (g - 1)
         val = (lead - alpha * vals[-1]) / (g - 1)
         vals.append(val)
-        losses.append(float(mp.mp.dps) if val == 0 else max(
-            0.0, mp.mp.dps - 1 + 0.30103 * (mp.mag(err) - mp.mag(val))))
+        losses.append(float(dps) if val == 0 else max(
+            0.0, dps - 1 + 0.30103 * (_mag(err) - _mag(val))))
     return vals, losses
 
 
 def _lost_digits(biggest, total) -> float:
     """Decimal digits cancelled between the largest term and the sum."""
-    if total == 0:
-        return float(mp.mp.dps)
-    return 0.30103 * max(0, mp.mag(biggest) - mp.mag(total) + 1)
+    return float(getcontext().prec) if total == 0 else 0.30103 * max(
+        0, _mag(biggest) - _mag(total) + 1)
 
 
 class _ClosedFormEngine:
-    """Per-profile evaluator of the closed-form rate integral in mpf
+    """Per-profile evaluator of the closed-form rate integral in decimal
     arithmetic with cancellation-aware precision escalation."""
 
     def __init__(self, profile: LinkProfile):
         self.p = profile
         # ell -> (dps, T(ell), lost digits): it holds dps - lost digits
-        self._t_cache: dict[int, tuple[int, mp.mpf, float]] = {}
+        self._t_cache: dict[int, tuple[int, Decimal, float]] = {}
 
     # -- level integrals --------------------------------------------------
 
@@ -151,7 +172,7 @@ class _ClosedFormEngine:
         cached = self._t_cache.get(ell)
         if cached is not None and cached[0] >= dps:
             return cached[1], cached[2]
-        with mp.workdps(dps):
+        with localcontext(Context(prec=dps)):
             val, lost = self._compute_t(ell)
         self._t_cache[ell] = (dps, val, lost)
         return val, lost
@@ -164,20 +185,20 @@ class _ClosedFormEngine:
         pole by pole, integrate term by term to I2 (Gradshteyn & Ryzhik
         3.353); a pole on 1 (rho_b == rho0) merges with the noise pole
         exactly."""
-        rho0 = mp.mpf(self.p.rho0)
-        betas = [rho0 / mp.mpf(r) for r in self.p.rho_int]
-        alpha = self.p.noise * (ell + 1) / rho0
-        orders = {mp.mpf(1): 1}
+        rho0 = Decimal(float(self.p.rho0))  # any Real, as the quadrature
+        betas = [rho0 / Decimal(float(r)) for r in self.p.rho_int]
+        alpha = Decimal(self.p.noise) * (ell + 1) / rho0
+        orders = {Decimal(1): 1}
         for beta in betas:
             orders[beta] = orders.get(beta, 0) + ell + 1
         poles, js = list(orders), list(orders.values())
         terms, lost_i2 = [], 0.0
         for b, beta in enumerate(poles):
-            i2, i2_lost = _i2_mp(alpha, beta, js[b])
+            i2, i2_lost = _i2(alpha, beta, js[b])
             terms += [c * v for c, v in zip(_psi_table(poles, js, b)[1:], i2)]
             lost_i2 = max(lost_i2, *i2_lost)
-        total = mp.fsum(terms)
-        scale = mp.fprod(beta ** (ell + 1) for beta in betas)
+        total = +reduce(_EXACT.add, terms)
+        scale = math.prod([b ** (ell + 1) for b in betas], start=Decimal(1))
         lost = lost_i2 + _lost_digits(max(map(abs, terms)), total)
         return scale * total, lost
 
@@ -202,7 +223,7 @@ class _ClosedFormEngine:
 
     def weighted_sum(self, d):
         """(1/ln 2) * sum_ell d[ell] * T(ell) for exact rational weights d,
-        as an mpf with about 14 accurate digits.
+        as a Decimal with about 14 accurate digits.
 
         Level ell is held to _TERM_DIGITS + log10(|d_ell T_ell| / sum), the
         cancellation measured on the dot product itself."""
@@ -229,18 +250,17 @@ class _ClosedFormEngine:
             tab = [self.level(ell, n) for ell, n in enumerate(need)]
             if any(acc < n for (_, acc), n in zip(tab, need)):
                 raise CancellationError(_OUT_OF_DIGITS)
-            with mp.workdps(int(max(acc for _, acc in tab)) + 20):
-                terms = [mp.mpf(c.numerator) / c.denominator * v
+            with localcontext(Context(prec=int(max(a for _, a in tab)) + 20)):
+                terms = [Decimal(c.numerator) / c.denominator * v
                          for c, (v, _) in zip(d, tab)]
-                total = mp.fsum(terms)
-                mags = [0.30103 * mp.mag(t) for t in terms]
+                total = +reduce(_EXACT.add, terms)
+                mags = [0.30103 * _mag(t) for t in terms]
                 # the sum's size, or its error bound where that is larger
-                size = max([0.30103 * mp.mag(total) if total > 0 else -mp.inf]
+                size = max([0.30103 * _mag(total) if total > 0 else -math.inf]
                            + [m - acc for m, (_, acc) in zip(mags, tab)])
                 new = [_TERM_DIGITS + m - size for m in mags]
-                if total > 0 and all(acc >= n
-                                     for (_, acc), n in zip(tab, new)):
-                    return total / mp.log(2)
+                if total > 0 and all(a >= n for (_, a), n in zip(tab, new)):
+                    return total / Decimal(2).ln()
             need = [max(a, b) for a, b in zip(need, new)]
 
 

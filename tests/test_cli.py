@@ -477,10 +477,35 @@ for argv in (["rate-exact", "--M", "4"], ["rate-asymptotic", "--M", "4"],
 """
 
 
-def test_every_command_runs_without_scipy():
+def _fresh_python(code, *args):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, GOLDEN],
-                         env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_every_command_runs_without_scipy():
+    res = _fresh_python(_WITHOUT_SCIPY, GOLDEN)
     assert res.returncode == 0, res.stderr
+
+
+#: run in a fresh interpreter: the CLI imports no mpmath, and the first
+#: series rate loads it for its E1 seed
+_LAZY_MPMATH = """
+import sys
+import cdfsched.cli
+assert "mpmath" not in sys.modules
+from cdfsched import LinkProfile, user_rate_exact
+user_rate_exact(LinkProfile.noise_limited(2.0), 2, 16, 4)
+assert "mpmath" in sys.modules
+"""
+
+
+def test_mpmath_loads_with_the_first_series_rate():
+    res = _fresh_python(_LAZY_MPMATH)
+    assert res.returncode == 0, res.stderr
+    # nothing in the package sets mpmath's process-wide precision
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "workdps" not in text and "mp.dps" not in text, path.name

@@ -8,8 +8,13 @@ direct adaptive quadrature for every rate quantity.
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import mpmath as mp
@@ -36,7 +41,7 @@ from cdfsched.exact_rate import (
 )
 from cdfsched.exact_rate import (
     _ClosedFormEngine,
-    _i2_mp,
+    _i2,
     _collapsed_rates,
     _psi_table,
     _series_budget,
@@ -119,8 +124,8 @@ class TestI2Recursion:
         (1.0, 1.0, 12), (50.0, 0.1, 10),
     ])
     def test_table_against_incomplete_gamma(self, alpha, beta, gamma):
-        with mp.workdps(30):
-            vals, losses = _i2_mp(mp.mpf(alpha), mp.mpf(beta), gamma)
+        with localcontext(Context(prec=30)):
+            vals, losses = _i2(Decimal(alpha), Decimal(beta), gamma)
         assert len(vals) == len(losses) == gamma
         for g, v in enumerate(vals, start=1):
             assert float(v) == pytest.approx(
@@ -187,7 +192,7 @@ class TestLevelIntegral:
         assert float(val) == pytest.approx(float(ref), rel=1e-12)
         val, lost = _ClosedFormEngine(p).t(ell, 30)
         with mp.workdps(30):
-            assert abs(val - ref) <= 10 ** (lost - 29) * abs(ref)
+            assert abs(mp.mpf(str(val)) - ref) <= 10 ** (lost - 29) * abs(ref)
 
     @pytest.mark.parametrize("p", [G2, G3], ids=["G2", "G3"])
     @pytest.mark.parametrize("ell", [7, 12])
@@ -197,7 +202,7 @@ class TestLevelIntegral:
         val, lost = _ClosedFormEngine(p).t(ell, 15)
         ref = _level_oracle(p, ell)
         with mp.workdps(30):
-            rel_err = abs(val - ref) / abs(ref)
+            rel_err = abs(mp.mpf(str(val)) - ref) / abs(ref)
             assert rel_err > 0
             actual = 15 + float(mp.log10(rel_err))
         assert lost >= actual
@@ -211,7 +216,7 @@ class TestLevelIntegral:
         assert acc >= 14
         ref = _level_oracle(p, ell)
         with mp.workdps(30):
-            assert abs(val - ref) <= 1e-14 * ref
+            assert abs(mp.mpf(str(val)) - ref) <= 1e-14 * ref
 
     @pytest.mark.parametrize("p", NEAR_UNIT, ids=_near_unit_id)
     @pytest.mark.parametrize("ell", [0, 3, 15])
@@ -485,6 +490,46 @@ def test_each_level_integral_is_computed_at_most_twice(monkeypatch):
     exact_rate._engine.cache_clear()
     assert len(set(computed)) == 64 * 3 + 32
     assert max(Counter(computed).values()) <= 2
+
+
+@pytest.mark.parametrize("v", [np.int64(3), Fraction(7, 2)],
+                         ids=["int64", "Fraction"])
+def test_series_takes_a_scale_of_any_real_type(v):
+    # the engine reads a profile's scales as floats, as the quadrature does
+    cells = [(kind(v), kind(float(v))) for kind in (
+        LinkProfile.noise_limited, lambda r: LinkProfile.general(r, (1.0,)),
+        lambda r: LinkProfile.interference_limited(4.0, r))]
+    for typed, plain in cells:
+        exact_rate._engine.cache_clear()
+        ref = user_rate_exact(plain, 2, 16, 4)
+        exact_rate._engine.cache_clear()
+        assert user_rate_exact(typed, 2, 16, 4) == ref
+    exact_rate._engine.cache_clear()
+
+
+def test_series_rates_are_the_same_on_four_threads():
+    # each thread works in its own decimal and mpmath contexts: from a cold
+    # engine cache, the small cells' series rates and G(eps) on four
+    # threads are the serial values bit for bit
+    calls = [partial(user_rate_exact, p, K0, 16, M)
+             for p, k0s in ((NL, (1, 2, 4)), (IL, (1, 2, 4)), (G1, (1, 2, 4)),
+                            (G2, (1, 2)))
+             for K0 in k0s for M in (1, 2, 4, 8, 16)]
+    calls += [partial(g_k, p, eps) for p in (NL, IL, G1, G2)
+              for eps in (5, 17, 32)]
+    exact_rate._engine.cache_clear()
+    serial = [f() for f in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads interleave often
+    try:
+        for _ in range(2):
+            exact_rate._engine.cache_clear()
+            with ThreadPoolExecutor(4) as pool:
+                assert list(pool.map(lambda f: f(), calls,
+                                     timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)
+        exact_rate._engine.cache_clear()
 
 
 @pytest.mark.parametrize("p,K0,N,M", [
