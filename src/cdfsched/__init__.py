@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .asymptotics import (
     NormalizingConstants,
+    bestm_cdf,
     bestm_cdf_inv,
     competitor_count,
     normalizing_constants,
@@ -42,7 +43,7 @@ from .exact_rate import (
     sum_rate_exact,
     user_rate_exact,
 )
-from .feedback import bestm_cdf, feedback_count_pmf, xi1, xi2
+from .feedback import feedback_count_pmf, xi1, xi2
 from .planner import PlanResult, min_feedback_asymptotic, min_feedback_exact, plan_feedback
 from .simulator import RateReport, SimConfig, fairness_theta, simulate, simulate_profiles
 

@@ -23,6 +23,7 @@ from .channel import (
     INTERFERENCE_LIMITED,
     NOISE_LIMITED,
     LinkProfile,
+    sinr_cdf,
     sinr_cdf_inv,
     sinr_pdf,
     sinr_sf,
@@ -30,7 +31,6 @@ from .channel import (
 from .errors import (ConvergenceError, DomainError, PreconditionError,
                      _finite_real)
 from .feedback import BestMPoly, check_budget
-from .specfun import EULER_GAMMA
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,11 @@ class NormalizingConstants:
 
     a: float
     b: float
+
+
+def bestm_cdf(p: LinkProfile, N: int, M: int, x) -> float:
+    """CDF of the fed-back CQI seen by the scheduler for this user."""
+    return BestMPoly.build(N, M).eval_in_f(sinr_cdf(p, x))
 
 
 def bestm_cdf_inv(p: LinkProfile, N: int, M: int, q: float) -> float:
@@ -63,26 +68,24 @@ def _bestm_poly_quantile(N: int, M: int, q: float) -> float:
     by every user of a cell, whatever its SINR distribution.
 
     F_Y is a positive binomial sum with a positive derivative on (0, 1)
-    (see `feedback`), so the root is unique; M = 1 and M = N have closed
-    forms.  Otherwise Newton runs on ln F_Y against ln u, nearly linear at
-    both ends (c u^(N-M+1) near 0, 1 - (N/M)(1 - u) near 1), from
-    min(q^(1/N), 1 - (1 - q) M/N), an upper bound on the root.  Each step
-    compares F_Y with q exactly and takes the log-slope u F_Y' / F_Y from
-    `BestMPoly.exact_in_f`: a float F_Y loses the sign of F_Y - q within an
-    ulp of q, which near q = 1 - 2^-53 spans the u next to the root.  Each
-    evaluation moves one end of the bracket (lo, hi), first (0, 1), to u; a
-    step that leaves it bisects it instead.  The iteration stops when a
-    step or the bracket is within about one ulp of u, and raises
+    (see `feedback`), so the root is unique.  Newton runs on ln F_Y
+    against ln u, nearly linear at both ends (c u^(N-M+1) near 0,
+    1 - (N/M)(1 - u) near 1), from min(q^(1/N), 1 - (1 - q) M/N), an
+    upper bound on the root.  It is within a rounding of the root at
+    M = 1, where F_Y = u^N; at M = N, where F_Y = u, it is taken as q
+    itself, as 1 - (1 - q) rounds off q's low bits.  Each step compares
+    F_Y with q exactly and takes the log-slope u F_Y' / F_Y from
+    `BestMPoly.exact_in_f`: a float F_Y loses the sign of F_Y - q within
+    an ulp of q, which near q = 1 - 2^-53 spans the u next to the root.
+    Each evaluation moves one end of the bracket (lo, hi), first (0, 1),
+    to u; a step that leaves it bisects it instead.  The iteration stops
+    when a step or the bracket is within about one ulp of u, and raises
     ConvergenceError after _QUANTILE_MAX_STEPS steps.
     """
-    if M == 1:
-        return q ** (1.0 / N)
-    if M == N:
-        return q
     poly = BestMPoly.build(N, M)
     q_num, q_den = q.as_integer_ratio()
     lo, hi = 0.0, 1.0
-    u = min(q ** (1.0 / N), 1.0 - (1.0 - q) * M / N)
+    u = min(q ** (1.0 / N), 1.0 - (1.0 - q) * M / N) if M < N else q
     for _ in range(_QUANTILE_MAX_STEPS):
         f_num, f_den, slope = poly.exact_in_f(u)
         num, den = f_num * q_den, f_den * q_num   # F_Y(u) / q = num / den
@@ -229,7 +232,7 @@ def user_rate_asymptotic(p, K0: int, N: int, M):
     nc = normalizing_constants(p, competitor_count(K0, N, budgets), N,
                                budgets)
     used = np.array([1.0 - (1.0 - m / N) ** K0 for m in Ms])
-    rates = (used[0] if one_m else used) * (nc.a + EULER_GAMMA * nc.b) / K0
+    rates = (used[0] if one_m else used) * (nc.a + np.euler_gamma * nc.b) / K0
     return rates if np.ndim(rates) else float(rates)
 
 

@@ -42,9 +42,7 @@ def _reject_constant(name: str):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)):  # a bool is an int
         return str(x)
     if x is None:
         return ""
@@ -282,29 +280,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, scenario_required=True):
+    def common(sp, scenario_required=True, budget=True):
         sp.add_argument("--scenario", required=scenario_required,
                         help="path to a JSON scenario file")
         sp.add_argument("--out", default="-",
                         help="output CSV path (default: stdout)")
         sp.add_argument("--seed", type=int, default=None,
                         help="master seed override")
+        if budget:
+            sp.add_argument("--M", type=int, default=None,
+                            help="feedback budget (default: full feedback)")
 
     sp = sub.add_parser("rate-exact", help="closed-form per-user/sum rates")
     common(sp)
-    sp.add_argument("--M", type=int, default=None,
-                    help="feedback budget (default: full feedback)")
     sp.set_defaults(fn=_cmd_rate_exact)
 
     sp = sub.add_parser("rate-asymptotic",
                         help="extreme-value rate approximation")
     common(sp)
-    sp.add_argument("--M", type=int, default=None)
     sp.set_defaults(fn=_cmd_rate_asymptotic)
 
     sp = sub.add_parser("simulate", help="Monte Carlo simulation")
     common(sp)
-    sp.add_argument("--M", type=int, default=None)
     sp.add_argument("--policy", choices=POLICIES, default="cdf")
     sp.add_argument("--drops", type=int, default=1)
     sp.add_argument("--slots", type=int, default=10000)
@@ -313,13 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("plan-feedback",
                         help="minimum M meeting a sum-rate ratio target")
-    common(sp)
+    common(sp, budget=False)
     sp.add_argument("--eta", type=float, required=True,
                     help="sum-rate ratio threshold in (0, 1]")
     sp.set_defaults(fn=_cmd_plan_feedback)
 
     sp = sub.add_parser("validate", help="run the oracle cross-check suite")
-    common(sp, scenario_required=False)
+    common(sp, scenario_required=False, budget=False)
     sp.set_defaults(fn=_cmd_validate)
 
     return parser

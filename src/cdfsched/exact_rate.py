@@ -163,28 +163,19 @@ class _ClosedFormEngine:
 
     def __init__(self, profile: LinkProfile):
         self.p = profile
-        # ell -> (dps, T(ell), lost digits): it holds dps - lost digits
+        # ell -> (dps, T(ell), lost): dps - lost digits; `level` writes it
         self._t_cache: dict[int, tuple[int, Decimal, float]] = {}
 
     # -- level integrals --------------------------------------------------
 
-    def t(self, ell: int, dps: int):
-        cached = self._t_cache.get(ell)
-        if cached is not None and cached[0] >= dps:
-            return cached[1], cached[2]
-        with localcontext(Context(prec=dps)):
-            val, lost = self._compute_t(ell)
-        self._t_cache[ell] = (dps, val, lost)
-        return val, lost
-
     def _compute_t(self, ell: int):
-        """T(ell) and its lost digits, one formula for every kind:
-        S^(ell+1) / (1 + x) = e^(-alpha x) prod_b beta_b^(ell+1) (x +
-        beta_b)^-(ell+1) (x + 1)^-1, with beta_b = rho0 / rho_b and alpha =
-        nu (ell + 1) / rho0, nu the noise weight.  Its partial fractions,
-        pole by pole, integrate term by term to I2 (Gradshteyn & Ryzhik
-        3.353); a pole on 1 (rho_b == rho0) merges with the noise pole
-        exactly."""
+        """T(ell) and its lost digits in the current decimal context, one
+        formula for every kind: S^(ell+1) / (1 + x) = e^(-alpha x) prod_b
+        beta_b^(ell+1) (x + beta_b)^-(ell+1) (x + 1)^-1, with beta_b =
+        rho0 / rho_b and alpha = nu (ell + 1) / rho0, nu the noise weight.
+        Its partial fractions, pole by pole, integrate term by term to I2
+        (Gradshteyn & Ryzhik 3.353); a pole on 1 (rho_b == rho0) merges
+        with the noise pole exactly."""
         rho0 = Decimal(float(self.p.rho0))  # any Real, as the quadrature
         betas = [rho0 / Decimal(float(r)) for r in self.p.rho_int]
         alpha = Decimal(self.p.noise) * (ell + 1) / rho0
@@ -216,7 +207,9 @@ class _ClosedFormEngine:
         while dps - lost < digits and dps < _MAX_DPS:
             rung = 1 << (math.ceil(digits + lost) - 1).bit_length()
             dps = min(_MAX_DPS, max(32, rung))
-            val, lost = self.t(ell, dps)
+            with localcontext(Context(prec=dps)):
+                val, lost = self._compute_t(ell)
+            self._t_cache[ell] = (dps, val, lost)
         return val, dps - lost
 
     # -- the rate integral -------------------------------------------------

@@ -14,7 +14,8 @@ its integer weight numerators, for the best-M quantile in `asymptotics`.
 The paper's coefficients xi1 (F_Y in powers of u) and xi2 (its tau0-th
 power) alternate in sign and cancel in floating point, so they are kept as
 exact rationals: the input of the xi2-series rate path and the tests'
-exact reference.
+exact reference.  F_Y here is a polynomial in u only:
+`asymptotics.bestm_cdf` composes it with a user's SINR law.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from math import comb
 
 import numpy as np
 
-from .channel import LinkProfile, sinr_cdf
 from .errors import DomainError, _integer
 
 
@@ -45,26 +45,23 @@ def check_budget(N, M, K0=1) -> tuple[int, tuple[int, ...], int]:
     return N, Ms, K0
 
 
-@lru_cache(maxsize=4096)
-def xi1_exact(N: int, M: int, m: int) -> Fraction:
+@lru_cache(maxsize=512)
+def xi1_vector(N: int, M: int) -> tuple[Fraction, ...]:
+    """All xi1(N, M, m), m = 0 .. M-1: F_Y = sum_m xi1_m F^(N-m), each
+    an alternating sum of integers over M."""
     N, (M,), _ = check_budget(N, M)
-    if not 0 <= m <= M - 1:
-        raise DomainError(f"need 0 <= m <= M-1, got m={m}, M={M}")
-    total = Fraction(0)
-    for i in range(m, M):
-        total += Fraction(M - i, M) * comb(N, i) * comb(i, m) * (-1) ** (i - m)
-    return total
+    return tuple(
+        Fraction(sum((M - i) * comb(N, i) * comb(i, m) * (-1) ** (i - m)
+                     for i in range(m, M)), M)
+        for m in range(M))
 
 
 def xi1(N: int, M: int, m: int) -> float:
     """Coefficient of F^(N-m) in the best-M scheduler-side CDF."""
-    return float(xi1_exact(N, M, m))
-
-
-@lru_cache(maxsize=512)
-def xi1_vector(N: int, M: int) -> tuple[Fraction, ...]:
-    N, (M,), _ = check_budget(N, M)
-    return tuple(xi1_exact(N, M, m) for m in range(M))
+    vec = xi1_vector(N, M)
+    if not 0 <= m < len(vec):
+        raise DomainError(f"need 0 <= m <= M-1, got m={m}, M={M}")
+    return float(vec[m])
 
 
 @lru_cache(maxsize=512)
@@ -238,11 +235,6 @@ class BestMPoly:
         sums = _term_sums(self.N, 1.0 - flat, flat,
                           _survival_weights(self.N, self.M))
         return (flat * sums[:, 0]).reshape(np.shape(s))[()]
-
-
-def bestm_cdf(p: LinkProfile, N: int, M: int, x) -> float:
-    """CDF of the fed-back CQI seen by the scheduler for this user."""
-    return BestMPoly.build(N, M).eval_in_f(sinr_cdf(p, x))
 
 
 def feedback_count_pmf(K: int, M: int, N: int, tau0: int) -> float:

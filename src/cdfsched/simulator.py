@@ -154,7 +154,8 @@ def fairness_theta(assignment_counts) -> float:
     p = counts / total
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0, p * np.log(p), 0.0)
-    return float(-terms.sum() / math.log(K))
+    # 0.0 minus: one user holding every block gives +0.0, not -0.0
+    return float(0.0 - terms.sum() / math.log(K))
 
 
 def _batch_slots(slots_per_drop: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Adaptive quadrature for the rate integrals, and the Euler-Mascheroni constant.
+"""Adaptive quadrature for the rate integrals.
 
 Everything here is pure and stateless.  The closed form takes its special
 function (E1) from mpmath; this quadrature is its independent oracle.
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, _finite_real, _integer
-
-EULER_GAMMA = 0.5772156649015328606
 
 # Patterson's 31-point rule on [-1, 1] and the Kronrod 15 rule it extends
 # (T. N. L. Patterson, Math. Comp. 22(104), 1968; QUADPACK's QNG), given

@@ -5,6 +5,7 @@ closed forms, and hand-derivable special points of the quantile map.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -15,6 +16,7 @@ from cdfsched.asymptotics import (
     FRECHET,
     GUMBEL,
     NormalizingConstants,
+    bestm_cdf,
     bestm_cdf_inv,
     competitor_count,
     normalizing_constants,
@@ -25,8 +27,7 @@ from cdfsched.asymptotics import (
 )
 from cdfsched.channel import LinkProfile, sinr_cdf_inv
 from cdfsched.errors import ConvergenceError, DomainError, PreconditionError
-from cdfsched.feedback import (bestm_cdf, feedback_count_pmf_exact,
-                               xi1_vector)
+from cdfsched.feedback import feedback_count_pmf_exact, xi1_vector
 from mp_reference import pdf_mp, sf_mp
 from test_acceptance import N_RB, het_profiles
 
@@ -81,6 +82,18 @@ class TestBestMQuantile:
                         worst = max(worst, float(abs(root - u))
                                     / math.ulp(float(root)))
         assert worst <= 4.0
+
+    @pytest.mark.parametrize("N", [2, 16, 100, 1100])
+    def test_best_one_and_full_feedback_roots(self, N):
+        # F_Y = u at M = N, so the root is q itself; F_Y = u^N at M = 1,
+        # so the exact F_Y at the root's two float neighbours brackets q
+        quantile = asymptotics._bestm_poly_quantile.__wrapped__
+        for q in (1e-30, 1e-17, 1e-12, 0.1, 0.3, 0.5, 0.7, 0.9, 1 - 1e-10,
+                  1 - 2.0**-53):
+            assert quantile(N, N, q) == q
+            u = quantile(N, 1, q)
+            below, above = math.nextafter(u, 0.0), math.nextafter(u, 2.0)
+            assert Fraction(below) ** N <= Fraction(q) <= Fraction(above) ** N
 
     def test_step_cap_raises_convergence_error(self, monkeypatch):
         monkeypatch.setattr(asymptotics, "_QUANTILE_MAX_STEPS", 1)

@@ -428,6 +428,16 @@ class TestSimulateCommand:
         assert code == 0
         assert float(rows_of(out)[0]["fairness_theta"]) == 1.0
 
+    def test_one_holder_prints_zero_not_minus_zero(self, capsys, tmp_path):
+        # the user 20 m from the macro outshines the one at 1.5 km by seven
+        # orders of magnitude, so greedy gives it every block
+        path = write_json(tmp_path, {
+            "cells": MINIMAL["cells"], "users": [[20, 0], [1500, 0]]})
+        code, out, _ = run_cli(capsys, "simulate", "--scenario", path,
+                               "--policy", "greedy", "--slots", "50")
+        assert code == 0
+        assert {row["fairness_theta"] for row in rows_of(out)} == {"0"}
+
 
 class TestPlanAndValidate:
     def test_plan_feedback_row(self, capsys):

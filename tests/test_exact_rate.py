@@ -142,6 +142,12 @@ def _level_oracle(p, ell):
             [0, 1, 10, mp.inf])
 
 
+def _level_at(p, ell, dps):
+    """T(ell) and its lost digits from a fresh engine at dps digits."""
+    with localcontext(Context(prec=dps)):
+        return _ClosedFormEngine(p)._compute_t(ell)
+
+
 #: G(2; 2/(1 + g)) and IL(2, 2/(1 + g)): an interferer pole next to the
 #: noise pole at beta = 1, but not on it
 NEAR_UNIT = [kind(2.0, 2.0 / (1.0 + g))
@@ -164,7 +170,7 @@ class TestLevelIntegral:
                              ids=["NL", "IL", "G1", "G2", "G3", "merged"])
     @pytest.mark.parametrize("ell", [0, 1, 3, 7])
     def test_against_quadrature(self, p, ell):
-        val, _ = _ClosedFormEngine(p).t(ell, 30)
+        val, _ = _level_at(p, ell, 30)
         assert float(val) == pytest.approx(float(_level_oracle(p, ell)),
                                            rel=1e-12)
 
@@ -173,7 +179,7 @@ class TestLevelIntegral:
         # T(0) = e^a E1(a) with a = 1/rho0 from 1e-3 to 5000, where e^a
         # alone overflows a float; a single term loses at most a digit
         p = LinkProfile.noise_limited(rho0)
-        val, lost = _ClosedFormEngine(p).t(0, 30)
+        val, lost = _level_at(p, 0, 30)
         assert lost < 1
         assert float(val) == pytest.approx(float(_level_oracle(p, 0)),
                                            rel=1e-12)
@@ -190,7 +196,7 @@ class TestLevelIntegral:
         ref = _level_oracle(p, ell)
         val, _ = _ClosedFormEngine(p).level(ell, 14)
         assert float(val) == pytest.approx(float(ref), rel=1e-12)
-        val, lost = _ClosedFormEngine(p).t(ell, 30)
+        val, lost = _level_at(p, ell, 30)
         with mp.workdps(30):
             assert abs(mp.mpf(str(val)) - ref) <= 10 ** (lost - 29) * abs(ref)
 
@@ -199,7 +205,7 @@ class TestLevelIntegral:
     def test_lost_digits_bound_the_error(self, p, ell):
         # at 15 digits the partial-fraction sum visibly cancels; the
         # reported loss, which drives the level's precision, must cover it
-        val, lost = _ClosedFormEngine(p).t(ell, 15)
+        val, lost = _level_at(p, ell, 15)
         ref = _level_oracle(p, ell)
         with mp.workdps(30):
             rel_err = abs(mp.mpf(str(val)) - ref) / abs(ref)

@@ -15,16 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdfsched import feedback
-from cdfsched.asymptotics import _bestm_poly_quantile
+from cdfsched.asymptotics import _bestm_poly_quantile, bestm_cdf
 from cdfsched.channel import LinkProfile, sinr_cdf
 from cdfsched.errors import DomainError
 from cdfsched.feedback import (
     BestMPoly,
-    bestm_cdf,
     feedback_count_pmf,
     feedback_count_pmf_exact,
     xi1,
-    xi1_exact,
     xi1_vector,
     xi2,
     xi2_convolution,
@@ -36,8 +34,8 @@ P = LinkProfile.noise_limited(2.0)
 
 class TestXi1:
     def test_reference_values_n16_m2(self):
-        assert xi1_exact(16, 2, 0) == Fraction(-7)
-        assert xi1_exact(16, 2, 1) == Fraction(8)
+        assert xi1_vector(16, 2) == (Fraction(-7), Fraction(8))
+        assert (xi1(16, 2, 0), xi1(16, 2, 1)) == (-7.0, 8.0)
 
     def test_full_feedback_is_identity(self):
         # M = N: the fed-back CDF is F itself -> single coefficient 1 at F^N?

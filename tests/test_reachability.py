@@ -1,11 +1,12 @@
-"""No dead code in the package, and no missing name the benchmark's tracer
-rebinds.
+"""No dead code in the package, modules imported in layers, and no missing
+name the benchmark's tracer rebinds.
 
 Every module-level function and class in src/cdfsched must be reached,
 through the names it is referred by, from a root: the public exports
 (cdfsched.__all__), every definition in cli.py, or the scalar reference
 scheduler kept as the simulator's oracle.  Every module-level import must
-be read in its own module (the package __init__ only re-exports).
+be read in its own module (the package __init__ only re-exports).  A
+module imports package modules only from the layers below its own.
 """
 
 import ast
@@ -63,6 +64,35 @@ def test_every_import_is_read():
         unread += [f"{path.name}: {name}" for name in bound
                    if name not in read]
     assert not unread, f"imports never read: {unread}"
+
+
+#: the package's modules, lowest layer first
+LAYERS = (("errors",), ("channel", "feedback", "specfun"),
+          ("exact_rate", "asymptotics", "simulator"), ("planner",), ("cli",))
+
+
+def _package_imports(path):
+    """The package modules a source file imports, at any depth."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out |= ({node.module.split(".")[0]} if node.module
+                    else {alias.name for alias in node.names})
+    return out
+
+
+def test_modules_import_only_lower_layers():
+    layer = {mod: rank for rank, mods in enumerate(LAYERS) for mod in mods}
+    assert layer.keys() == {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    imports = {mod: _package_imports(SRC / f"{mod}.py") for mod in layer}
+    # cli reads the version from the package itself
+    imports["cli"].discard("__version__")
+    upward = [f"{mod} imports {dep}" for mod, deps in imports.items()
+              for dep in deps if not layer[dep] < layer[mod]]
+    assert not upward, f"imports outside the layers below: {upward}"
+    for leaf in ("channel", "feedback", "specfun"):
+        assert imports[leaf] == {"errors"}, leaf
+    assert "specfun" not in imports["asymptotics"]
 
 
 def _constant(tree, name):

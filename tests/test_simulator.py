@@ -140,6 +140,11 @@ class TestFairness:
     def test_degenerate_is_zero(self):
         assert fairness_theta([100, 0, 0]) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("counts", [[0, 5], [7, 0, 0]])
+    def test_one_holder_is_positive_zero(self, counts):
+        theta = fairness_theta(counts)
+        assert theta == 0.0 and math.copysign(1.0, theta) == 1.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             fairness_theta([5])

@@ -1,7 +1,7 @@
-"""Adaptive quadrature and the Euler-Mascheroni constant.
+"""Adaptive quadrature.
 
-Oracles: closed-form antiderivatives for the quadrature, mpmath for the
-constant, and the panel rule's nodes and weights derived afresh in mpmath.
+Oracles: closed-form antiderivatives for the quadrature, and the panel
+rule's nodes and weights derived afresh in mpmath.
 """
 
 import math
@@ -18,16 +18,11 @@ from cdfsched.specfun import (
     _K15_WEIGHTS,
     _NODES,
     _P31_WEIGHTS,
-    EULER_GAMMA,
     QuadratureConfig,
     _nodes,
     _p31,
     adaptive_quad_halfline,
 )
-
-
-def test_euler_gamma_value():
-    assert EULER_GAMMA == pytest.approx(float(mp.euler), abs=1e-15)
 
 
 def _pulled_back(p):
