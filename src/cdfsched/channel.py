@@ -14,11 +14,13 @@ interference-limited kind and 1 otherwise; the noise-limited kind has no
 interferers.  The kind is a label: the law reads only nu and the scales.
 The product has no poles where interferer scales tie, so every profile is
 evaluated from it; its partial-fraction expansion lives only in the
-closed-form engine of `exact_rate`, the tests' independent oracle.  A
-cell is one zero-padded stack of those numbers (`stacked`), and
+closed-form engine of `exact_rate`, the tests' independent oracle.
+`_law` takes log S and the hazard from one loop over the interferers;
+the CDF, the survival, the density and the quantile Newton all read it,
+so `sinr_cdf` and the rate integrand's `_cdf_and_pdf` give the same CDF
+bits.  A cell is one zero-padded stack of those numbers (`stacked`), and
 `sinr_cdf_inv` solves its quantiles, every profile at every level, in one
-Newton.  `_cdf_and_pdf` gives the CDF and the density of the same points
-from one pass of log S, for the rate integrand.
+Newton.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -213,35 +214,38 @@ def build_link_profile(scenario: Scenario, user_index: int,
     return LinkProfile.general(rho0, kept)
 
 
-def _log_sf(p: LinkProfile, x):
-    """log S(x) for numpy x >= 0: minus one log1p of the interferer
-    product less one, minus the noise term nu x / rho0.
+def _law(p, x, density: bool = True):
+    """log S(x) and, if density, the hazard -d log S / dx (else None),
+    for numpy 0 <= x < inf, from one loop over the interferers sharing
+    t = (rho_b / rho0) x and 1 + t: the hazard is nu / rho0 plus each
+    (rho_b / rho0) / (1 + t), and log S is minus the noise term nu x / rho0
+    and one log1p of the product less one, d.  d starts at the first
+    factor, t_1, and takes each next as d <- d (1 + t) + t, nonnegative
+    terms only, so it keeps its relative accuracy where the product rounds
+    to 1 + O(eps).  A t, d or noise term that overflows is its limit
+    (log S = -inf, a hazard term 0).  As d starts at the largest t, and
+    `stacked` puts its zero scales after a row's own, an overflowing t
+    never meets a d of 0 (0 * inf = NaN); at x = inf a zero scale, or a
+    law's absent noise term, would, so callers set it apart."""
+    d = 0.0
+    hazard = p.noise / p.rho0 if density else None
+    for b, rho_b in enumerate(p.rho_int):
+        c = rho_b / p.rho0
+        t = c * x
+        one_t = 1.0 + t
+        d = t if b == 0 else d * one_t + t
+        if density:
+            hazard = hazard + c / one_t
+    return -np.log1p(d) - p.noise * x / p.rho0, hazard
 
-    The product less one is carried as d <- d + t * (1 + d), t = rho_b x /
-    rho0: every step adds a nonnegative term, so d keeps its relative
-    accuracy at small x, where the product itself rounds to 1 + O(eps).
-    Every law's survival is 0 at x = inf, so those points are set apart:
-    there a zero scale, or the noise term of a law without noise, would
-    be 0 * inf = NaN.  At a huge finite x the product, or the noise
-    term, may overflow: its inf is the limit, log S = -inf, and the laws
-    below take it without a warning."""
+
+def _log_sf(p, x):
+    """log S(x) of `_law` for numpy x >= 0; -inf at x = inf, which every
+    law reaches there."""
     at_inf = x == np.inf
     if at_inf.any():
         return np.where(at_inf, -np.inf, _log_sf(p, np.where(at_inf, 0.0, x)))
-    d = 0.0
-    for rho_b in p.rho_int:
-        t = (rho_b / p.rho0) * x
-        d = d + t * (1.0 + d)
-    return -np.log1p(d) - p.noise * x / p.rho0
-
-
-def _hazard(p: LinkProfile, x):
-    """-d log S / dx = nu / rho0 + sum_b rho_b / (rho0 + rho_b x), for
-    0 <= x < inf; a rho_b x that overflows adds its limit, 0."""
-    h = p.noise / p.rho0
-    for rho_b in p.rho_int:
-        h = h + rho_b / (p.rho0 + rho_b * x)
-    return h
+    return _law(p, x, density=False)[0]
 
 
 def _as_output(out):
@@ -252,25 +256,25 @@ def sinr_cdf(p: LinkProfile, x):
     """CDF of the per-resource-block SINR; 0 for x <= 0.  p may also be the
     stacked rows of `stacked`, against whose (K, 1) columns x
     broadcasts."""
-    with np.errstate(over="ignore"):  # an overflow is the limit: _log_sf
+    with np.errstate(over="ignore"):  # an overflow is the limit: _law
         return _as_output(-np.expm1(_log_sf(p, np.maximum(x, 0.0))))
 
 
 def _cdf_and_pdf(p, x):
-    """`sinr_cdf` and `sinr_pdf` of the same x, as arrays, from one
-    `_log_sf` and one `_hazard`: the operations of the CDF in its order,
-    x = inf set apart as `_log_sf` sets it apart.  The density is 0
-    there and at x < 0, and takes the CDF's clipped x elsewhere, which
-    differs from x only at x = -0.0, where either zero gives its bits."""
+    """`sinr_cdf` and `sinr_pdf` of the same x, as arrays, from one pass
+    of `_law`: the operations of the CDF in its order, x = inf set apart
+    as `_log_sf` sets it apart.  The density is 0 there and at x < 0, and
+    takes the CDF's clipped x elsewhere, which differs from x only at
+    x = -0.0, where either zero gives its bits."""
     x = np.asarray(x, dtype=float)
     xc = np.maximum(x, 0.0)
     at_inf = xc == np.inf
     outside = (x < 0) | at_inf  # a NaN x is not, and stays NaN
     xc = np.where(at_inf, 0.0, xc)
-    with np.errstate(over="ignore"):  # an overflow is the limit: _log_sf
-        log_sf = _log_sf(p, xc)
+    with np.errstate(over="ignore"):  # an overflow is the limit: _law
+        log_sf, hazard = _law(p, xc)
         cdf = -np.expm1(np.where(at_inf, -np.inf, log_sf))
-        pdf = np.where(outside, 0.0, np.exp(log_sf) * _hazard(p, xc))
+        pdf = np.where(outside, 0.0, np.exp(log_sf) * hazard)
     return cdf, pdf
 
 
@@ -287,22 +291,58 @@ def sinr_sf(p: LinkProfile, x):
         return _as_output(np.exp(_log_sf(p, np.maximum(x, 0.0))))
 
 
-def stacked(profiles):
-    """A cell's profiles as one stack of (K, 1) columns, the fields
-    `_log_sf` and `_hazard` read, against which x broadcasts: rho0, the
-    noise weight, the interferer scales and their count.  A profile with
-    fewer interferers than the most any has is led by zero scales: they add
-    exactly 0 to both, and as they come first, a product that overflows to
-    inf never meets their 0 * inf = NaN."""
+def _as_cell(p) -> tuple[LinkProfile, ...]:
+    """p, one LinkProfile or a sequence of them, as a tuple of profiles:
+    the one check of a cell, so that anything else in it raises
+    DomainError instead of a stray AttributeError or TypeError."""
+    if isinstance(p, LinkProfile):
+        return (p,)
+    try:
+        profiles = tuple(p)
+    except TypeError:
+        raise DomainError("need a LinkProfile or a sequence of them, got "
+                          f"{p!r}") from None
+    for q in profiles:
+        if not isinstance(q, LinkProfile):
+            raise DomainError(f"a cell holds LinkProfiles, got {q!r}")
+    return profiles
+
+
+@dataclass(frozen=True, eq=False)
+class _Rows:
+    """A cell's profiles as one stack of (K, 1) columns (see `stacked`)."""
+
+    rho0: np.ndarray
+    noise: np.ndarray
+    rho_int: tuple[np.ndarray, ...]
+    num_interferers: np.ndarray
+
+    def __getitem__(self, index):
+        """The rows at index (a slice or an index array), less the scale
+        columns past their most interferers, which hold only zeros there."""
+        J = int(self.num_interferers[index].max(initial=0))
+        return _Rows(self.rho0[index], self.noise[index],
+                     tuple(c[index] for c in self.rho_int[:J]),
+                     self.num_interferers[index])
+
+
+def stacked(profiles) -> _Rows:
+    """A cell's profiles, one LinkProfile or a sequence, as one stack of
+    (K, 1) columns, the fields `_law` reads, against which x broadcasts:
+    rho0, the noise weight, the interferer scales and their count.  A
+    profile with fewer interferers than the most any has is trailed by
+    zero scales, which leave its log S and hazard exactly as they are."""
+    profiles = _as_cell(profiles)
+
     def column(field):
         return np.array([getattr(p, field) for p in profiles], float)[:, None]
 
     J = max((p.num_interferers for p in profiles), default=0)
-    scales = np.array([(0.0,) * (J - p.num_interferers) + p.rho_int
+    scales = np.array([p.rho_int + (0.0,) * (J - p.num_interferers)
                        for p in profiles]).reshape(len(profiles), J)
-    return SimpleNamespace(rho0=column("rho0"), noise=column("noise"),
-                           rho_int=tuple(scales.T[:, :, None]),
-                           num_interferers=column("num_interferers"))
+    return _Rows(rho0=column("rho0"), noise=column("noise"),
+                 rho_int=tuple(scales.T[:, :, None]),
+                 num_interferers=column("num_interferers"))
 
 
 def _quantile(rows, target):
@@ -314,8 +354,9 @@ def _quantile(rows, target):
     x = np.zeros(np.broadcast_shapes(rows.rho0.shape, target.shape))
     active = True
     for _ in range(100):
-        gap = _log_sf(rows, x) - target
-        x = np.where(active, x + gap / _hazard(rows, x), x)
+        log_sf, hazard = _law(rows, x)
+        gap = log_sf - target
+        x = np.where(active, x + gap / hazard, x)
         active = active & ~(gap <= tol)
         if not active.any():
             return x
@@ -335,18 +376,19 @@ def sinr_cdf_inv(p, q):
 
     Newton runs on log S(x) = log(1 - q) from x = 0: log S is convex and
     decreasing, so the iterates climb to the root without overshooting
-    it.  Each of the J steps of `_log_sf`'s product adds about 5 roundings
-    to the relative error of d, and the log1p, the noise term and their
-    sum 2 more, so the computed log S is off by up to about u * (5J + 2) *
-    |log S|, u = 1.1e-16, even near x = 0; below the smallest normal
-    float, by a few subnormal spacings.  A gap below that is rounding, so
-    the step that crosses it is each point's last.
+    it.  Each of the J steps of `_law`'s product, t = (rho_b / rho0) x and
+    d (1 + t) + t, adds about 5 roundings to the relative error of d, and
+    the log1p, the noise term and their sum 2 more, so the computed log S
+    is off by up to about u * (5J + 2) * |log S|, u = 1.1e-16, even near
+    x = 0; below the smallest normal float, by a few subnormal spacings.
+    A gap below that is rounding, so the step that crosses it is each
+    point's last.
     """
     q = np.asarray(q, dtype=float)
     bad = q[~((q > 0.0) & (q < 1.0))]
     if bad.size:
         raise DomainError("quantile argument must be in (0, 1), got "
                           f"{float(bad[0])}")
-    one = isinstance(p, LinkProfile)
-    x = _quantile(stacked([p] if one else list(p)), np.log1p(-q))
-    return _as_output(x.reshape(q.shape)) if one else x
+    x = _quantile(stacked(p), np.log1p(-q))
+    return (_as_output(x.reshape(q.shape)) if isinstance(p, LinkProfile)
+            else x)

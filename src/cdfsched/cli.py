@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -271,7 +272,11 @@ def _cmd_validate(args) -> int:
     return 0 if all(s == "PASS" for _, s, _ in checks) else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The five-subcommand parser, built once a process and shared by every
+    `main` call; each command's function reads the module's names when it
+    runs, not when the parser is built."""
     parser = argparse.ArgumentParser(
         prog="cdfsched",
         description="Exact, asymptotic, and simulated throughput of "

@@ -4,15 +4,16 @@ Above a small N * K0 a rate is one positive integral: the Binomial(K0, M/N)
 feedback count collapses in closed form, leaving the binomial-tail F_Y of
 `feedback`, which `_collapsed_rates` integrates in floating point over the
 product-form SINR law of `channel`.  It integrates a whole cell at once:
-every (user, M) column is one column of a vector integrand on one shared
+every (M, user) column is one column of a vector integrand on one shared
 mesh, each user in its own y = x / s on its map scale s (`_map_scale`),
-the users one stack of the SINR law's numbers (`channel.stacked`), taken
-a bounded number of columns at a time.  Each integrand call takes the
-law's CDF and density from one pass (`channel._cdf_and_pdf`) and F_Y
-from `BestMPoly.columns`, the one float evaluator of F_Y, and finishes
-in place in those fresh arrays.  A cell's rates at one M are one
-`user_rate_exact` call, and at a sequence of Ms, the planner's scan,
-one `_collapsed_rates` call.
+the users one stack of the SINR law's numbers (`channel.stacked`), built
+once a cell and sliced by rows, a bounded number of columns at a time.
+The kernel is columns first: each column's values are one contiguous row
+of nodes.  Each integrand call takes the law's CDF and density from one
+pass (`channel._cdf_and_pdf`) and F_Y from `BestMPoly.columns`, the one
+float evaluator of F_Y, and finishes in place in those fresh arrays.  A
+cell's rates at one M are one `user_rate_exact` call, and at a sequence
+of Ms, the planner's scan, one `_collapsed_rates` call.
 
 Below it the rate is the paper's series, the exact xi2 rationals weighting
 G(eps) = int log2(1+x) d(F^eps).  Each G is an alternating binomial sum
@@ -40,8 +41,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .channel import (GENERAL, LinkProfile, _cdf_and_pdf, sinr_cdf, sinr_pdf,
-                      stacked)
+from .channel import (GENERAL, LinkProfile, _as_cell, _cdf_and_pdf, sinr_cdf,
+                      sinr_pdf, stacked)
 from .errors import CancellationError, DomainError, _integer
 from .feedback import (BestMPoly, check_budget, feedback_count_pmf_exact,
                        xi2_vector)
@@ -368,27 +369,30 @@ def _map_scale(rows):
                                       np.minimum(1.0, rows.rho0), 1.0))
 
 
-def _quadrature(profiles, K0: int, N: int, Ms: tuple[int, ...]) -> np.ndarray:
-    """(len(profiles), len(Ms)) collapsed-rate integrals on one shared mesh,
-    each column in its own y = x / s, s its `_map_scale`.
+def _quadrature(rows, scale, K0: int, N: int,
+                Ms: tuple[int, ...]) -> np.ndarray:
+    """(K, len(Ms)) collapsed-rate integrals of the K stacked rows on one
+    shared mesh, each column in its own y = x / s, s the row's entry of
+    the (K, 1) `_map_scale`.
 
-    The integrand evaluates the SINR law once a call, CDF and density
-    from one `_log_sf` pass, and writes only the arrays that call made:
-    the F_Y array of `BestMPoly.columns` becomes the mix, its power and
-    the products, the density the weight.  The read-only
-    `_column_weights` and `_collapsed_rates` results are never written.
-    Each step is one IEEE operation per entry, in the order of
-    (1 - p + p F_Y)^(K0-1) dF_Y (s f log1p(x) / ln 2), p = M / N;
-    tests/test_exact_rate_bits.py freezes the rates' bits."""
-    prob = np.array(Ms) / N
+    The integrand is columns first: every (M, user) column is one
+    contiguous row of nodes, so that p, 1 - p and the per-(user, node)
+    weight broadcast along rows K times the nodes long.  It evaluates the
+    SINR law once a call, CDF and density from one `_law` pass, and
+    writes only the arrays that call made: the F_Y half of
+    `BestMPoly.columns` becomes the mix, its power and the products, the
+    density the weight.  The read-only `_column_weights` and
+    `_collapsed_rates` results are never written.  Each step is one IEEE
+    operation per entry, in the order of (1 - p + p F_Y)^(K0-1) dF_Y
+    (s f log1p(x) / ln 2), p = M / N; tests/test_exact_rate_bits.py
+    freezes the rates' bits."""
+    prob = np.array(Ms)[:, None] / N
     stay = 1.0 - prob
-    rows = stacked(profiles)
-    scale = _map_scale(rows)
 
-    def integrand(ys):  # node-major rows, the users side by side
+    def integrand(ys):  # (M, user) rows of nodes
         xs = scale * ys
         cdf, weight = _cdf_and_pdf(rows, xs)
-        FY, dFY = BestMPoly.columns(N, Ms, cdf.T)
+        FY, dFY = BestMPoly.columns(N, Ms, cdf)
         FY *= prob
         FY += stay
         FY **= K0 - 1  # not np.power: numpy's `**` squares for 2
@@ -396,11 +400,11 @@ def _quadrature(profiles, K0: int, N: int, Ms: tuple[int, ...]) -> np.ndarray:
         weight *= scale
         weight *= np.log1p(xs)
         weight /= _LN2
-        FY *= weight.T.reshape(-1, 1)
-        return FY.reshape(len(ys), -1)
+        FY *= weight.reshape(-1)
+        return FY.reshape(-1, len(ys))
 
     vals = adaptive_quad_halfline(integrand, _QUADRATURE, vectorized=True)
-    return prob * vals.reshape(len(profiles), len(Ms))
+    return (prob * vals.reshape(len(Ms), -1)).T
 
 
 @lru_cache(maxsize=128)
@@ -408,7 +412,7 @@ def _collapsed_rates(profiles: tuple[LinkProfile, ...], K0: int, N: int,
                      Ms: tuple[int, ...]) -> np.ndarray:
     """Scheduled-rate integrals of a cell's profiles with the feedback-count
     binomial collapsed, as a read-only (len(profiles), len(Ms)) array.
-    Every (user, M) column of one quadrature shares its mesh; a cell
+    Every (M, user) column of one quadrature shares its mesh; a cell
     wider than _MAX_COLUMNS takes a few, and equal profiles are integrated
     once.
 
@@ -421,14 +425,18 @@ def _collapsed_rates(profiles: tuple[LinkProfile, ...], K0: int, N: int,
     interference-limited user with rho0 / rho1 = 1e-9 put its mass at
     y ~ 1e9, where the nodes round to t = 1.
     """
-    # neighbours in map scale share a mesh with few panels to spare
+    # neighbours in map scale share a mesh with few panels to spare; the
+    # cell is stacked once, and each quadrature takes its slice of rows
     unique = list(dict.fromkeys(profiles))
-    scales = _map_scale(stacked(unique))[:, 0]
-    unique = [unique[k] for k in np.argsort(scales, kind="stable")]
+    rows = stacked(unique)
+    scale = _map_scale(rows)
+    order = np.argsort(scale[:, 0], kind="stable")
+    rows, scale = rows[order], scale[order]
     step = max(1, _MAX_COLUMNS // max(Ms))
-    rates = np.concatenate([_quadrature(unique[a:a + step], K0, N, Ms)
-                            for a in range(0, len(unique), step)])
-    row = {p: k for k, p in enumerate(unique)}
+    rates = np.concatenate([
+        _quadrature(rows[a:a + step], scale[a:a + step], K0, N, Ms)
+        for a in range(0, len(unique), step)])
+    row = {unique[k]: r for r, k in enumerate(order.tolist())}
     rates = rates[[row[p] for p in profiles]]
     rates.setflags(write=False)
     return rates
@@ -441,12 +449,16 @@ def user_rate_exact(p, K0: int, N: int, M: int,
     p is one LinkProfile, for a float, or a sequence of the cell's
     profiles, for a float array of their rates.  A profile takes the xi2
     series with the closed-form G when every exponent in the expansion
-    stays within its closed-form budget; the others, and any whose series
-    needs more than _MAX_DPS working digits, take one collapsed quadrature
-    together.
+    stays within its closed-form budget and closed_form_max_eps, an
+    integer >= 0 (0 sends every profile to the quadrature); the others,
+    and any whose series needs more than _MAX_DPS working digits, take one
+    collapsed quadrature together.  Anything but LinkProfiles in the cell
+    raises DomainError.
     """
     N, (M,), K0 = check_budget(N, M, K0)
-    profiles = (p,) if isinstance(p, LinkProfile) else tuple(p)
+    closed_form_max_eps = _integer(closed_form_max_eps,
+                                   "closed_form_max_eps", DomainError, 0)
+    profiles = _as_cell(p)
     rates, quad = np.empty(len(profiles)), []
     for k, pk in enumerate(profiles):
         if N * K0 <= closed_form_max_eps and N * K0 <= _series_budget(pk):
@@ -474,7 +486,7 @@ def sum_rate_exact(profiles, N: int, M) -> RateBreakdown:
     is one `_collapsed_rates` call, the cell's collapsed quadrature at
     every M, whatever N * K0, and gives arrays (see `RateBreakdown`).
     """
-    profiles = tuple(profiles)
+    profiles = _as_cell(profiles)
     if not profiles:
         raise DomainError("need at least one profile")
     K0 = len(profiles)

@@ -7,9 +7,10 @@ binomial-tail CDF (David & Nagaraja, *Order Statistics*, 3rd ed., 2003)
     F_Y(u) = sum_{i<M} (M-i)/M * C(N, i) * u^(N-i) * (1-u)^i,
 
 a sum of positive terms.  `BestMPoly.columns` is its one float evaluator,
-one table of terms times the cached weights of any set of M: the rate
-integrand in `exact_rate` takes all its columns, and the tail diagnostics
-and reference scheduler one.  `BestMPoly` also evaluates F_Y exactly, over
+the cached weights of any set of M times one table of terms, columns
+first (one row of points per M): the rate integrand in `exact_rate` takes
+all its columns, and the tail diagnostics and reference scheduler one.
+`BestMPoly` also evaluates F_Y exactly, over
 its integer weight numerators, for the best-M quantile in `asymptotics`.
 The paper's coefficients xi1 (F_Y in powers of u) and xi2 (its tau0-th
 power) alternate in sign and cancel in floating point, so they are kept as
@@ -120,26 +121,27 @@ _BLOCK_ENTRIES = 1 << 20
 
 
 def _term_sums(N: int, u, s, weights):
-    """The table s^i u^(N-1-i), i < m = len(weights), of the 1-D u and s
-    times the weights, a block of rows at a time.  The table is built by
-    column products, without a power per entry: the powers of s forward
-    from 1, then the powers of u backward from one u^(N-m) per row."""
-    m = len(weights)
-    rows = max(1, _BLOCK_ENTRIES // m)
+    """The weights, (W, m), times the table s^i u^(N-1-i), i < m, of the
+    1-D u and s, (m, len(u)): (W, len(u)), a block of points at a time.
+    The table is built by row products, without a power per entry: the
+    powers of s forward from 1, then the powers of u backward from one
+    u^(N-m) per point."""
+    m = weights.shape[1]
+    points = max(1, _BLOCK_ENTRIES // m)
     sums = []
-    for a in range(0, max(len(u), 1), rows):
-        ub, sb = u[a:a + rows], s[a:a + rows]
-        table = np.empty((len(ub), m), order="F")
-        table[:, 0] = 1.0
+    for a in range(0, max(len(u), 1), points):
+        ub, sb = u[a:a + points], s[a:a + points]
+        table = np.empty((m, len(ub)))
+        table[0] = 1.0
         for i in range(1, m):
-            np.multiply(table[:, i - 1], sb, out=table[:, i])
+            np.multiply(table[i - 1], sb, out=table[i])
         low = ub ** (N - m)
         for i in range(m - 1, 0, -1):
-            table[:, i] *= low
+            table[i] *= low
             low *= ub
-        table[:, 0] = low
-        sums.append(table @ weights)
-    return sums[0] if len(sums) == 1 else np.concatenate(sums)
+        table[0] = low
+        sums.append(weights @ table)
+    return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
 
 
 def _over_m(N: int, M: int, numerators) -> tuple[float, ...]:
@@ -153,22 +155,22 @@ def _over_m(N: int, M: int, numerators) -> tuple[float, ...]:
 
 @lru_cache(maxsize=256)
 def _column_weights(N: int, Ms: tuple[int, ...]) -> np.ndarray:
-    """Read-only (max Ms, 2C): column c holds the float cdf_n / M of
-    Ms[c], column C + c its pdf_n / M, each zero past its own M."""
-    weights = np.zeros((max(Ms), 2 * len(Ms)))
+    """Read-only (2C, max Ms): row c holds the float cdf_n / M of Ms[c],
+    row C + c its pdf_n / M, each zero past its own M."""
+    weights = np.zeros((2 * len(Ms), max(Ms)))
     for c, M in enumerate(Ms):
         poly = BestMPoly.build(N, M)
-        weights[:M, c] = _over_m(N, M, poly.cdf_n)
-        weights[:M, len(Ms) + c] = _over_m(N, M, poly.pdf_n)
+        weights[c, :M] = _over_m(N, M, poly.cdf_n)
+        weights[len(Ms) + c, :M] = _over_m(N, M, poly.pdf_n)
     weights.setflags(write=False)
     return weights
 
 
 @lru_cache(maxsize=256)
 def _survival_weights(N: int, M: int) -> np.ndarray:
-    """Read-only (N, 1) weights min(i,M)/M C(N,i), i = 1..N, of 1 - F_Y."""
+    """Read-only (1, N) weights min(i,M)/M C(N,i), i = 1..N, of 1 - F_Y."""
     w = np.array(_over_m(N, M, (min(i, M) * comb(N, i)
-                                for i in range(1, N + 1))))[:, None]
+                                for i in range(1, N + 1))))[None, :]
     w.setflags(write=False)
     return w
 
@@ -212,12 +214,17 @@ class BestMPoly:
 
     @staticmethod
     def columns(N: int, Ms: tuple[int, ...], F):
-        """F_Y and dF_Y/du at every M in Ms, each (len(F), len(Ms)): u times
-        the table of the nonnegative terms s^i u^(N-1-i), s = 1 - u, by the
-        cdf_n / M columns, and the same table by the pdf_n / M columns."""
+        """F_Y and dF_Y/du at every M in Ms and every u in F, flattened in
+        C order, each (len(Ms), F.size), columns first, and the two halves
+        of one fresh array: from
+        one product of the cdf_n / M and pdf_n / M rows with the table of
+        the nonnegative terms s^i u^(N-1-i), s = 1 - u, whose first half
+        u multiplies."""
         u = np.asarray(F, dtype=float).reshape(-1)
         sums = _term_sums(N, u, 1.0 - u, _column_weights(N, Ms))
-        return u[:, None] * sums[:, :len(Ms)], sums[:, len(Ms):]
+        FY = sums[:len(Ms)]
+        FY *= u
+        return FY, sums[len(Ms):]
 
     def eval_in_f(self, F):
         """F_Y = sum_{i<M} (M-i)/M C(N,i) F^(N-i) (1-F)^i for F in [0, 1]."""
@@ -234,7 +241,7 @@ class BestMPoly:
         flat = np.asarray(s, dtype=float).reshape(-1)
         sums = _term_sums(self.N, 1.0 - flat, flat,
                           _survival_weights(self.N, self.M))
-        return (flat * sums[:, 0]).reshape(np.shape(s))[()]
+        return (flat * sums[0]).reshape(np.shape(s))[()]
 
 
 def feedback_count_pmf(K: int, M: int, N: int, tau0: int) -> float:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import sum_rate_asymptotic
+from .channel import _as_cell
 from .errors import DomainError, PreconditionError, _finite_real
 from .exact_rate import sum_rate_exact
 
@@ -81,7 +82,7 @@ def min_feedback_asymptotic(profiles, N: int, eta: float) -> int:
     skipped as infeasible; an error is raised if none remain.
     """
     _check_eta(eta)
-    profiles = list(profiles)
+    profiles = _as_cell(profiles)
     sums = sum_rate_asymptotic(profiles, N, range(1, N + 1))
     if np.isnan(sums[-1]):
         try:  # the scalar call raises the regime's own error at M = N
@@ -106,7 +107,7 @@ def plan_feedback(profiles, N: int, eta: float) -> PlanResult:
     m_asymptotic is None where the extreme-value regime fails.
     """
     _check_eta(eta)
-    profiles = list(profiles)
+    profiles = _as_cell(profiles)
     m_exact = min_feedback_exact(profiles, N, eta)
     evaluations = N + 1
     try:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Scenario, build_link_profile, sinr_cdf
+from .channel import Scenario, _as_cell, build_link_profile, sinr_cdf
 from .errors import DomainError, _integer
 from .feedback import BestMPoly, check_budget
 
@@ -301,7 +301,7 @@ def _run_drops(drop_profiles, N: int, config: SimConfig) -> RateReport:
 
 def simulate_profiles(profiles, N: int, config: SimConfig) -> RateReport:
     """Simulate fixed link profiles (no large-scale redraw between drops)."""
-    profiles = list(profiles)
+    profiles = _as_cell(profiles)
     if not profiles:
         raise DomainError("need at least one profile")
     return _run_drops(lambda rng: profiles, N, config)

@@ -5,9 +5,10 @@ function (E1) from mpmath; this quadrature is its independent oracle.
 `adaptive_quad_halfline` is the one entry point: it integrates a scalar or
 a column-valued integrand over [0, inf), the columns on one shared mesh as
 vector integrands share one in DCUHRE (Berntsen, Espelid & Genz, ACM TOMS
-17(4), 1991).  A rate at one M is a one-column integrand, the planner's
-all-M rate surface an N-column one.  Its panel rule is Patterson's 31-point
-extension of Kronrod 15, with K15 as the embedded error check.
+17(4), 1991), each column's values one contiguous row of nodes.  A rate
+at one M is a one-column integrand, the planner's all-M rate surface an
+N-column one.  Its panel rule is Patterson's 31-point extension of
+Kronrod 15, with K15 as the embedded error check.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ _HALF_K15_WEIGHTS = np.array([
 _NODES = np.concatenate((-_HALF_NODES[:0:-1], _HALF_NODES))
 _P31_WEIGHTS = np.concatenate((_HALF_P31_WEIGHTS[:0:-1], _HALF_P31_WEIGHTS))
 _K15_WEIGHTS = np.concatenate((_HALF_K15_WEIGHTS[:0:-1], _HALF_K15_WEIGHTS))
+#: both rules as the columns of one (31, 2) matrix, K15 zero at the added
+#: nodes, so that one product reads every panel's values once
+_RULES = np.zeros((len(_NODES), 2))
+_RULES[:, 0], _RULES[1::2, 1] = _P31_WEIGHTS, _K15_WEIGHTS
 
 
 #: the largest float below 1, the half-line map's last finite node
@@ -107,14 +112,13 @@ def _nodes(lo, hi):
 
 
 def _p31(fx, lo, hi):
-    """P31 values and |P31 - K15| error estimates, (panels, C), on every
-    panel [lo, hi], from the values fx, (n, C), of the integrand at
-    `_nodes(lo, hi)`."""
+    """P31 values and |P31 - K15| error estimates, (C, panels), on every
+    panel [lo, hi], from the values fx, (C, n), of the integrand at
+    `_nodes(lo, hi)`: each column's row of nodes, panel by panel."""
     half = 0.5 * (hi - lo)
-    fx = fx.reshape(len(lo), len(_NODES), -1)
-    p31 = half[:, None] * (_P31_WEIGHTS @ fx)
-    k15 = half[:, None] * (_K15_WEIGHTS @ fx[:, 1::2])
-    return p31, np.abs(p31 - k15)
+    rules = (fx.reshape(-1, len(_NODES)) @ _RULES).reshape(len(fx), len(lo), 2)
+    p31 = half * rules[..., 0]
+    return p31, np.abs(p31 - half * rules[..., 1])
 
 
 def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
@@ -124,9 +128,11 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
     Suitable for integrands decaying at least exponentially, or that have
     decayed long before x = 2^53, the map's last finite node: a node that
     rounds to t = 1, x = inf, counts as 0.  With
-    vectorized=True, f maps an ndarray of n abscissae to n values, or to an
-    (n, C) array whose C columns are integrated on one shared mesh;
-    otherwise it is called one float abscissa at a time.
+    vectorized=True, f maps an ndarray of n abscissae to n values, or to a
+    (C, n) array, columns first, whose C columns are integrated on one
+    shared mesh: each column is one row of n values, along which the map's
+    weight, the panel sums and the tail check run; otherwise f is called
+    one float abscissa at a time.
 
     Globally adaptive refinement in t (QUADPACK's QAG loop), batched by
     rounds.  Each panel takes Patterson's 31-point rule, and its error
@@ -172,8 +178,8 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
         one_minus = 1.0 - ts
         fx = np.asarray(fv(ts / one_minus), dtype=float)
         column_valued = fx.ndim == 2
-        fx = fx.reshape(len(ts), -1) / (one_minus**2)[:, None]
-        fx[~inside] = 0.0
+        fx = fx.reshape(-1, len(ts)) / one_minus**2
+        fx[:, ~inside] = 0.0
         return fx
 
     lo, hi = _START_EDGES[:-1], _START_EDGES[1:]
@@ -182,11 +188,11 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
     # (1 - _LAST_T) times the mapped value there, x f(x) at x = 2^53 - 1; an
     # x f(x) that has not fallen since x = 2^52 - 1 holds on past 2^53 too
     fx = mapped(np.append(_nodes(lo, hi), _TAIL_T))
-    before, beyond = (1.0 - _TAIL_T)[:, None] * np.abs(fx[-2:])
-    vals, errs = _p31(fx[:-2], lo, hi)
+    before, beyond = ((1.0 - _TAIL_T) * np.abs(fx[:, -2:])).T
+    vals, errs = _p31(fx[:, :-2], lo, hi)
     budget = config.max_subdivisions - (len(lo) - 1)
     while True:
-        total_val, total_err = vals.sum(0), errs.sum(0)
+        total_val, total_err = vals.sum(-1), errs.sum(-1)
         tol = np.maximum(config.rel_tol * np.abs(total_val), config.abs_tol)
         if (total_err <= tol).all():
             if ((beyond > tol) | ((beyond > 0) & (beyond >= before))).any():
@@ -194,7 +200,7 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
                     "adaptive quadrature misses the mass beyond x = 2^53, "
                     "its last node", achieved_error=float(beyond.max()))
             return total_val if column_valued else float(total_val[0])
-        scaled = (errs / tol).max(1)
+        scaled = (errs / tol[:, None]).max(0)
         order = np.argsort(-scaled)
         # cut until the panels left alone carry under an eighth of a tolerance
         cut_so_far = scaled[order].cumsum()
@@ -215,5 +221,5 @@ def adaptive_quad_halfline(f, config: QuadratureConfig | None = None,
                                   new_hi)
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
-        vals = np.concatenate((vals[keep], new_vals))
-        errs = np.concatenate((errs[keep], new_errs))
+        vals = np.concatenate((vals[:, keep], new_vals), axis=1)
+        errs = np.concatenate((errs[:, keep], new_errs), axis=1)

@@ -28,3 +28,14 @@ def pdf_mp(p, x):
     for r in p.rho_int:
         hazard += r / (rho0 + r * x)
     return sf_mp(p, x) * hazard
+
+
+def log_sf_mp(p, x):
+    """log(1 - F) of the SINR, a sum of log1p terms, accurate at any x:
+    1 - sf_mp rounds away a CDF below the working precision."""
+    rho0 = mp.mpf(p.rho0)
+    x = mp.mpf(x)
+    out = mp.mpf(0) if p.kind == INTERFERENCE_LIMITED else -x / rho0
+    for r in p.rho_int:
+        out -= mp.log1p(r * x / rho0)
+    return out

@@ -29,7 +29,7 @@ from cdfsched.channel import (
 )
 from cdfsched.errors import ConvergenceError, DomainError, ScenarioError
 from cdfsched.specfun import QuadratureConfig, adaptive_quad_halfline
-from mp_reference import pdf_mp, sf_mp
+from mp_reference import log_sf_mp, pdf_mp, sf_mp
 
 PROFILES = [
     LinkProfile.noise_limited(2.0),
@@ -108,6 +108,86 @@ class TestProductFormLaw:
                                        QuadratureConfig(rel_tol=1e-11),
                                        vectorized=True)
         assert total == pytest.approx(1.0, rel=1e-9)
+
+
+#: the one-pass law's grid: rho0 over 16 decades, J = 0, 1, 2, 4, 5
+#: interferers (the first above rho0, so that t passes x), the
+#: interference-limited kind, and interferers tied to a relative 1e-9
+LAW_GRID = [
+    *[LinkProfile.noise_limited(r0) if J == 0 else
+      LinkProfile.general(r0, tuple(2.0 * r0 * 0.6**b for b in range(J)))
+      for r0 in (1e-8, 1.0, 1e8) for J in (0, 1, 2, 4, 5)],
+    *[LinkProfile.interference_limited(r0, 0.3 * r0)
+      for r0 in (1e-8, 1.0, 1e8)],
+    *[LinkProfile.general(r0, tuple(0.5 * r0 * (1.0 - 1e-9 * b)
+                                    for b in range(3)))
+      for r0 in (1e-8, 1e8)],
+]
+LAW_X = [5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 1e-8, 1e-3,
+         0.5, 1.0, 10.0, 1e3, 1e8, 1e16, 1e100, 1e200, 1e300, 1e308]
+U = 2.0**-53
+
+
+class TestOnePassLaw:
+    """log S and the hazard from one loop over the interferers: the CDF,
+    survival and density against 50-digit mpmath from the smallest
+    subnormal to the largest float and the quadrature's last node, with
+    no warning, and a stack's zero-padded rows with their own bits."""
+
+    @staticmethod
+    def _xs(p):
+        scale = exact_rate._map_scale(channel.stacked(p))[0, 0]
+        return np.array(LAW_X + [2.0**53 * scale])
+
+    @pytest.mark.parametrize("p", LAW_GRID, ids=lambda p: (
+        f"{p.kind[0]}{p.num_interferers}-{p.rho0:g}"))
+    def test_against_mpmath(self, p):
+        xs = self._xs(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf, pdf = channel._cdf_and_pdf(p, xs)
+            sf = sinr_sf(p, xs)
+        # the docstring's bound on log S, u (5J + 2) |log S|, and a few
+        # subnormal spacings; the hazard is a sum of J + 1 positive terms
+        steps = 5 * p.num_interferers + 2
+        for x, F, f, S in zip(xs.tolist(), cdf.tolist(), pdf.tolist(),
+                              sf.tolist()):
+            with mp.workdps(50):
+                log_sf = log_sf_mp(p, x)
+                hazard = pdf_mp(p, x) / sf_mp(p, x)
+                cdf_ref, log_ref = float(-mp.expm1(log_sf)), float(-log_sf)
+                sf_ref = float(mp.exp(log_sf))
+                pdf_ref, hazard = float(mp.exp(log_sf) * hazard), float(hazard)
+            d_log = U * steps * log_ref + steps * 5e-324
+            # an error d_log in log S moves the CDF by S d_log
+            assert abs(F - cdf_ref) <= (1.01 * d_log * sf_ref if sf_ref
+                                        else 0.0) + 2 * U * cdf_ref, (p, x)
+            if sf_ref > 1e-290:
+                assert abs(S - sf_ref) <= (1.01 * d_log + 2 * U) * sf_ref, \
+                    (p, x)
+                assert abs(f - pdf_ref) <= (
+                    1.01 * d_log + U * (steps + 3)) * pdf_ref, (p, x)
+            else:  # an interferer's t, or the product, may overflow here
+                assert 0.0 <= S <= 1e-289, (p, x)
+                assert 0.0 <= f <= 2e-289 * hazard, (p, x)
+
+    def test_a_stack_keeps_every_rows_bits(self):
+        # zero scales trail a row's own, where they change no bit; the
+        # cell's stack, and any slice of it, gives each row's own law
+        rows = channel.stacked(LAW_GRID)
+        xs = np.array(LAW_X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cell = channel._cdf_and_pdf(rows, xs)
+            part = channel._cdf_and_pdf(rows[3:7], xs)
+            own = [channel._cdf_and_pdf(p, xs) for p in LAW_GRID]
+        assert len(rows[3:7].rho_int) == 5 and len(rows[:3].rho_int) == 2
+        for k, (F, f) in enumerate(own):
+            assert np.array_equal(cell[0][k], F)
+            assert np.array_equal(cell[1][k], f)
+            if 3 <= k < 7:
+                assert np.array_equal(part[0][k - 3], F)
+                assert np.array_equal(part[1][k - 3], f)
 
 
 # every kind, one to four interferers, a three-way tie and rho0 over 16
@@ -196,7 +276,9 @@ class TestArrayQuantile:
     def test_unconverged_points_report_the_gap_left(self, monkeypatch):
         # a hazard of 1e300 makes every Newton step negligible; the
         # noise-limited row's three points iterate too
-        monkeypatch.setattr(channel, "_hazard", lambda p, x: 1e300)
+        law = channel._law
+        monkeypatch.setattr(channel, "_law",
+                            lambda p, x: (law(p, x)[0], 1e300))
         with pytest.raises(ConvergenceError, match="at 9 point") as err:
             sinr_cdf_inv([TIED, PROFILES[0], J4], np.array([0.1, 0.5, 0.9]))
         assert err.value.achieved_error == pytest.approx(-math.log1p(-0.9))
@@ -340,8 +422,8 @@ class TestSinrDistribution:
         channel.stacked([*PROFILES, J4, LinkProfile.noise_limited(1e-8)])],
         ids=lambda p: getattr(p, "kind", "stacked"))
     def test_one_pass_law_keeps_both_laws_bits(self, p):
-        # the CDF and density of one _log_sf pass are sinr_cdf's bits
-        # and the bits of a density with its own pass, on every edge: 0,
+        # the CDF and density of one _law pass are sinr_cdf's bits and
+        # the bits of a density from a pass of its own, on every edge: 0,
         # the smallest subnormal, 2^53 times the quadrature's map scale
         # (its last node), a product that overflows to inf, inf itself
         # and x < 0; a stack's zero-padded rows broadcast against x
@@ -352,13 +434,15 @@ class TestSinrDistribution:
                             2.0**53 * scale], axis=1)
         outside = (x < 0) | (x == math.inf)
         xc = np.where(outside, 0.0, x)
-        with np.errstate(over="ignore"):
-            own = np.exp(channel._log_sf(p, xc)) * channel._hazard(p, xc)
-        own = np.where(outside, 0.0, own)
 
         def bits(a):
             return np.asarray(a).view(np.int64).tolist()
 
+        with np.errstate(over="ignore"):
+            log_sf, hazard = channel._law(p, xc)
+            # the hazard changes no bit of the pass's log S
+            assert bits(log_sf) == bits(channel._log_sf(p, xc))
+            own = np.where(outside, 0.0, np.exp(log_sf) * hazard)
         cdf, pdf = channel._cdf_and_pdf(p, x)
         assert bits(cdf) == bits(sinr_cdf(p, x))
         assert bits(pdf) == bits(own) == bits(sinr_pdf(p, x))

@@ -469,6 +469,26 @@ class TestPlanAndValidate:
         assert LinkProfile.interference_limited(1.3, 1.0) in checked
 
 
+def test_parser_built_once_reads_the_module_at_each_call(capsys,
+                                                         monkeypatch):
+    # main builds its parser once a process: two calls with the same
+    # arguments print the same rows, and a command still reads the
+    # module's names when it runs, so a patched one is honoured
+    argv = ("rate-exact", "--scenario", GOLDEN, "--M", "4")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and cli.build_parser() is cli.build_parser()
+    calls = []
+    sum_rate_exact = cli.sum_rate_exact
+
+    def recorded(*args):
+        calls.append(args)
+        return sum_rate_exact(*args)
+
+    monkeypatch.setattr(cli, "sum_rate_exact", recorded)
+    assert run_cli(capsys, *argv) == first
+    assert len(calls) == 1
+
+
 #: run in a fresh interpreter: import the package, then block SciPy so that
 #: any later import of it raises ImportError, and run every command
 _WITHOUT_SCIPY = """

@@ -28,7 +28,7 @@ from cdfsched.asymptotics import (
     sum_rate_asymptotic,
     user_rate_asymptotic,
 )
-from cdfsched.channel import LinkProfile
+from cdfsched.channel import LinkProfile, sinr_cdf_inv
 from cdfsched.cli import load_scenario, scenario_profiles
 from cdfsched.errors import CancellationError, ConvergenceError, DomainError
 from cdfsched.feedback import BestMPoly, xi1_vector
@@ -46,6 +46,7 @@ from cdfsched.exact_rate import (
     _psi_table,
     _series_budget,
 )
+from cdfsched.planner import plan_feedback
 from cdfsched.simulator import SimConfig, simulate_profiles
 from cdfsched.specfun import QuadratureConfig
 from mp_reference import pdf_mp, sf_mp
@@ -941,3 +942,50 @@ class TestRateSurface:
         monkeypatch.setattr(exact_rate, "_engine", refuse)
         rates = sum_rate_exact([NL, G1], 4, range(1, 5)).per_user
         assert rates.shape == (2, 4)
+
+
+#: entry points that take a cell, each called on the cell given
+_CELL_DOORS = {
+    "user_rate_exact": lambda cell: user_rate_exact(cell, 2, 16, 4),
+    "sum_rate_exact": lambda cell: sum_rate_exact(cell, 16, 4),
+    "sum_rate_exact_Ms": lambda cell: sum_rate_exact(cell, 16, (2, 4)),
+    "plan_feedback": lambda cell: plan_feedback(cell, 16, 0.9),
+    "user_rate_asymptotic": lambda cell: user_rate_asymptotic(cell, 50, 16,
+                                                              4),
+    "normalizing_constants": lambda cell: normalizing_constants(cell, 50.0,
+                                                                16, 4),
+    "sinr_cdf_inv": lambda cell: sinr_cdf_inv(cell, 0.5),
+    "simulate_profiles": lambda cell: simulate_profiles(
+        cell, 16, SimConfig(1, 10, "cdf", 4, 0)),
+}
+#: cells that are not sequences of LinkProfiles; at N * K0 = 32 the series
+#: path reads each profile before any quadrature
+_NOT_CELLS = {"number_in_cell": [IL, 3.0], "list_in_cell": [[4.0, 1.0], G1],
+              "string": "IL", "number": 3.0}
+
+
+@pytest.mark.parametrize("call", [
+    *[pytest.param(partial(door, cell), id=f"{name}-{kind}")
+      for name, door in _CELL_DOORS.items()
+      for kind, cell in _NOT_CELLS.items()],
+    *[pytest.param(partial(user_rate_exact, G2, 2, 16, 4,
+                           closed_form_max_eps=bad),
+                   id=f"closed_form_max_eps-{bad!r}")
+      for bad in (None, "64", True, 1.5, -3, np.float64(64.0))],
+])
+def test_front_doors_raise_domain_error(call):
+    # a non-profile in a cell, or a closed_form_max_eps that is not an
+    # integer >= 0, is a DomainError (CLI exit 2), not a stray
+    # AttributeError or TypeError, nor passed over in silence
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_closed_form_max_eps_zero_takes_the_quadrature():
+    # 0, and any integer type, is a valid budget: 0 sends every profile
+    # to the collapsed quadrature
+    want = _collapsed_rates((G2,), 2, 16, (4,))[0, 0]
+    for zero in (0, np.int64(0)):
+        assert user_rate_exact(G2, 2, 16, 4, closed_form_max_eps=zero) == want
+    assert user_rate_exact(G2, 2, 16, 4, closed_form_max_eps=np.int32(64)) \
+        == user_rate_exact(G2, 2, 16, 4)

@@ -81,48 +81,48 @@ CASES = {
 #: name -> the frozen values; the all-M rows as one digest
 EXPECTED = {
     "golden_50_M4": """
-        0x1.38c2295f731b5p-2 0x1.cc101f37b93b9p-4 0x1.333fa8cfa5059p-2
-        0x1.e43b217edcfedp-4 0x1.92333d08493fep-3 0x1.3943986a84ce2p-2
-        0x1.d5033d1fc94e1p-4 0x1.3262edb35ddb6p-2 0x1.e75dcac730c4ep-4
-        0x1.91f7cba4fe733p-3 0x1.3919ecd1983d2p-2 0x1.c9a5510090553p-4
-        0x1.336bd50ebeac6p-2 0x1.e49dfb276b53dp-4 0x1.9638bf5ebd1e7p-3
-        0x1.38a990ad9a4fcp-2 0x1.d33c1eac5b5a0p-4 0x1.331ab4d259b8ep-2
-        0x1.e327fc0e542dbp-4 0x1.9202a51cefc9ep-3 0x1.3a19b3572892dp-2
-        0x1.d0fe280a2b42ep-4 0x1.31b7e5242269dp-2 0x1.de93cbc288157p-4
-        0x1.93f30c89b1244p-3 0x1.372997489ae9ep-2 0x1.cd050cc4142a2p-4
-        0x1.33258df0d766cp-2 0x1.e68a5c18e85b5p-4 0x1.92728ab72bea6p-3
+        0x1.38c2295f731b8p-2 0x1.cc101f37b93b8p-4 0x1.333fa8cfa5058p-2
+        0x1.e43b217edcfebp-4 0x1.92333d08493ffp-3 0x1.3943986a84ce6p-2
+        0x1.d5033d1fc94e2p-4 0x1.3262edb35ddb5p-2 0x1.e75dcac730c4ep-4
+        0x1.91f7cba4fe732p-3 0x1.3919ecd1983d3p-2 0x1.c9a5510090552p-4
+        0x1.336bd50ebeac6p-2 0x1.e49dfb276b53ep-4 0x1.9638bf5ebd1e7p-3
+        0x1.38a990ad9a4fdp-2 0x1.d33c1eac5b5a0p-4 0x1.331ab4d259b8dp-2
+        0x1.e327fc0e542dap-4 0x1.9202a51cefc9ep-3 0x1.3a19b3572892dp-2
+        0x1.d0fe280a2b42ep-4 0x1.31b7e5242269fp-2 0x1.de93cbc288155p-4
+        0x1.93f30c89b1243p-3 0x1.372997489ae9ep-2 0x1.cd050cc4142a2p-4
+        0x1.33258df0d766ep-2 0x1.e68a5c18e85b4p-4 0x1.92728ab72bea6p-3
         0x1.380fff01cb650p-2 0x1.c9eb40cc4628ap-4 0x1.33417cf4e6961p-2
-        0x1.ea98d93e64c93p-4 0x1.93bc3c26e0364p-3 0x1.38b3e0559c55ap-2
-        0x1.d409d5cc16027p-4 0x1.312cbb1e2bca7p-2 0x1.e356393808b29p-4
-        0x1.9416800d297eap-3 0x1.38bb43147aaf9p-2 0x1.cd253ab8b822bp-4
-        0x1.3311e43bb0b9bp-2 0x1.ec8a5d588c1b9p-4 0x1.9190ac6b5127ep-3
-        0x1.3a6415b883b96p-2 0x1.cfa4e27d22912p-4 0x1.33e6001c8d4dap-2
-        0x1.e3d2b8ccb33c2p-4 0x1.95a93966abc58p-3
+        0x1.ea98d93e64c93p-4 0x1.93bc3c26e0364p-3 0x1.38b3e0559c55bp-2
+        0x1.d409d5cc16029p-4 0x1.312cbb1e2bca8p-2 0x1.e356393808b28p-4
+        0x1.9416800d297eap-3 0x1.38bb43147aaf8p-2 0x1.cd253ab8b822ap-4
+        0x1.3311e43bb0b9ep-2 0x1.ec8a5d588c1b8p-4 0x1.9190ac6b5127ep-3
+        0x1.3a6415b883b98p-2 0x1.cfa4e27d22913p-4 0x1.33e6001c8d4dbp-2
+        0x1.e3d2b8ccb33c1p-4 0x1.95a93966abc58p-3
     """.split(),
-    "golden_50_all_M_rows": "fe8b605ca38bbbb07d05053e054151b128219697"
-        "9a2094c0b86e1cca0c72e6e3",
+    "golden_50_all_M_rows": "4ad52dc9aaa919bf2472a1ab1847cd9fad7244b5"
+        "76a97064778bafc2e5cb589c",
     "golden_50_all_M_sums": """
-        0x1.3acb052563990p+3 0x1.49c20f75870b0p+3 0x1.4ab3b056a36b9p+3
-        0x1.4acd46fa74cc1p+3 0x1.4ad0f1df44516p+3 0x1.4ad18042edaf7p+3
-        0x1.4ad195307c989p+3 0x1.4ad198137b930p+3 0x1.4ad198712902dp+3
-        0x1.4ad1987bdb1a9p+3 0x1.4ad1987cee411p+3 0x1.4ad1987d05e12p+3
+        0x1.3acb052563991p+3 0x1.49c20f75870afp+3 0x1.4ab3b056a36b8p+3
+        0x1.4acd46fa74cc1p+3 0x1.4ad0f1df44517p+3 0x1.4ad18042edaf6p+3
+        0x1.4ad195307c988p+3 0x1.4ad198137b92fp+3 0x1.4ad198712902ep+3
+        0x1.4ad1987bdb1a9p+3 0x1.4ad1987cee411p+3 0x1.4ad1987d05e13p+3
         0x1.4ad1987d078aep+3 0x1.4ad1987d07a1dp+3 0x1.4ad1987d07a28p+3
-        0x1.4ad1987d07a26p+3
+        0x1.4ad1987d07a25p+3
     """.split(),
     "golden_plan_5": """
-        6 6 0x1.d9ce4fe9b8a0dp-1
-        0x1.4db2c19bc82f2p+1 0x1.1a3a54722aee8p+2 0x1.6b5131bf2826ap+2
-        0x1.a3d5ec3d0e890p+2 0x1.ca833b3c52a3cp+2 0x1.e44e973ff1582p+2
-        0x1.f4f2993cc4afbp+2 0x1.ff3debe1dafe2p+2 0x1.02a3e958c3cbep+3
-        0x1.044b656293e96p+3 0x1.051f73e5f666ep+3 0x1.057d640e49730p+3
-        0x1.05a058a7eaf27p+3 0x1.05aa5e1c13cbdp+3 0x1.05ac498ee59e2p+3
+        6 6 0x1.d9ce4fe9b8a0fp-1
+        0x1.4db2c19bc82f2p+1 0x1.1a3a54722aee8p+2 0x1.6b5131bf2826bp+2
+        0x1.a3d5ec3d0e890p+2 0x1.ca833b3c52a3cp+2 0x1.e44e973ff1584p+2
+        0x1.f4f2993cc4afcp+2 0x1.ff3debe1dafe2p+2 0x1.02a3e958c3cbep+3
+        0x1.044b656293e97p+3 0x1.051f73e5f666ep+3 0x1.057d640e49730p+3
+        0x1.05a058a7eaf27p+3 0x1.05aa5e1c13cbdp+3 0x1.05ac498ee59e3p+3
         0x1.05ac7dfa48b72p+3
     """.split(),
     "mixed_extremes": """
-        0x1.ee5a54728388cp-23 0x1.0fdf4d998f726p-22 0x1.107143b4c9eefp-22
-        0x1.6ef120d429a0ap-3 0x1.4b81dd50e1c8ep-1 0x1.60eae8b9be8b8p-1
-        0x1.a877f297c4cddp+0 0x1.fef6f82128335p+2 0x1.21aeab8a53d37p+3
-        0x1.d6561a8efeaadp+0 0x1.14339a6d91dd0p+3 0x1.37bd5a9e285e0p+3
+        0x1.ee5a54728388ep-23 0x1.0fdf4d998f725p-22 0x1.107143b4c9eefp-22
+        0x1.6ef120d429a0bp-3 0x1.4b81dd50e1c8ep-1 0x1.60eae8b9be8b6p-1
+        0x1.a877f297c4cddp+0 0x1.fef6f82128333p+2 0x1.21aeab8a53d38p+3
+        0x1.d6561a8efeaadp+0 0x1.14339a6d91dcfp+3 0x1.37bd5a9e285e1p+3
     """.split(),
 }
 

@@ -236,26 +236,26 @@ ALL_M = {N: tuple(range(1, N + 1)) for N in (16, 25, 50, 100)}
 
 class TestBestMColumns:
     """Every best-M layer at once, from the one float evaluator the rate
-    integrand and the scalar callers share: one table of binomial terms
-    times the stacked BestMPoly weights."""
+    integrand and the scalar callers share: the stacked BestMPoly weights
+    times one table of binomial terms, columns first, one row per M."""
 
     @pytest.mark.parametrize("N", [16, 25, 50, 100])
     def test_matches_exact_rationals(self, N):
         cdf, pdf = BestMPoly.columns(N, ALL_M[N], U_GRID)
-        assert cdf.shape == pdf.shape == (len(U_GRID), N)
+        assert cdf.shape == pdf.shape == (N, len(U_GRID))
         for k in range(0, len(U_GRID), 2):  # keeps both ends of the grid
             for M, (F, dF) in enumerate(_exact_columns(N, U_GRID[k]), start=1):
-                assert _rel(cdf[k, M - 1], F) < 1e-14
-                assert _rel(pdf[k, M - 1], dF) < 1e-14
+                assert _rel(cdf[M - 1, k], F) < 1e-14
+                assert _rel(pdf[M - 1, k], dF) < 1e-14
 
     @pytest.mark.parametrize("N", [16, 25, 50, 100])
     def test_columns_match_bestm_poly(self, N):
         cdf, pdf = BestMPoly.columns(N, ALL_M[N], U_GRID)
         for M in range(1, N + 1):
             poly = BestMPoly.build(N, M)
-            np.testing.assert_allclose(cdf[:, M - 1], poly.eval_in_f(U_GRID),
+            np.testing.assert_allclose(cdf[M - 1], poly.eval_in_f(U_GRID),
                                        rtol=1e-14, atol=0)
-            np.testing.assert_allclose(pdf[:, M - 1],
+            np.testing.assert_allclose(pdf[M - 1],
                                        poly.derivative_in_f(U_GRID),
                                        rtol=1e-14, atol=0)
 
@@ -265,26 +265,29 @@ class TestBestMColumns:
         for Ms in [(1,), (4,), (50,), (7, 3, 50)]:
             got_cdf, got_pdf = BestMPoly.columns(50, Ms, U_GRID)
             cols = [M - 1 for M in Ms]
-            np.testing.assert_allclose(got_cdf, cdf[:, cols], rtol=1e-14,
+            np.testing.assert_allclose(got_cdf, cdf[cols], rtol=1e-14,
                                        atol=0)
-            np.testing.assert_allclose(got_pdf, pdf[:, cols], rtol=1e-14,
+            np.testing.assert_allclose(got_pdf, pdf[cols], rtol=1e-14,
                                        atol=0)
 
     def test_rows_past_one_block_match_single_rows(self, monkeypatch):
-        # eight rows a block at N = 16: the grid's 49 rows take seven
-        # blocks, the last of one row
+        # eight points a block at N = 16: the grid's 49 points take seven
+        # blocks, the last of one point
         monkeypatch.setattr(feedback, "_BLOCK_ENTRIES", 8 * 16 + 3)
         cdf, pdf = BestMPoly.columns(16, ALL_M[16], U_GRID)
         for k, u in enumerate(U_GRID):
-            row_cdf, row_pdf = BestMPoly.columns(16, ALL_M[16], u)
-            np.testing.assert_allclose(cdf[k], row_cdf[0], rtol=1e-14, atol=0)
-            np.testing.assert_allclose(pdf[k], row_pdf[0], rtol=1e-14, atol=0)
+            one_cdf, one_pdf = BestMPoly.columns(16, ALL_M[16], u)
+            np.testing.assert_allclose(cdf[:, k], one_cdf[:, 0], rtol=1e-14,
+                                       atol=0)
+            np.testing.assert_allclose(pdf[:, k], one_pdf[:, 0], rtol=1e-14,
+                                       atol=0)
 
     def test_endpoints(self):
         cdf, pdf = BestMPoly.columns(16, ALL_M[16], np.array([0.0, 1.0]))
-        assert np.all(cdf[0] == 0.0) and np.all(cdf[1] == 1.0)
+        assert np.all(cdf[:, 0] == 0.0) and np.all(cdf[:, 1] == 1.0)
         # at u = 1 only the j = 0 term survives: dF_Y/du = N/M
-        np.testing.assert_allclose(pdf[1], 16 / np.arange(1, 17), rtol=1e-15)
+        np.testing.assert_allclose(pdf[:, 1], 16 / np.arange(1, 17),
+                                   rtol=1e-15)
 
     def test_overflowing_weights_raise_domain_error(self):
         with pytest.raises(DomainError, match="N=1100"):

@@ -122,7 +122,7 @@ class TestPanelRule:
         # the panel's error estimate
         lo, hi = np.array([0.0]), np.array([1.0])
         ts = _nodes(lo, hi)
-        val, err = _p31((ts**47 - 5 * ts**30 + 3 * ts**7 + 1)[:, None],
+        val, err = _p31((ts**47 - 5 * ts**30 + 3 * ts**7 + 1)[None, :],
                         lo, hi)
         assert val[0, 0] == pytest.approx(1 / 48 - 5 / 31 + 3 / 8 + 1,
                                           rel=1e-14)
@@ -277,13 +277,44 @@ class TestAdaptiveQuadColumns:
     def test_columns_on_one_mesh(self):
         # int x^k e^-x = k!, and int e^(-x/30) = 30 needs a wider mesh
         vals = adaptive_quad_halfline(lambda xs: np.stack(
-            [np.exp(-xs), xs**3 * np.exp(-xs), np.exp(-xs / 30)], axis=1),
+            [np.exp(-xs), xs**3 * np.exp(-xs), np.exp(-xs / 30)]),
             QuadratureConfig(), vectorized=True)
         np.testing.assert_allclose(vals, [1.0, 6.0, 30.0], rtol=1e-11)
 
+    @pytest.mark.parametrize("columns,rounds", [
+        # each settles on the starting mesh, in one call
+        ([lambda xs: np.exp(-xs), lambda xs: xs**3 * np.exp(-xs),
+          lambda xs: np.exp(-xs / 30), lambda xs: 1.0 / (1.0 + xs) ** 3], 0),
+        # one kinked integrand at scales 2^k: every column cuts the panels
+        # the others cut, round by round
+        ([lambda xs, k=k: 2.0**k * np.sqrt(np.abs(xs - 1 / 3)) * np.exp(-xs)
+          for k in (-40, 0, 3, 60)], 5),
+    ], ids=["one_call", "rounds"])
+    def test_columns_are_their_one_column_runs(self, columns, rounds):
+        # a (C, n) integrand takes the integrand calls, at the abscissae,
+        # and gives the values of its C columns integrated one at a time
+        def run(f):
+            calls = []
+
+            def counted(xs):
+                calls.append(xs.copy())
+                return f(xs)
+            return adaptive_quad_halfline(
+                counted, QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10),
+                vectorized=True), calls
+
+        vals, calls = run(lambda xs: np.stack([g(xs) for g in columns]))
+        assert vals.shape == (len(columns),)
+        assert (len(calls) > rounds) if rounds else len(calls) == 1
+        for g, val in zip(columns, vals.tolist()):
+            one, one_calls = run(g)
+            assert val == pytest.approx(one, rel=4 * 2.0**-52, abs=0)
+            assert len(one_calls) == len(calls)
+            assert all(np.array_equal(a, b) for a, b in zip(one_calls, calls))
+
     def test_one_column_returns_an_array(self):
-        # an (n, 1) integrand gives its one value as an array, as any (n, C)
-        vals = adaptive_quad_halfline(lambda xs: np.exp(-xs)[:, None],
+        # a (1, n) integrand gives its one value as an array, as any (C, n)
+        vals = adaptive_quad_halfline(lambda xs: np.exp(-xs)[None, :],
                                       vectorized=True)
         assert vals.shape == (1,)
         assert vals[0] == adaptive_quad_halfline(lambda xs: np.exp(-xs),
@@ -292,8 +323,7 @@ class TestAdaptiveQuadColumns:
     def test_each_column_meets_its_own_tolerance(self):
         # a column 1e-20 times smaller is held to its own relative tolerance
         vals = adaptive_quad_halfline(
-            lambda xs: np.stack([np.exp(-xs), 1e-20 * xs * np.exp(-xs)],
-                                axis=1),
+            lambda xs: np.stack([np.exp(-xs), 1e-20 * xs * np.exp(-xs)]),
             QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10), vectorized=True)
         np.testing.assert_allclose(vals, [1.0, 1e-20], rtol=1e-10)
 
@@ -301,9 +331,8 @@ class TestAdaptiveQuadColumns:
         # the kink at x = 1/3 stalls the second column only
         with pytest.raises(ConvergenceError) as info:
             adaptive_quad_halfline(
-                lambda xs: np.stack([np.exp(-xs),
-                                     np.sqrt(np.abs(xs - 1 / 3)) * np.exp(-xs)],
-                                    axis=1),
+                lambda xs: np.stack([
+                    np.exp(-xs), np.sqrt(np.abs(xs - 1 / 3)) * np.exp(-xs)]),
                 QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15,
                                  max_subdivisions=30), vectorized=True)
         assert math.isfinite(info.value.achieved_error)
